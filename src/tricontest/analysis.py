@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .contest import (
     DEFAULT_SETTINGS,
     ContestInstance,
     SolverSettings,
+    _shares_and_slope,
     solve_contest,
     solve_total_effort,
 )
@@ -134,8 +133,8 @@ def _check_param(instance: ContestInstance,
 def _gap_param_partial(instance: ContestInstance, x: float, kind: str,
                        idx: int) -> float:
     """Partial of the aggregate equation in one member's parameter."""
-    de = float(instance._delta_eff[idx])
-    k = float(instance._k[idx])
+    de = instance._delta_eff[idx]
+    k = instance._k[idx]
     den = k * x * x + de
     if kind == "psi":
         return de * k * x * x / (instance.psi[idx] * den * den)
@@ -146,11 +145,16 @@ def _gap_param_partial(instance: ContestInstance, x: float, kind: str,
     return -de * x * x * (k / instance.cost[idx]) / (den * den)
 
 
-def _gap_total_partial(instance: ContestInstance, x: float) -> float:
-    de = instance._delta_eff
-    k = instance._k
-    den = k * (x * x) + de
-    return float(-np.sum(2.0 * de * k * x / (den * den)))
+def _aggregate_response(instance: ContestInstance, kind: str, idx: int,
+                        settings: SolverSettings | None) -> tuple[float, float, float]:
+    """Root ``x``, the equation's partial ``g_p`` in the parameter, and ``dx/dp``.
+
+    Implicit function theorem on ``g(x^2) = 0``, with ``dg/dx = 2 x dg/dt``.
+    """
+    x = solve_total_effort(instance, settings)
+    g_x = 2.0 * x * _shares_and_slope(instance, x * x)[2]
+    g_p = _gap_param_partial(instance, x, kind, idx)
+    return x, g_p, -g_p / g_x
 
 
 def total_effort_derivative(instance: ContestInstance, param: tuple[str, str],
@@ -164,10 +168,7 @@ def total_effort_derivative(instance: ContestInstance, param: tuple[str, str],
     kind, idx = _check_param(instance, param)
     if instance.m < 2:
         raise ValueError("comparative statics need a contested field (m >= 2)")
-    x = solve_total_effort(instance, settings)
-    g_x = _gap_total_partial(instance, x)
-    g_p = _gap_param_partial(instance, x, kind, idx)
-    return -g_p / g_x
+    return _aggregate_response(instance, kind, idx, settings)[2]
 
 
 def _target_value(instance: ContestInstance, target: tuple[str, str | None],
@@ -177,8 +178,8 @@ def _target_value(instance: ContestInstance, target: tuple[str, str | None],
     if kind == "total":
         return x
     idx = instance.index(aid)
-    de = float(instance._delta_eff[idx])
-    k = float(instance._k[idx])
+    de = instance._delta_eff[idx]
+    k = instance._k[idx]
     p = de / (k * x * x + de)
     if kind == "prob":
         return p
@@ -206,16 +207,13 @@ def sensitivity_report(instance: ContestInstance,
     settings = settings or DEFAULT_SETTINGS
 
     # Analytic chain rule through the aggregate root.
-    x = solve_total_effort(instance, settings)
-    g_x = _gap_total_partial(instance, x)
-    g_p = _gap_param_partial(instance, x, p_kind, p_idx)
-    dx = -g_p / g_x
+    x, g_p, dx = _aggregate_response(instance, p_kind, p_idx, settings)
     if t_kind == "total":
         analytic = dx
     else:
         t_idx = instance.index(target[1])
-        de = float(instance._delta_eff[t_idx])
-        k = float(instance._k[t_idx])
+        de = instance._delta_eff[t_idx]
+        k = instance._k[t_idx]
         den = k * x * x + de
         p = de / den
         dh_dx = -2.0 * k * x * de / (den * den)
@@ -259,11 +257,10 @@ def welfare_report(scenario: Scenario, members: Sequence[str],
     cost = 0.0
     intake = 0.0
     welfare = 0.0
-    for idx, aid in enumerate(instance.ids):
-        k = instance.cost[idx] / instance.psi[idx]
+    for aid, k, delta in zip(instance.ids, instance._k, instance.delta):
         effort = equilibrium.efforts[aid]
         cost += 0.5 * k * effort * effort
-        intake += equilibrium.probs[aid] * instance.delta[idx]
+        intake += equilibrium.probs[aid] * delta
         welfare += equilibrium.continuation_values[aid]
     return WelfareReport(members=tuple(sorted(instance.ids)),
                          total_welfare=welfare, aggregate_cost=cost,

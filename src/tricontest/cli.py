@@ -172,9 +172,7 @@ def _cmd_solve(ns: argparse.Namespace) -> RunOutput:
                 ("set", _set_label(members))] + meta_settings
     out.headers = ["id", "psi", "k", "e_star", "p_star", "value"]
     athletes_payload = []
-    for idx, aid in enumerate(instance.ids):
-        psi = instance.psi[idx]
-        k = instance.cost[idx] / instance.psi[idx]
+    for aid, psi, k in zip(instance.ids, instance.psi, instance._k):
         row = [aid, format_number(psi), format_number(k),
                format_number(equilibrium.efforts[aid]),
                format_number(equilibrium.probs[aid]),

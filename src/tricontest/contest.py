@@ -3,10 +3,10 @@
 Solving reduces to one scalar equation: at aggregate weighted effort ``X``
 each athlete's implied win probability is ``de_i / (k_i X^2 + de_i)`` with
 ``de_i = prize_i * weight_i^2``, and the probabilities sum to one exactly at
-the equilibrium aggregate.  The excess mass is strictly decreasing in ``X``
-and equals ``m - 1`` at zero, so a sign-change bracket plus bisection pins
-the unique root, after which odds, efforts, and payoffs follow in closed
-form.
+the equilibrium aggregate.  In ``t = X^2`` the excess mass is convex and
+strictly decreasing and equals ``m - 1`` at zero, so Newton's method started
+at ``t = 0`` rises monotonically to the unique root without a bracket, after
+which odds, efforts, and payoffs follow in closed form.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
-
-import numpy as np
 
 from .model import (
     DegenerateProfileError,
@@ -53,7 +51,6 @@ class SolverSettings:
 
     abs_tol: float = 1e-12
     max_iter: int = 200
-    bracket_growth: float = 4.0
 
     def __post_init__(self) -> None:
         if not (isinstance(self.max_iter, int) and not isinstance(self.max_iter, bool)):
@@ -62,19 +59,18 @@ class SolverSettings:
             raise DomainError("max_iter", f"max_iter must be at least 1, got {self.max_iter}")
         if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
             raise DomainError("abs_tol", f"abs_tol must be positive, got {self.abs_tol}")
-        if not (self.bracket_growth > 1.0 and math.isfinite(self.bracket_growth)):
-            raise DomainError("bracket_growth",
-                              f"bracket_growth must exceed 1, got {self.bracket_growth}")
 
 
 DEFAULT_SETTINGS = SolverSettings()
 
 
 class ConvergenceError(RuntimeError):
-    """The root search exhausted its iteration budget.
+    """The Newton root search ran out of budget or stalled.
 
-    Carries the best bracket seen so callers can inspect or retry with a
-    larger budget.
+    Carries a bracket of the root, from the last Newton iterate (which
+    approaches from below) to the a-priori upper bound
+    ``sqrt(sum de_i / k_i)``, so callers can inspect or retry with a larger
+    budget.
     """
 
     def __init__(self, message: str, bracket: tuple[float, float],
@@ -131,20 +127,12 @@ class ContestInstance:
             raise ValueError(f"athlete {athlete_id!r} is not a contest member") from None
 
     @cached_property
-    def _delta(self) -> np.ndarray:
-        return np.asarray(self.delta, dtype=float)
+    def _k(self) -> tuple[float, ...]:
+        return tuple(c / s for c, s in zip(self.cost, self.psi))
 
     @cached_property
-    def _w(self) -> np.ndarray:
-        return np.asarray(self.weight, dtype=float)
-
-    @cached_property
-    def _k(self) -> np.ndarray:
-        return np.asarray(self.cost, dtype=float) / np.asarray(self.psi, dtype=float)
-
-    @cached_property
-    def _delta_eff(self) -> np.ndarray:
-        return self._delta * self._w * self._w
+    def _delta_eff(self) -> tuple[float, ...]:
+        return tuple(d * w * w for d, w in zip(self.delta, self.weight))
 
     def _with_field(self, name: str, athlete_id: str, value: float) -> "ContestInstance":
         idx = self.index(athlete_id)
@@ -240,6 +228,32 @@ class CurvatureReport:
 # ---------------------------------------------------------------------------
 
 
+def _sum_left(values: Iterable[float]) -> float:
+    """Left-to-right float sum, rounded the same on every interpreter version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _shares_and_slope(instance: ContestInstance,
+                      t: float) -> tuple[list[float], float, float]:
+    """Win probabilities at ``t = X^2``, their excess mass ``g(t)``, and ``dg/dt``.
+
+    The sums run left to right in this loop, so they do not depend on how
+    the interpreter's ``sum`` rounds.
+    """
+    probs = []
+    mass = slope = 0.0
+    for k, de in zip(instance._k, instance._delta_eff):
+        den = k * t + de
+        p = de / den
+        probs.append(p)
+        mass += p
+        slope -= p * k / den
+    return probs, mass - 1.0, slope
+
+
 def aggregate_equation(total: float, instance: ContestInstance) -> float:
     """Excess win-probability mass implied by aggregate effort ``total``.
 
@@ -249,59 +263,39 @@ def aggregate_equation(total: float, instance: ContestInstance) -> float:
     total = float(total)
     if not (math.isfinite(total) and total >= 0.0):
         raise DomainError("total", f"total effort must be nonnegative, got {total}")
-    de = instance._delta_eff
-    k = instance._k
-    return float(np.sum(de / (k * (total * total) + de)) - 1.0)
+    return _shares_and_slope(instance, total * total)[1]
 
 
 def solve_total_effort(instance: ContestInstance,
                        settings: SolverSettings | None = None) -> float:
-    """Root of the aggregate equation by bracket growth plus bisection.
+    """Root of the aggregate equation by monotone Newton steps in ``t = X^2``.
 
-    The bracket starts at ``[0, 1]`` and the upper end grows geometrically
-    until the excess mass turns negative; bisection then runs until the
-    absolute residual drops below ``settings.abs_tol``.  Raises
-    :class:`ConvergenceError` when the iteration budget runs out.
+    The excess mass ``g(t)`` is convex and strictly decreasing, so Newton's
+    method started at ``t = 0`` climbs to the root from below without a
+    bracket.  Iteration stops once the absolute residual at the returned
+    aggregate is at most ``settings.abs_tol``.  Raises
+    :class:`ConvergenceError` when ``settings.max_iter`` evaluations do not
+    get there or a step no longer moves the iterate.
     """
     settings = settings or DEFAULT_SETTINGS
     if instance.m < 2:
         raise ValueError("the aggregate root search needs at least two members; "
                          "singleton fields are handled by solve_contest")
-    de = instance._delta_eff
-    k = instance._k
-
-    def gap(x: float) -> float:
-        return float(np.sum(de / (k * (x * x) + de)) - 1.0)
-
-    budget = settings.max_iter
-    lo, hi = 0.0, 1.0
-    ghi = gap(hi)
-    while ghi > 0.0:
-        if ghi <= settings.abs_tol:
-            return hi
-        budget -= 1
-        if budget <= 0:
-            raise ConvergenceError("failed to bracket the aggregate root",
-                                   (lo, hi), ghi)
-        lo, hi = hi, hi * settings.bracket_growth
-        ghi = gap(hi)
-    if abs(ghi) <= settings.abs_tol:
-        return hi
-    # gap(lo) > 0 > gap(hi)
-    for _ in range(budget):
-        mid = 0.5 * (lo + hi)
-        gm = gap(mid)
-        if abs(gm) <= settings.abs_tol:
-            return mid
-        if mid <= lo or mid >= hi:
-            raise ConvergenceError("bisection stalled at floating point resolution",
-                                   (lo, hi), gm)
-        if gm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError("bisection exhausted its iteration budget",
-                           (lo, hi), gap(0.5 * (lo + hi)))
+    x = 0.0
+    for _ in range(settings.max_iter):
+        t = x * x
+        _, gap, slope = _shares_and_slope(instance, t)
+        if abs(gap) <= settings.abs_tol:
+            return x
+        x, last = math.sqrt(t - gap / slope), x
+        if x == last:
+            message = "Newton stalled at floating point resolution"
+            break
+    else:
+        message = "Newton exhausted its iteration budget"
+    # Every share lies below de_i / (k_i t), so the root has t < sum de_i / k_i.
+    upper = math.sqrt(math.fsum(de / k for de, k in zip(instance._delta_eff, instance._k)))
+    raise ConvergenceError(message, (last, upper), gap)
 
 
 def solve_contest(instance: ContestInstance,
@@ -322,20 +316,17 @@ def solve_contest(instance: ContestInstance,
             residual=0.0,
         )
     x = solve_total_effort(instance, settings)
-    de = instance._delta_eff
-    k = instance._k
-    w = instance._w
-    probs = de / (k * (x * x) + de)
-    efforts = probs * x / w
-    values = probs * instance._delta - 0.5 * k * efforts * efforts
-    residual = abs(float(probs.sum()) - 1.0)
+    probs, gap, _ = _shares_and_slope(instance, x * x)
+    efforts = [p * x / w for p, w in zip(probs, instance.weight)]
+    values = [p * d - 0.5 * k * e * e
+              for p, d, k, e in zip(probs, instance.delta, instance._k, efforts)]
     ids = instance.ids
     return ContestEquilibrium(
         total_effort=x,
-        efforts=dict(zip(ids, efforts.tolist())),
-        probs=dict(zip(ids, probs.tolist())),
-        continuation_values=dict(zip(ids, values.tolist())),
-        residual=residual,
+        efforts=dict(zip(ids, efforts)),
+        probs=dict(zip(ids, probs)),
+        continuation_values=dict(zip(ids, values)),
+        residual=abs(gap),
     )
 
 
@@ -361,7 +352,7 @@ def two_player_equilibrium(instance: ContestInstance) -> ContestEquilibrium:
     scale = math.sqrt(rho) / (1.0 + rho)
     e = (math.sqrt(adv[0]) * scale, math.sqrt(adv[1]) * scale)
     x = instance.weight[0] * e[0] + instance.weight[1] * e[1]
-    k = [instance.cost[i] / instance.psi[i] for i in (0, 1)]
+    k = instance._k
     values = tuple(p[i] * instance.delta[i] - 0.5 * k[i] * e[i] * e[i] for i in (0, 1))
     ids = instance.ids
     return ContestEquilibrium(
@@ -440,9 +431,8 @@ def verify_nash(instance: ContestInstance, equilibrium: ContestEquilibrium,
         if aid not in equilibrium.efforts:
             raise ValueError(f"equilibrium efforts are missing athlete {aid!r}")
         efforts.append(float(equilibrium.efforts[aid]))
-    w = instance._w
-    x_parts = w * np.asarray(efforts)
-    x_all = float(x_parts.sum())
+    x_parts = [w * e for w, e in zip(instance.weight, efforts)]
+    x_all = _sum_left(x_parts)
     if x_all <= 0.0:
         raise DegenerateProfileError("the equilibrium profile must carry positive "
                                      "total effort")
@@ -450,9 +440,9 @@ def verify_nash(instance: ContestInstance, equilibrium: ContestEquilibrium,
     max_gain = -math.inf
     worst: str | None = None
     for idx, aid in enumerate(instance.ids):
-        rivals = x_all - float(x_parts[idx])
+        rivals = x_all - x_parts[idx]
         delta_i = instance.delta[idx]
-        k_i = instance.cost[idx] / instance.psi[idx]
+        k_i = instance._k[idx]
         w_i = instance.weight[idx]
         own = float(efforts[idx])
         if rivals <= 0.0:
@@ -488,15 +478,14 @@ def payoff_curvature(instance: ContestInstance, profile: EffortProfile,
         if aid not in profile.efforts:
             raise ValueError(f"profile is missing athlete {aid!r}")
         efforts.append(profile.efforts[aid])
-    w = instance._w
-    x_parts = w * np.asarray(efforts)
-    x_all = float(x_parts.sum())
+    x_parts = [w * e for w, e in zip(instance.weight, efforts)]
+    x_all = _sum_left(x_parts)
     if x_all <= 0.0:
         raise DegenerateProfileError("curvature is undefined at the all-zero profile")
     delta_i = instance.delta[idx]
-    k_i = instance.cost[idx] / instance.psi[idx]
+    k_i = instance._k[idx]
     w_i = instance.weight[idx]
-    x_i = float(x_parts[idx])
+    x_i = x_parts[idx]
     cube = x_all ** 3
     second = -2.0 * delta_i * w_i * w_i * (x_all - x_i) / cube - k_i
     cross = {}

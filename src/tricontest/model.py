@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - only used for annotations
     from .contest import SolverSettings
@@ -26,10 +26,8 @@ __all__ = [
     "DraftingGraph",
     "Scenario",
     "EffortProfile",
-    "MultiplierMap",
     "drafting_multiplier",
     "effective_cost",
-    "reduced_drag_map",
     "outside_option",
     "win_probabilities",
     "contest_payoff",
@@ -91,29 +89,6 @@ def effective_cost(base_cost: float, draft_share: float, eta: float) -> float:
              f"draft_share must lie in [0, 1], got {draft_share}")
     _require(0.0 < eta < 1.0, "eta", f"eta must lie in (0,1), got {eta}")
     return base_cost * (1.0 - eta * draft_share)
-
-
-#: Extension hook for richer drag models.  A multiplier map receives the
-#: drafting share, the continuation field size, the athlete's swim rank, and
-#: the drafting graph, and returns the cost multiplier.  Only the reduced
-#: drag form ships; it ignores everything except the share.
-MultiplierMap = Callable[[float, int, int, "DraftingGraph"], float]
-
-
-def reduced_drag_map(eta: float) -> MultiplierMap:
-    """Return the shipped multiplier map.
-
-    The returned callable has the full hook signature but depends only on
-    the drafting share; field size, swim rank, and the graph are carried for
-    forward compatibility and ignored.
-    """
-    _require(0.0 < float(eta) < 1.0, "eta", f"eta must lie in (0,1), got {eta}")
-
-    def psi(draft_share: float, field_size: int, swim_rank: int,
-            graph: "DraftingGraph") -> float:
-        return drafting_multiplier(draft_share, eta)
-
-    return psi
 
 
 # ---------------------------------------------------------------------------

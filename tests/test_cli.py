@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -396,10 +397,13 @@ def test_outdir_env_var_anchors_relative_paths(tmp_path, capsys, monkeypatch):
 
 
 def test_module_entry_point_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "tricontest", "solve", "--output", "csv",
          str(SCENARIOS / "symmetric_pair.json")],
-        capture_output=True, text=True, cwd=ROOT)
+        capture_output=True, text=True, cwd=ROOT, env=env)
     assert result.returncode == 0
     assert result.stdout.startswith("id,psi,k,e_star,p_star,value")
 

@@ -130,15 +130,27 @@ def test_solver_residual_meets_tolerance():
     assert abs(aggregate_equation(total, instance)) <= 1e-12
 
 
-def test_root_independent_of_bracket_growth():
-    """Two different bracketing schedules land on the same root."""
+def test_root_agrees_with_reference_on_weighted_instances():
+    """Newton lands on the oracle's root across random weighted fields."""
     rng = np.random.default_rng(2024)
-    wide = SolverSettings(bracket_growth=7.0)
     for _ in range(1000):
         instance = random_instance(rng, weighted=True)
-        a = solve_total_effort(instance)
-        b = solve_total_effort(instance, wide)
-        assert abs(a - b) <= 1e-9
+        ref_total, _, _ = reference_equilibrium(
+            instance.delta, instance.cost, instance.psi, instance.weight)
+        assert abs(solve_total_effort(instance) - ref_total) <= 1e-9
+
+
+def test_root_within_twenty_evaluations():
+    """Newton meets abs_tol within twenty evaluations, m = 1000 included."""
+    lean = SolverSettings(max_iter=20)
+    rng = np.random.default_rng(2024)
+    for _ in range(1000):
+        instance = random_instance(rng, weighted=True)
+        total = solve_total_effort(instance, lean)
+        assert abs(aggregate_equation(total, instance)) <= lean.abs_tol
+    crowd = random_instance(rng, m=1000, weighted=True)
+    total = solve_total_effort(crowd, lean)
+    assert abs(aggregate_equation(total, crowd)) <= lean.abs_tol
 
 
 def test_convergence_error_carries_bracket():
@@ -146,7 +158,7 @@ def test_convergence_error_carries_bracket():
     with pytest.raises(ConvergenceError) as err:
         solve_total_effort(mixed_triple(), starved)
     lo, hi = err.value.bracket
-    assert lo < hi
+    assert lo < solve_total_effort(mixed_triple()) < hi
     assert math.isfinite(err.value.residual)
     assert isinstance(err.value, RuntimeError)
 
@@ -247,8 +259,6 @@ def test_solver_settings_validation():
         SolverSettings(abs_tol=0.0)
     with pytest.raises(DomainError):
         SolverSettings(max_iter=0)
-    with pytest.raises(DomainError):
-        SolverSettings(bracket_growth=1.0)
 
 
 # ---------------------------------------------------------------------------

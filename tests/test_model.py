@@ -19,7 +19,6 @@ from tricontest import (
     drafting_multiplier,
     effective_cost,
     outside_option,
-    reduced_drag_map,
     win_probabilities,
 )
 
@@ -97,16 +96,6 @@ def test_contest_payoff_values():
 
     full = EffortProfile({"a": 1.0, "b": 1.0})
     assert contest_payoff("a", full, 2.0, 1.0, w) == pytest.approx(0.5)
-
-
-def test_multiplier_map_hook_matches_direct_form():
-    """The shipped hook ignores field size, rank, and graph."""
-    psi = reduced_drag_map(0.4)
-    graph = DraftingGraph.from_pairs([("x", "y")])
-    for share in (0.0, 0.3, 1.0):
-        expected = drafting_multiplier(share, 0.4)
-        assert psi(share, 2, 1, graph) == expected
-        assert psi(share, 9, 7, DraftingGraph()) == expected
 
 
 # ---------------------------------------------------------------------------
