@@ -245,14 +245,13 @@ def sensitivity_report(instance: ContestInstance,
 
 
 def welfare_report(scenario: Scenario, members: Sequence[str],
-                   settings: SolverSettings | None = None,
-                   cache=None) -> WelfareReport:
+                   settings: SolverSettings | None = None) -> WelfareReport:
     """Surplus accounting for the contest among ``members``.
 
     ``rent_ratio`` is aggregate effort cost over aggregate expected prize
     intake; for a symmetric field of size ``m`` it equals ``(m-1)/(2m)``.
     """
-    equilibrium = subset_equilibrium(scenario, members, settings, cache)
+    equilibrium = subset_equilibrium(scenario, members, settings)
     instance = ContestInstance.from_scenario(scenario, equilibrium.probs.keys())
     cost = 0.0
     intake = 0.0

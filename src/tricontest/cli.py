@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .analysis import sweep, welfare_report
 from .contest import (
     DEFAULT_SETTINGS,
@@ -151,7 +149,9 @@ def _parse_grid(raw: str) -> list[float]:
     if hi <= lo:
         raise ValueError(f"malformed --grid value {raw!r}: grid must be "
                          f"strictly increasing")
-    return np.linspace(lo, hi, count).tolist()
+    div, delta = count - 1, hi - lo
+    step = delta / div  # numpy.linspace's arithmetic, its zero-step branch included
+    return [(i * step if step else i / div * delta) + lo for i in range(div)] + [hi]
 
 
 # ---------------------------------------------------------------------------

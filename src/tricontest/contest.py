@@ -266,6 +266,29 @@ def aggregate_equation(total: float, instance: ContestInstance) -> float:
     return _shares_and_slope(instance, total * total)[1]
 
 
+def _newton(instance: ContestInstance,
+            settings: SolverSettings | None) -> tuple[float, list[float], float]:
+    settings = settings or DEFAULT_SETTINGS
+    if instance.m < 2:
+        raise ValueError("the aggregate root search needs at least two members; "
+                         "singleton fields are handled by solve_contest")
+    x = 0.0
+    for _ in range(settings.max_iter):
+        t = x * x
+        probs, gap, slope = _shares_and_slope(instance, t)
+        if abs(gap) <= settings.abs_tol:
+            return x, probs, gap
+        x, last = math.sqrt(t - gap / slope), x
+        if x == last:
+            message = "Newton stalled at floating point resolution"
+            break
+    else:
+        message = "Newton exhausted its iteration budget"
+    # Every share lies below de_i / (k_i t), so the root has t < sum de_i / k_i.
+    upper = math.sqrt(math.fsum(de / k for de, k in zip(instance._delta_eff, instance._k)))
+    raise ConvergenceError(message, (last, upper), gap)
+
+
 def solve_total_effort(instance: ContestInstance,
                        settings: SolverSettings | None = None) -> float:
     """Root of the aggregate equation by monotone Newton steps in ``t = X^2``.
@@ -277,25 +300,7 @@ def solve_total_effort(instance: ContestInstance,
     :class:`ConvergenceError` when ``settings.max_iter`` evaluations do not
     get there or a step no longer moves the iterate.
     """
-    settings = settings or DEFAULT_SETTINGS
-    if instance.m < 2:
-        raise ValueError("the aggregate root search needs at least two members; "
-                         "singleton fields are handled by solve_contest")
-    x = 0.0
-    for _ in range(settings.max_iter):
-        t = x * x
-        _, gap, slope = _shares_and_slope(instance, t)
-        if abs(gap) <= settings.abs_tol:
-            return x
-        x, last = math.sqrt(t - gap / slope), x
-        if x == last:
-            message = "Newton stalled at floating point resolution"
-            break
-    else:
-        message = "Newton exhausted its iteration budget"
-    # Every share lies below de_i / (k_i t), so the root has t < sum de_i / k_i.
-    upper = math.sqrt(math.fsum(de / k for de, k in zip(instance._delta_eff, instance._k)))
-    raise ConvergenceError(message, (last, upper), gap)
+    return _newton(instance, settings)[0]
 
 
 def solve_contest(instance: ContestInstance,
@@ -315,8 +320,7 @@ def solve_contest(instance: ContestInstance,
             continuation_values={aid: instance.delta[0]},
             residual=0.0,
         )
-    x = solve_total_effort(instance, settings)
-    probs, gap, _ = _shares_and_slope(instance, x * x)
+    x, probs, gap = _newton(instance, settings)
     efforts = [p * x / w for p, w in zip(probs, instance.weight)]
     values = [p * d - 0.5 * k * e * e
               for p, d, k, e in zip(probs, instance.delta, instance._k, efforts)]

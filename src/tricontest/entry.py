@@ -5,13 +5,16 @@ option.  The module evaluates those net benefits for arbitrary candidate
 fields, finds the drafting-multiplier cutoff that makes an athlete
 indifferent, and assembles self-consistent continuation sets either by
 exhaustive enumeration or by iterating the best-reply set operator.
+
+Each public call keys its scenario's candidate fields by bitmask (bit ``i``
+is the ``i``-th athlete) and solves every field at most once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, MutableMapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .contest import (
     DEFAULT_SETTINGS,
@@ -47,7 +50,6 @@ __all__ = [
 ]
 
 Members = tuple[str, ...]
-SubsetCache = MutableMapping[Members, ContestEquilibrium]
 
 CONTINUE = "continue"
 WITHDRAW = "withdraw"
@@ -110,101 +112,122 @@ class SpeResult:
     method: str
 
 
-def _settings_for(scenario: Scenario,
-                  settings: SolverSettings | None) -> SolverSettings:
-    if settings is not None:
-        return settings
-    if scenario.settings is not None:
-        return scenario.settings
-    return DEFAULT_SETTINGS
+class _Fields:
+    """The candidate fields of one scenario, keyed by bitmask, each solved once.
 
+    Bit ``i`` is the scenario's ``i``-th athlete.  A field's contest takes
+    the full field's columns at its set bits, in scenario order, so it is
+    the instance ``ContestInstance.from_scenario`` builds for those members.
+    """
 
-def _canonical(scenario: Scenario, members: Iterable[str]) -> Members:
-    known = set(scenario.ids)
-    seen: set[str] = set()
-    for aid in members:
-        if aid not in known:
-            raise ValueError(f"unknown athlete id {aid!r}")
-        seen.add(aid)
-    if not seen:
-        raise ValueError("the member set must not be empty")
-    return tuple(sorted(seen))
+    def __init__(self, scenario: Scenario, settings: SolverSettings | None) -> None:
+        self.full = ContestInstance.from_scenario(scenario)
+        self.ids = self.full.ids
+        self.everyone = (1 << len(self.ids)) - 1
+        self.outside = [outside_option(rec, scenario.globals)
+                        for rec in scenario.athletes]
+        self.settings = settings or scenario.settings or DEFAULT_SETTINGS
+        self._bit = {aid: 1 << i for i, aid in enumerate(self.ids)}
+        self._solved: dict[int, ContestEquilibrium] = {}
+
+    def mask(self, members: Iterable[str]) -> int:
+        mask = 0
+        for aid in members:
+            if aid not in self._bit:
+                raise ValueError(f"unknown athlete id {aid!r}")
+            mask |= self._bit[aid]
+        if not mask:
+            raise ValueError("the member set must not be empty")
+        return mask
+
+    def members(self, mask: int) -> Members:
+        """Sorted ids of the field ``mask``."""
+        return tuple(sorted(aid for i, aid in enumerate(self.ids) if mask >> i & 1))
+
+    def instance(self, mask: int) -> ContestInstance:
+        if mask == self.everyone:
+            return self.full
+        full, keep = self.full, [mask >> i & 1 for i in range(len(self.ids))]
+        return ContestInstance(*(tuple(itertools.compress(column, keep)) for column in
+                                 (full.ids, full.delta, full.cost, full.psi, full.weight)))
+
+    def solve(self, mask: int) -> ContestEquilibrium:
+        if mask not in self._solved:
+            self._solved[mask] = solve_contest(self.instance(mask), self.settings)
+        return self._solved[mask]
+
+    def net(self, mask: int, i: int) -> float:
+        """Net benefit of athlete ``i`` in the field ``mask`` extended by them."""
+        stay = self.solve(mask | 1 << i).continuation_values[self.ids[i]]
+        return stay - self.outside[i]
+
+    def stable(self, mask: int) -> bool:
+        """Members weakly prefer staying, outsiders weakly prefer staying out."""
+        return not any(self.net(mask, i) < 0.0 if mask >> i & 1 else self.net(mask, i) > 0.0
+                       for i in range(len(self.ids)))
 
 
 def subset_equilibrium(scenario: Scenario, members: Iterable[str],
-                       settings: SolverSettings | None = None,
-                       cache: SubsetCache | None = None) -> ContestEquilibrium:
-    """Solve the contest among ``members``, memoised under the sorted id tuple.
+                       settings: SolverSettings | None = None) -> ContestEquilibrium:
+    """Solve the contest among ``members``, given in any order.
 
-    A cache passed in belongs to one scenario; reusing it across scenarios
-    returns stale results.
+    Like every public call of this module, it solves each field at most
+    once, keyed by bitmask, and keeps nothing between calls.
     """
-    key = _canonical(scenario, members)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    equilibrium = solve_contest(ContestInstance.from_scenario(scenario, key),
-                                _settings_for(scenario, settings))
-    if cache is not None:
-        cache[key] = equilibrium
-    return equilibrium
+    fields = _Fields(scenario, settings)
+    return fields.solve(fields.mask(members))
 
 
 def continuation_value(scenario: Scenario, members: Iterable[str],
                        athlete_id: str,
-                       settings: SolverSettings | None = None,
-                       cache: SubsetCache | None = None) -> float:
+                       settings: SolverSettings | None = None) -> float:
     """Expected contest payoff of ``athlete_id`` inside the field ``members``."""
-    key = _canonical(scenario, members)
-    if athlete_id not in key:
+    values = subset_equilibrium(scenario, members, settings).continuation_values
+    if athlete_id not in values:
         raise ValueError(f"athlete {athlete_id!r} is not in the member set")
-    return subset_equilibrium(scenario, key, settings, cache) \
-        .continuation_values[athlete_id]
+    return values[athlete_id]
 
 
 def net_benefit(scenario: Scenario, members: Iterable[str], athlete_id: str,
-                settings: SolverSettings | None = None,
-                cache: SubsetCache | None = None) -> NetBenefit:
+                settings: SolverSettings | None = None) -> NetBenefit:
     """Continuation value minus outside option for one athlete.
 
     An athlete outside ``members`` is judged on the field extended by them,
     which is the payoff relevant to their own entry decision.
     """
-    key = _canonical(scenario, members)
+    fields = _Fields(scenario, settings)
+    mask = fields.mask(members) | fields.mask((athlete_id,))
+    stay = fields.solve(mask).continuation_values[athlete_id]
+    leave = fields.outside[fields.ids.index(athlete_id)]
+    return NetBenefit(athlete_id=athlete_id, members=fields.members(mask),
+                      continuation=stay, outside=leave, value=stay - leave)
+
+
+def _psi_value_fn(scenario: Scenario, members: Iterable[str], athlete_id: str,
+                  settings: SolverSettings | None
+                  ) -> tuple[Members, Callable[[float], float]]:
+    """Sorted ``members`` and the net benefit of ``athlete_id`` in their own multiplier."""
+    fields = _Fields(scenario, settings)
+    mask = fields.mask(members)
+    key = fields.members(mask)
     if athlete_id not in key:
-        if athlete_id not in scenario.ids:
-            raise ValueError(f"unknown athlete id {athlete_id!r}")
-        key = tuple(sorted(key + (athlete_id,)))
-    stay = continuation_value(scenario, key, athlete_id, settings, cache)
-    leave = outside_option(scenario.record(athlete_id), scenario.globals)
-    return NetBenefit(athlete_id=athlete_id, members=key, continuation=stay,
-                      outside=leave, value=stay - leave)
-
-
-def _psi_value_fn(scenario: Scenario, members: Members, athlete_id: str,
-                  settings: SolverSettings) -> Callable[[float], float]:
-    """Net benefit of ``athlete_id`` as a function of their own multiplier."""
-    base = ContestInstance.from_scenario(scenario, members)
-    leave = outside_option(scenario.record(athlete_id), scenario.globals)
+        raise ValueError(f"athlete {athlete_id!r} is not in the member set")
+    leave = fields.outside[fields.ids.index(athlete_id)]
+    base = fields.instance(mask)
 
     def value(psi: float) -> float:
         instance = base.with_psi(athlete_id, psi)
-        stay = solve_contest(instance, settings).continuation_values[athlete_id]
+        stay = solve_contest(instance, fields.settings).continuation_values[athlete_id]
         return stay - leave
 
-    return value
+    return key, value
 
 
 def net_benefit_curve(scenario: Scenario, members: Iterable[str],
                       athlete_id: str, psi_grid: Sequence[float],
                       settings: SolverSettings | None = None) -> list[float]:
     """Net benefit of ``athlete_id`` across a grid of own multipliers."""
-    key = _canonical(scenario, members)
-    if athlete_id not in key:
-        raise ValueError(f"athlete {athlete_id!r} is not in the member set")
-    value = _psi_value_fn(scenario, key, athlete_id,
-                          _settings_for(scenario, settings))
+    _, value = _psi_value_fn(scenario, members, athlete_id, settings)
     return [value(float(psi)) for psi in psi_grid]
 
 
@@ -219,11 +242,7 @@ def cutoff_psi(scenario: Scenario, members: Iterable[str], athlete_id: str,
     means they always withdraw, and otherwise bisection finds the interior
     root of the net benefit.
     """
-    key = _canonical(scenario, members)
-    if athlete_id not in key:
-        raise ValueError(f"athlete {athlete_id!r} is not in the member set")
-    value = _psi_value_fn(scenario, key, athlete_id,
-                          _settings_for(scenario, settings))
+    key, value = _psi_value_fn(scenario, members, athlete_id, settings)
     lo, hi = scenario.globals.psi_bounds
     if value(lo) >= 0.0:
         return CutoffResult(athlete_id, key, ALWAYS_CONTINUE, None)
@@ -249,68 +268,48 @@ def cutoff_psi(scenario: Scenario, members: Iterable[str], athlete_id: str,
 
 
 def is_equilibrium_set(scenario: Scenario, members: Iterable[str],
-                       settings: SolverSettings | None = None,
-                       cache: SubsetCache | None = None) -> bool:
+                       settings: SolverSettings | None = None) -> bool:
     """Direct check of the two stability conditions for a candidate field.
 
     Every member must weakly prefer staying, and every outsider must weakly
     prefer staying out of the field extended by themselves.
     """
-    key = _canonical(scenario, members)
-    inside = set(key)
-    for aid in scenario.ids:
-        benefit = net_benefit(scenario, key, aid, settings, cache)
-        if aid in inside:
-            if benefit.value < 0.0:
-                return False
-        elif benefit.value > 0.0:
-            return False
-    return True
+    fields = _Fields(scenario, settings)
+    return fields.stable(fields.mask(members))
 
 
-def enumerate_equilibrium_sets(scenario: Scenario, max_n: int = 12,
-                               settings: SolverSettings | None = None,
-                               cache: SubsetCache | None = None) -> list[Members]:
-    """All stable continuation sets, in lexicographic order of sorted ids.
-
-    Exhaustive over the ``2^n - 1`` nonempty subsets, so the field size is
-    capped at ``max_n``; larger fields should use the iterative operator.
-    """
-    n = len(scenario.athletes)
+def _stable_sets(fields: _Fields, max_n: int) -> list[Members]:
+    n = len(fields.ids)
     if n > max_n:
         raise ValueError(f"enumeration over {n} athletes needs 2^{n} subset "
                          f"solves; raise max_n or use "
                          f"iterate_continuation_operator")
-    if cache is None:
-        cache = {}
-    ids_sorted = sorted(scenario.ids)
-    found: list[Members] = []
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(ids_sorted, size):
-            if is_equilibrium_set(scenario, combo, settings, cache):
-                found.append(combo)
-    found.sort()
-    return found
+    return sorted(fields.members(mask) for mask in range(1, fields.everyone + 1)
+                  if fields.stable(mask))
 
 
-def _singleton_fallback(scenario: Scenario, settings: SolverSettings | None,
-                        cache: SubsetCache | None) -> Members:
+def enumerate_equilibrium_sets(scenario: Scenario, max_n: int = 12,
+                               settings: SolverSettings | None = None) -> list[Members]:
+    """All stable continuation sets, in lexicographic order of sorted ids.
+
+    Exhaustive over the ``2^n - 1`` nonempty subsets, so the field size is
+    capped at ``max_n``; larger fields should use the iterative operator.
+    Each field is solved at most once, keyed by bitmask.
+    """
+    return _stable_sets(_Fields(scenario, settings), max_n)
+
+
+def _singleton_fallback(fields: _Fields) -> Members:
     """Most attractive lone continuation: best net benefit, ties to lower id."""
-    best_id: str | None = None
-    best_value = -float("inf")
-    for aid in sorted(scenario.ids):
-        value = net_benefit(scenario, (aid,), aid, settings, cache).value
-        if value > best_value:
-            best_id, best_value = aid, value
-    assert best_id is not None
-    return (best_id,)
+    best = max(sorted(range(len(fields.ids)), key=fields.ids.__getitem__),
+               key=lambda i: fields.net(1 << i, i))
+    return (fields.ids[best],)
 
 
 def iterate_continuation_operator(scenario: Scenario,
                                   start: Iterable[str] | None = None,
                                   max_rounds: int | None = None,
                                   settings: SolverSettings | None = None,
-                                  cache: SubsetCache | None = None,
                                   enum_max_n: int = 12) -> EntryIteration:
     """Iterate the best-reply set operator until it settles.
 
@@ -321,47 +320,48 @@ def iterate_continuation_operator(scenario: Scenario,
     cycle; small fields then fall back to enumeration, larger ones raise
     :class:`EntryIterationError` with the visited trace.
     """
-    all_ids = sorted(scenario.ids)
-    current = _canonical(scenario, start if start is not None else all_ids)
+    fields = _Fields(scenario, settings)
+    mask = fields.everyone if start is None else fields.mask(start)
+    return _iterate(fields, mask, max_rounds, enum_max_n)
+
+
+def _iterate(fields: _Fields, current: int, max_rounds: int | None,
+             enum_max_n: int) -> EntryIteration:
+    n = len(fields.ids)
     if max_rounds is None:
-        max_rounds = 2 * len(all_ids)
+        max_rounds = 2 * n
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be positive, got {max_rounds}")
-    if cache is None:
-        cache = {}
-    trace: list[Members] = [current]
+    trace: list[Members] = [fields.members(current)]
     visited = {current}
     cycled = False
     for _ in range(max_rounds):
-        nxt = tuple(aid for aid in all_ids
-                    if net_benefit(scenario, current, aid, settings, cache)
-                    .value >= 0.0)
-        trace.append(nxt)
+        nxt = sum(1 << i for i in range(n) if fields.net(current, i) >= 0.0)
+        trace.append(fields.members(nxt))
         if nxt == current:
-            return EntryIteration(current, tuple(trace), "fixed_point")
+            return EntryIteration(trace[-1], tuple(trace), "fixed_point")
         if not nxt:
-            chosen = _singleton_fallback(scenario, settings, cache)
-            return EntryIteration(chosen, tuple(trace), "singleton_fallback")
+            return EntryIteration(_singleton_fallback(fields), tuple(trace),
+                                  "singleton_fallback")
         if nxt in visited:
             cycled = True
             break
         visited.add(nxt)
         current = nxt
-    if len(all_ids) <= enum_max_n:
-        sets = enumerate_equilibrium_sets(scenario, enum_max_n, settings, cache)
+    if n <= enum_max_n:
+        sets = _stable_sets(fields, enum_max_n)
         if sets:
             return EntryIteration(sets[0], tuple(trace), "enumeration")
-        chosen = _singleton_fallback(scenario, settings, cache)
-        return EntryIteration(chosen, tuple(trace), "singleton_fallback")
+        return EntryIteration(_singleton_fallback(fields), tuple(trace),
+                              "singleton_fallback")
     reason = "cycled" if cycled else "exhausted its round budget"
-    raise EntryIterationError(f"the set operator {reason} over {len(all_ids)} "
+    raise EntryIterationError(f"the set operator {reason} over {n} "
                               f"athletes and the field is too large to "
                               f"enumerate", tuple(trace))
 
 
 def assemble_spe(scenario: Scenario, mode: str = "first",
                  settings: SolverSettings | None = None,
-                 cache: SubsetCache | None = None,
                  nash_tol: float = 1e-6) -> list[SpeResult]:
     """Full continuation outcomes: stable sets, actions, and payoffs.
 
@@ -370,49 +370,40 @@ def assemble_spe(scenario: Scenario, mode: str = "first",
     ``"iterative"`` runs the set operator.  When no stable set exists the
     best singleton is returned, flagged ``singleton_fallback``.  Every
     non-fallback result is re-verified against both stability conditions
-    and the best-response oracle.
+    and the best-response oracle.  One call solves each field at most once,
+    keyed by bitmask.
     """
     if mode not in ("first", "all", "iterative"):
         raise ValueError(f"mode must be 'first', 'all', or 'iterative', got {mode!r}")
-    if cache is None:
-        cache = {}
+    fields = _Fields(scenario, settings)
     if mode == "iterative":
-        outcome = iterate_continuation_operator(scenario, settings=settings,
-                                                cache=cache)
+        outcome = _iterate(fields, fields.everyone, None, 12)
         method = "iteration" if outcome.method == "fixed_point" else outcome.method
         chosen = [(outcome.members, method)]
     else:
-        sets = enumerate_equilibrium_sets(scenario, settings=settings, cache=cache)
+        sets = _stable_sets(fields, 12)
         if sets:
             if mode == "first":
                 sets = sets[:1]
             chosen = [(members, "enumeration") for members in sets]
         else:
-            chosen = [(_singleton_fallback(scenario, settings, cache),
-                       "singleton_fallback")]
+            chosen = [(_singleton_fallback(fields), "singleton_fallback")]
     results: list[SpeResult] = []
     for members, method in chosen:
-        equilibrium = subset_equilibrium(scenario, members, settings, cache)
-        if method != "singleton_fallback":
-            if not is_equilibrium_set(scenario, members, settings, cache):
-                raise RuntimeError(f"internal error: set {members} failed its "
-                                   f"stability re-check")
-        check = verify_nash(ContestInstance.from_scenario(scenario, members),
-                            equilibrium, nash_tol)
+        mask = fields.mask(members)
+        equilibrium = fields.solve(mask)
+        if method != "singleton_fallback" and not fields.stable(mask):
+            raise RuntimeError(f"internal error: set {members} failed its "
+                               f"stability re-check")
+        check = verify_nash(fields.instance(mask), equilibrium, nash_tol)
         if not check.passed:
             raise RuntimeError(f"internal error: contest on {members} failed "
                                f"the best-response check "
                                f"(gain {check.max_gain})")
         inside = set(members)
-        actions = {aid: (CONTINUE if aid in inside else WITHDRAW)
-                   for aid in scenario.ids}
-        payoffs = {}
-        for aid in scenario.ids:
-            if aid in inside:
-                payoffs[aid] = equilibrium.continuation_values[aid]
-            else:
-                payoffs[aid] = outside_option(scenario.record(aid),
-                                              scenario.globals)
+        actions = {aid: CONTINUE if aid in inside else WITHDRAW for aid in fields.ids}
+        payoffs = {aid: equilibrium.continuation_values[aid] if aid in inside else leave
+                   for aid, leave in zip(fields.ids, fields.outside)}
         results.append(SpeResult(members=members, equilibrium=equilibrium,
                                  actions=actions, payoffs=payoffs,
                                  method=method))

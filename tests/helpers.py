@@ -5,9 +5,15 @@ first-order conditions and solves it with its own bisection loop
 (interval-width stopping rule, bracket growth factor 2), so it shares no
 code path with the package solver.  Agreement between the two is evidence,
 not tautology.
+
+The reference entry stage further down solves every candidate field afresh
+with ``solve_contest(ContestInstance.from_scenario(...))`` and loops over
+id tuples, so it shares none of the entry module's bookkeeping.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -17,6 +23,8 @@ from tricontest import (
     DraftingGraph,
     GlobalParams,
     Scenario,
+    outside_option,
+    solve_contest,
 )
 
 
@@ -120,3 +128,63 @@ def random_scenario(rng: np.random.Generator, n: int | None = None,
     return Scenario(athletes=tuple(athletes),
                     globals=GlobalParams(alpha=alpha, beta=beta, eta=eta),
                     graph=DraftingGraph())
+
+
+def reference_net_benefit(scenario: Scenario, members, athlete_id: str) -> float:
+    """Net benefit of ``athlete_id`` in ``members`` extended by them, solved afresh."""
+    field = set(members) | {athlete_id}
+    equilibrium = solve_contest(ContestInstance.from_scenario(scenario, field))
+    leave = outside_option(scenario.record(athlete_id), scenario.globals)
+    return equilibrium.continuation_values[athlete_id] - leave
+
+
+def reference_is_stable(scenario: Scenario, members) -> bool:
+    """Members weakly prefer staying and outsiders weakly prefer staying out."""
+    for aid in scenario.ids:
+        value = reference_net_benefit(scenario, members, aid)
+        if aid in members and value < 0.0:
+            return False
+        if aid not in members and value > 0.0:
+            return False
+    return True
+
+
+def reference_stable_sets(scenario: Scenario) -> list[tuple[str, ...]]:
+    """Every stable field as a sorted id tuple, in lexicographic order."""
+    ids = sorted(scenario.ids)
+    found = []
+    for size in range(1, len(ids) + 1):
+        for combo in itertools.combinations(ids, size):
+            if reference_is_stable(scenario, combo):
+                found.append(combo)
+    return sorted(found)
+
+
+def reference_singleton(scenario: Scenario) -> tuple[str, ...]:
+    """Lone field with the best net benefit; ties go to the lower id."""
+    return (max(sorted(scenario.ids),
+                key=lambda aid: reference_net_benefit(scenario, (aid,), aid)),)
+
+
+def reference_iteration(scenario: Scenario):
+    """``(members, trace, method)`` of the best-reply set operator from the full field."""
+    ids = sorted(scenario.ids)
+    current = tuple(ids)
+    trace = [current]
+    visited = {current}
+    for _ in range(2 * len(ids)):
+        nxt = tuple(aid for aid in ids
+                    if reference_net_benefit(scenario, current, aid) >= 0.0)
+        trace.append(nxt)
+        if nxt == current:
+            return current, tuple(trace), "fixed_point"
+        if not nxt:
+            return reference_singleton(scenario), tuple(trace), "singleton_fallback"
+        if nxt in visited:
+            break
+        visited.add(nxt)
+        current = nxt
+    stable = reference_stable_sets(scenario)
+    if stable:
+        return stable[0], tuple(trace), "enumeration"
+    return reference_singleton(scenario), tuple(trace), "singleton_fallback"

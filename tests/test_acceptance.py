@@ -238,13 +238,12 @@ def test_criterion_7_stage1_oracle_equivalence():
     recheck_errors = 0
     for _ in range(50):
         scenario = random_scenario(rng, n=int(rng.integers(2, 9)))
-        cache: dict = {}
-        stable = enumerate_equilibrium_sets(scenario, cache=cache)
-        outcome = iterate_continuation_operator(scenario, cache=cache)
+        stable = enumerate_equilibrium_sets(scenario)
+        outcome = iterate_continuation_operator(scenario)
         if outcome.method == "fixed_point" and outcome.members not in stable:
             containment_errors += 1
         for members in stable:
-            if not is_equilibrium_set(scenario, members, cache=cache):
+            if not is_equilibrium_set(scenario, members):
                 recheck_errors += 1
     ok = containment_errors == 0 and recheck_errors == 0
     assert report("criterion 7 continuation-set oracle equivalence", ok,
@@ -290,7 +289,7 @@ def test_criterion_9_desk_scale_performance():
 
     scenario = random_scenario(rng, n=10)
     start = time.perf_counter()
-    results = assemble_spe(scenario, mode="all", cache={})
+    results = assemble_spe(scenario, mode="all")
     spe_seconds = time.perf_counter() - start
 
     ok = solve_seconds < 0.1 and spe_seconds < 30.0 and len(results) >= 1

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tricontest import (
@@ -19,7 +20,7 @@ from tricontest import (
     save_scenario,
     scenario_to_dict,
 )
-from tricontest.cli import format_number, main
+from tricontest.cli import _parse_grid, format_number, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -339,6 +340,33 @@ def test_malformed_grid_is_a_usage_error(capsys):
         code, _, err = run_cli(base[:3] + ["--grid", grid] + base[3:], capsys)
         assert code == 2, grid
         assert "error:" in err
+
+
+def test_grid_matches_numpy_linspace():
+    grids = [(2.0, 6.0, 5), (0.1, 0.7, 7), (-3.5, 1e-9, 11), (1.0, 1.0 + 2.0 ** -52, 5),
+             (1e-300, 1e300, 9), (-1e-320, 1e-320, 1000), (0.0, 5e-324, 3),
+             (0.0, 1e-323, 7), (1.0, 2.0, 2), (7.0, 9.0, 1)]
+    rng = np.random.default_rng(404)
+    for _ in range(2000):
+        lo = float(rng.uniform(-1e3, 1e3)) * 10.0 ** int(rng.integers(-30, 30))
+        hi = lo + float(rng.uniform(0.0, 1e3)) * 10.0 ** int(rng.integers(-30, 30))
+        grids.append((lo, hi, int(rng.integers(2, 60))))
+    for lo, hi, count in grids:
+        if hi > lo:
+            got = _parse_grid(f"{lo!r}:{hi!r}:{count}")
+            assert got == np.linspace(lo, hi, count).tolist(), (lo, hi, count)
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tricontest.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, cwd=ROOT, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_starved_solver_is_a_solver_error(tmp_path, capsys):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+import tricontest.contest as contest
 from tricontest import (
     AthleteRecord,
     ContestEquilibrium,
@@ -151,6 +152,35 @@ def test_root_within_twenty_evaluations():
     crowd = random_instance(rng, m=1000, weighted=True)
     total = solve_total_effort(crowd, lean)
     assert abs(aggregate_equation(total, crowd)) <= lean.abs_tol
+
+
+def test_solve_evaluates_the_shares_only_inside_newton(monkeypatch):
+    """solve_contest reuses the shares of the last Newton step at the root."""
+    evaluations = 0
+
+    def counted(instance, t):
+        nonlocal evaluations
+        evaluations += 1
+        return shares_and_slope(instance, t)
+
+    shares_and_slope = contest._shares_and_slope
+    monkeypatch.setattr(contest, "_shares_and_slope", counted)
+    rng = np.random.default_rng(2025)
+    for m in (2, 3, 10, 1000):
+        instance = random_instance(rng, m=m, weighted=True)
+        evaluations = 0
+        solve_contest(instance)
+        solved = evaluations
+        # Newton evaluates once per iterate, so the smallest budget that
+        # converges is its evaluation count.
+        needed = 1
+        while True:
+            try:
+                solve_total_effort(instance, SolverSettings(max_iter=needed))
+                break
+            except ConvergenceError:
+                needed += 1
+        assert solved == needed
 
 
 def test_convergence_error_carries_bracket():

@@ -6,9 +6,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tricontest.entry as entry
 from tricontest import (
     AthleteRecord,
+    ContestInstance,
     GlobalParams,
     Scenario,
     assemble_spe,
@@ -19,10 +22,18 @@ from tricontest import (
     iterate_continuation_operator,
     net_benefit,
     net_benefit_curve,
+    solve_contest,
     subset_equilibrium,
 )
 
-from helpers import pair_scenario, random_scenario, reference_equilibrium
+from helpers import (
+    pair_scenario,
+    random_scenario,
+    reference_equilibrium,
+    reference_iteration,
+    reference_singleton,
+    reference_stable_sets,
+)
 
 ALPHA, BETA, T_SWIM = 0.001, 0.01, 1800.0
 
@@ -117,15 +128,12 @@ def test_net_benefit_unknown_athlete():
         net_benefit(scenario, ("ada",), "zed")
 
 
-def test_subset_equilibrium_memoisation():
+def test_subset_equilibrium_validates_members():
     scenario = pair_with_outside(0.0, 0.0)
-    cache: dict = {}
-    first = subset_equilibrium(scenario, ("bea", "ada"), cache=cache)
-    assert ("ada", "bea") in cache
-    again = subset_equilibrium(scenario, ("ada", "bea"), cache=cache)
-    assert again is first
+    assert subset_equilibrium(scenario, ("bea", "ada")) == \
+        subset_equilibrium(scenario, ("ada", "bea"))
     with pytest.raises(ValueError):
-        subset_equilibrium(scenario, (), cache=cache)
+        subset_equilibrium(scenario, ())
     with pytest.raises(ValueError):
         subset_equilibrium(scenario, ("zed",))
 
@@ -329,15 +337,14 @@ def test_iterate_lands_inside_the_enumerated_sets():
     rng = np.random.default_rng(101)
     for _ in range(25):
         scenario = random_scenario(rng, n=int(rng.integers(2, 7)))
-        cache: dict = {}
-        outcome = iterate_continuation_operator(scenario, cache=cache)
-        stable = enumerate_equilibrium_sets(scenario, cache=cache)
+        outcome = iterate_continuation_operator(scenario)
+        stable = enumerate_equilibrium_sets(scenario)
         if outcome.method == "fixed_point":
             assert outcome.members in stable
         for members in stable:
             # Independent re-check of both stability conditions.
             for aid in scenario.ids:
-                value = net_benefit(scenario, members, aid, cache=cache).value
+                value = net_benefit(scenario, members, aid).value
                 if aid in members:
                     assert value >= 0.0
                 else:
@@ -358,13 +365,52 @@ def test_assembled_results_recheck_on_random_scenarios():
                         spe.equilibrium.continuation_values[aid]
 
 
-def test_cache_is_transparent():
-    """The memo changes cost, never answers."""
+def count_solves(monkeypatch) -> list[tuple[str, ...]]:
+    """Member ids of every contest the entry module solves from now on."""
+    fields: list[tuple[str, ...]] = []
+
+    def counted(instance, *args, **kwargs):
+        fields.append(instance.ids)
+        return solve_contest(instance, *args, **kwargs)
+
+    monkeypatch.setattr(entry, "solve_contest", counted)
+    return fields
+
+
+def test_assemble_solves_each_field_at_most_once(monkeypatch):
+    fields = count_solves(monkeypatch)
     rng = np.random.default_rng(151)
     for _ in range(10):
         scenario = random_scenario(rng, n=4)
-        cache: dict = {}
-        with_cache = assemble_spe(scenario, mode="all", cache=cache)
-        without = assemble_spe(scenario, mode="all", cache=None)
-        assert with_cache == without
-        assert len(cache) > 0
+        for mode in ("first", "all", "iterative"):
+            fields.clear()
+            assemble_spe(scenario, mode=mode)
+            assert fields
+            assert len(fields) == len(set(fields))
+
+
+def test_assemble_solve_count_on_a_ten_athlete_field(monkeypatch):
+    """No more solves than the per-call memo of sorted id tuples needed."""
+    fields = count_solves(monkeypatch)
+    scenario = random_scenario(np.random.default_rng(1010), n=10)
+    results = assemble_spe(scenario, mode="all")
+    assert [r.members for r in results] == [("a02", "a03", "a04", "a05", "a07")]
+    assert len(fields) <= 896
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=2, max_value=8))
+def test_entry_stage_matches_the_reference_enumeration(seed, n):
+    """Stable sets, the operator's trace and the fallback equal a plain re-solve."""
+    scenario = random_scenario(np.random.default_rng(seed), n=n)
+    stable = enumerate_equilibrium_sets(scenario)
+    assert stable == reference_stable_sets(scenario)
+    outcome = iterate_continuation_operator(scenario)
+    assert (outcome.members, outcome.trace, outcome.method) == \
+        reference_iteration(scenario)
+    fallback = entry._singleton_fallback(entry._Fields(scenario, None))
+    assert fallback == reference_singleton(scenario)
+    for spe in assemble_spe(scenario, mode="all"):
+        assert spe.equilibrium == solve_contest(
+            ContestInstance.from_scenario(scenario, spe.members))
