@@ -448,6 +448,28 @@ def test_module_entry_point_runs():
      ["solve", str(SCENARIOS / "heterogeneous_triple.json")]),
     ("spe_dropout_pair.txt",
      ["spe", str(SCENARIOS / "dropout_pair.json")]),
+    ("solve_set_bea_ada_symmetric_pair.json",
+     ["solve", "--set", "bea,ada", "--output", "tree",
+      str(SCENARIOS / "symmetric_pair.json")]),
+    ("cutoff_ada_heterogeneous_triple.json",
+     ["cutoff", "--athlete", "ada", "--output", "tree",
+      str(SCENARIOS / "heterogeneous_triple.json")]),
+    ("spe_all_dropout_pair.json",
+     ["spe", "--mode", "all", "--output", "tree",
+      str(SCENARIOS / "dropout_pair.json")]),
+    ("welfare_heterogeneous_triple.txt",
+     ["welfare", str(SCENARIOS / "heterogeneous_triple.json")]),
+    ("welfare_heterogeneous_triple.csv",
+     ["welfare", "--output", "csv", str(SCENARIOS / "heterogeneous_triple.json")]),
+    ("sweep_draft_share_full_spe_symmetric_pair.csv",
+     ["sweep", "--param", "athletes.ada.draft_share", "--grid", "0:0.75:4",
+      "--full-spe", str(SCENARIOS / "symmetric_pair.json")]),
+    ("sweep_draft_share_full_spe_symmetric_pair.json",
+     ["sweep", "--param", "athletes.ada.draft_share", "--grid", "0:0.75:4",
+      "--full-spe", "--output", "tree", str(SCENARIOS / "symmetric_pair.json")]),
+    ("sweep_m_symmetric_pair.txt",
+     ["sweep", "--param", "m", "--grid", "2:6:5", "--output", "table",
+      str(SCENARIOS / "symmetric_pair.json")]),
 ])
 def test_golden_outputs(golden_name, argv, capsys):
     """Command output matches the checked-in transcript byte for byte."""
