@@ -21,7 +21,7 @@ from .contest import (
     solve_contest,
     solve_total_effort,
 )
-from .entry import CONTINUE, Members, assemble_spe, subset_equilibrium
+from .entry import CONTINUE, Members, _Fields, assemble_spe, subset_equilibrium
 from .model import DomainError, GlobalParams, Scenario
 
 __all__ = [
@@ -171,19 +171,25 @@ def total_effort_derivative(instance: ContestInstance, param: tuple[str, str],
     return _aggregate_response(instance, kind, idx, settings)[2]
 
 
-def _target_value(instance: ContestInstance, target: tuple[str, str | None],
-                  settings: SolverSettings) -> float:
-    kind, aid = target
-    x = solve_total_effort(instance, settings)
+def _target_at(instance: ContestInstance, kind: str, idx: int | None, x: float,
+               dx: float = 0.0, direct: float = 0.0) -> tuple[float, float]:
+    """A target's value at the root ``x``, and its derivative in a parameter.
+
+    ``dx`` is the root's derivative and ``direct`` the parameter's own
+    effect on member ``idx``'s win probability; both default to zero, which
+    leaves only the value meaningful.
+    """
     if kind == "total":
-        return x
-    idx = instance.index(aid)
+        return x, dx
     de = instance._delta_eff[idx]
     k = instance._k[idx]
-    p = de / (k * x * x + de)
+    den = k * x * x + de
+    p = de / den
+    dh_dx = -2.0 * k * x * de / (den * den)
+    dp = direct + dh_dx * dx
     if kind == "prob":
-        return p
-    return p * x / instance.weight[idx]
+        return p, dp
+    return p * x / instance.weight[idx], (dp * x + p * dx) / instance.weight[idx]
 
 
 def sensitivity_report(instance: ContestInstance,
@@ -206,23 +212,12 @@ def sensitivity_report(instance: ContestInstance,
         raise ValueError(f"step must be positive, got {step}")
     settings = settings or DEFAULT_SETTINGS
 
+    t_idx = None if t_kind == "total" else instance.index(target[1])
+
     # Analytic chain rule through the aggregate root.
     x, g_p, dx = _aggregate_response(instance, p_kind, p_idx, settings)
-    if t_kind == "total":
-        analytic = dx
-    else:
-        t_idx = instance.index(target[1])
-        de = instance._delta_eff[t_idx]
-        k = instance._k[t_idx]
-        den = k * x * x + de
-        p = de / den
-        dh_dx = -2.0 * k * x * de / (den * den)
-        direct = g_p if t_idx == p_idx else 0.0
-        dp = direct + dh_dx * dx
-        if t_kind == "prob":
-            analytic = dp
-        else:
-            analytic = (dp * x + p * dx) / instance.weight[t_idx]
+    direct = g_p if t_idx == p_idx else 0.0
+    analytic = _target_at(instance, t_kind, t_idx, x, dx, direct)[1]
 
     # Central difference at a tightened residual tolerance.
     base = getattr(instance, p_kind)[p_idx]
@@ -231,9 +226,12 @@ def sensitivity_report(instance: ContestInstance,
                                   f"{param[1]!r} out of its positive domain")
     tight = replace(settings, abs_tol=min(settings.abs_tol, _FD_ABS_TOL))
     mutate = getattr(instance, f"with_{p_kind}")
-    hi = _target_value(mutate(param[1], base + step), target, tight)
-    lo = _target_value(mutate(param[1], base - step), target, tight)
-    finite = (hi - lo) / (2.0 * step)
+
+    def resolved(value: float) -> float:
+        solved = mutate(param[1], value)
+        return _target_at(solved, t_kind, t_idx, solve_total_effort(solved, tight))[0]
+
+    finite = (resolved(base + step) - resolved(base - step)) / (2.0 * step)
     rel_err = abs(analytic - finite) / max(abs(analytic), 1e-12)
     return SensitivityReport(target=target, parameter=param, analytic=analytic,
                              finite_diff=finite, rel_err=rel_err)
@@ -251,8 +249,9 @@ def welfare_report(scenario: Scenario, members: Sequence[str],
     ``rent_ratio`` is aggregate effort cost over aggregate expected prize
     intake; for a symmetric field of size ``m`` it equals ``(m-1)/(2m)``.
     """
-    equilibrium = subset_equilibrium(scenario, members, settings)
-    instance = ContestInstance.from_scenario(scenario, equilibrium.probs.keys())
+    fields = _Fields(scenario, settings)
+    instance = fields.instance(fields.mask(members))
+    equilibrium = solve_contest(instance, fields.settings)
     cost = 0.0
     intake = 0.0
     welfare = 0.0

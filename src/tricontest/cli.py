@@ -3,9 +3,10 @@
 Five subcommands cover the solver surface: ``solve`` (contest among a
 field), ``cutoff`` (indifference multiplier), ``spe`` (continuation
 equilibria), ``sweep`` (parameter grids), and ``welfare`` (surplus
-accounting).  Every command accepts ``--output csv|table|tree``; numbers
-are printed in fixed 12-significant-digit scientific notation and repeated
-runs produce byte-identical output.
+accounting).  Each command builds one record of raw values, and
+``--output csv|table|tree`` renders that record: numbers are printed in
+fixed 12-significant-digit scientific notation, the tree's numbers are
+those printed values, and repeated runs produce byte-identical output.
 
 Exit status: 0 on success, 1 on solver failure, 2 on usage or validation
 errors.
@@ -28,6 +29,7 @@ from .contest import (
     DEFAULT_SETTINGS,
     ContestInstance,
     ConvergenceError,
+    SolverSettings,
     solve_contest,
     verify_nash,
 )
@@ -52,64 +54,89 @@ def format_number(value: float) -> str:
     return f"{value:.11e}"
 
 
-def _jnum(value: float) -> float:
-    """Float rounded to the printed precision, for structured output."""
-    return float(format_number(value))
-
-
 @dataclass
-class RunOutput:
-    """Renderable result of one CLI command."""
+class Record:
+    """Result of one CLI command, in raw values, that every format renders.
 
-    command: str
-    meta: list[tuple[str, str]] = field(default_factory=list)
-    headers: list[str] = field(default_factory=list)
-    rows: list[list[str]] = field(default_factory=list)
-    summary: list[tuple[str, str]] = field(default_factory=list)
-    payload: dict[str, Any] = field(default_factory=dict)
+    ``tree`` holds floats, strings, ints, bools, ``None`` and member tuples;
+    its keys up to and including ``settings`` are the table's header lines.
+    ``rows`` are the table and csv rows, keyed by column header, and
+    ``summary`` the table's closing lines.
+    """
+
+    tree: dict[str, Any]
+    rows: list[dict[str, Any]]
+    summary: dict[str, Any] = field(default_factory=dict)
 
 
-def _render_table(out: RunOutput) -> str:
-    lines = [f"{key}: {value}" for key, value in out.meta]
-    if out.headers:
-        widths = [len(h) for h in out.headers]
-        for row in out.rows:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
+def _cell(value: Any) -> str:
+    """Table and csv text of one raw value."""
+    if isinstance(value, float):
+        return format_number(value)
+    if isinstance(value, tuple):  # a pair of numbers is a range, else a member set
+        if value and isinstance(value[0], float):
+            return " .. ".join(map(_cell, value))
+        return "+".join(sorted(value))
+    return "" if value is None else str(value)
+
+
+def _plain(value: Any) -> Any:
+    """JSON value of one raw value, floats rounded to their printed digits."""
+    if isinstance(value, float):
+        return float(format_number(value))
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _text_rows(record: Record) -> tuple[list[str], list[list[str]]]:
+    headers = list(record.rows[0])
+    return headers, [[_cell(row[h]) for h in headers] for row in record.rows]
+
+
+def _render_table(record: Record) -> str:
+    lines = []
+    for key, value in record.tree.items():
+        if key == "settings":
+            lines += [f"{name}: {_cell(item)}" for name, item in value.items()]
+            break
+        lines.append(f"{key}: {_cell(value)}")
+    headers, cells = _text_rows(record)
+    widths = [max(len(cell) for cell in column) for column in zip(headers, *cells)]
+
+    def line(row: list[str]) -> str:
+        return "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+
+    lines += ["", line(headers), line(["-" * w for w in widths]), *map(line, cells)]
+    if record.summary:
         lines.append("")
-        lines.append("  ".join(h.ljust(w) for h, w in
-                               zip(out.headers, widths)).rstrip())
-        lines.append("  ".join("-" * w for w in widths))
-        for row in out.rows:
-            lines.append("  ".join(c.ljust(w) for c, w in
-                                   zip(row, widths)).rstrip())
-    if out.summary:
-        lines.append("")
-        lines.extend(f"{key}: {value}" for key, value in out.summary)
+        lines += [f"{key}: {_cell(value)}" for key, value in record.summary.items()]
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(out: RunOutput) -> str:
+def _render_csv(record: Record) -> str:
+    headers, cells = _text_rows(record)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(out.headers)
-    writer.writerows(out.rows)
+    writer.writerow(headers)
+    writer.writerows(cells)
     return buffer.getvalue()
 
 
-def _render_tree(out: RunOutput) -> str:
-    return json.dumps(out.payload, indent=2) + "\n"
+def _render_tree(record: Record) -> str:
+    return json.dumps(_plain(record.tree), indent=2) + "\n"
 
 
 _RENDERERS = {"table": _render_table, "csv": _render_csv, "tree": _render_tree}
 
 
-def _settings_meta(scenario: Scenario) -> tuple[list[tuple[str, str]], dict]:
-    settings = scenario.settings or DEFAULT_SETTINGS
-    meta = [("abs_tol", format_number(settings.abs_tol)),
-            ("max_iter", str(settings.max_iter))]
-    payload = {"abs_tol": _jnum(settings.abs_tol), "max_iter": settings.max_iter}
-    return meta, payload
+def _head(ns: argparse.Namespace, settings: SolverSettings,
+          **keys: Any) -> dict[str, Any]:
+    """The tree's leading keys: command, scenario file name, ``keys``, settings."""
+    return {"command": ns.command, "scenario": Path(ns.file).name, **keys,
+            "settings": {"abs_tol": settings.abs_tol, "max_iter": settings.max_iter}}
 
 
 def _parse_set(raw: str | None, scenario: Scenario) -> tuple[str, ...]:
@@ -126,10 +153,6 @@ def _parse_set(raw: str | None, scenario: Scenario) -> tuple[str, ...]:
         if token not in members:
             members.append(token)
     return tuple(members)
-
-
-def _set_label(members: tuple[str, ...]) -> str:
-    return "+".join(sorted(members))
 
 
 def _parse_grid(raw: str) -> list[float]:
@@ -159,190 +182,106 @@ def _parse_grid(raw: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(ns: argparse.Namespace) -> RunOutput:
-    scenario = load_scenario(ns.file)
+def _cmd_solve(ns: argparse.Namespace, scenario: Scenario,
+               settings: SolverSettings) -> Record:
     members = _parse_set(ns.set, scenario)
-    settings = scenario.settings or DEFAULT_SETTINGS
     instance = ContestInstance.from_scenario(scenario, members)
     equilibrium = solve_contest(instance, settings)
     check = verify_nash(instance, equilibrium)
-    meta_settings, payload_settings = _settings_meta(scenario)
-    out = RunOutput(command="solve")
-    out.meta = [("command", "solve"), ("scenario", Path(ns.file).name),
-                ("set", _set_label(members))] + meta_settings
-    out.headers = ["id", "psi", "k", "e_star", "p_star", "value"]
-    athletes_payload = []
-    for aid, psi, k in zip(instance.ids, instance.psi, instance._k):
-        row = [aid, format_number(psi), format_number(k),
-               format_number(equilibrium.efforts[aid]),
-               format_number(equilibrium.probs[aid]),
-               format_number(equilibrium.continuation_values[aid])]
-        out.rows.append(row)
-        athletes_payload.append({
-            "id": aid, "psi": _jnum(psi), "k": _jnum(k),
-            "e_star": _jnum(equilibrium.efforts[aid]),
-            "p_star": _jnum(equilibrium.probs[aid]),
-            "value": _jnum(equilibrium.continuation_values[aid])})
-    verdict = "PASS" if check.passed else "FAIL"
-    out.summary = [("total_effort", format_number(equilibrium.total_effort)),
-                   ("residual", format_number(equilibrium.residual)),
-                   ("nash_max_gain", format_number(check.max_gain)),
-                   ("nash", verdict)]
-    out.payload = {"command": "solve", "scenario": Path(ns.file).name,
-                   "set": list(members), "settings": payload_settings,
-                   "athletes": athletes_payload,
-                   "total_effort": _jnum(equilibrium.total_effort),
-                   "residual": _jnum(equilibrium.residual),
-                   "nash": {"max_gain": _jnum(check.max_gain),
-                            "worst": check.worst, "passed": check.passed}}
-    return out
+    athletes = [{"id": aid, "psi": psi, "k": k,
+                 "e_star": equilibrium.efforts[aid],
+                 "p_star": equilibrium.probs[aid],
+                 "value": equilibrium.continuation_values[aid]}
+                for aid, psi, k in zip(instance.ids, instance.psi, instance._k)]
+    tree = {**_head(ns, settings, set=members), "athletes": athletes,
+            "total_effort": equilibrium.total_effort,
+            "residual": equilibrium.residual,
+            "nash": {"max_gain": check.max_gain, "worst": check.worst,
+                     "passed": check.passed}}
+    return Record(tree, athletes, {
+        "total_effort": equilibrium.total_effort,
+        "residual": equilibrium.residual, "nash_max_gain": check.max_gain,
+        "nash": "PASS" if check.passed else "FAIL"})
 
 
-def _cmd_cutoff(ns: argparse.Namespace) -> RunOutput:
-    scenario = load_scenario(ns.file)
+def _cmd_cutoff(ns: argparse.Namespace, scenario: Scenario,
+                settings: SolverSettings) -> Record:
     members = _parse_set(ns.set, scenario)
     if ns.athlete not in members:
         raise ValueError(f"athlete {ns.athlete!r} is not in the evaluated set")
-    settings = scenario.settings or DEFAULT_SETTINGS
     result = cutoff_psi(scenario, members, ns.athlete, settings=settings)
-    meta_settings, payload_settings = _settings_meta(scenario)
-    out = RunOutput(command="cutoff")
-    out.meta = [("command", "cutoff"), ("scenario", Path(ns.file).name),
-                ("athlete", ns.athlete),
-                ("set", _set_label(result.members))] + meta_settings
-    out.headers = ["athlete", "verdict", "psi_star"]
-    star = "" if result.psi_star is None else format_number(result.psi_star)
-    out.rows = [[result.athlete_id, result.verdict, star]]
-    lo, hi = scenario.globals.psi_bounds
-    out.summary = [("psi_bounds", f"{format_number(lo)} .. {format_number(hi)}")]
-    out.payload = {"command": "cutoff", "scenario": Path(ns.file).name,
-                   "athlete": ns.athlete, "set": list(result.members),
-                   "settings": payload_settings, "verdict": result.verdict,
-                   "psi_star": (None if result.psi_star is None
-                                else _jnum(result.psi_star)),
-                   "psi_bounds": [_jnum(lo), _jnum(hi)]}
-    return out
+    bounds = scenario.globals.psi_bounds
+    tree = {**_head(ns, settings, athlete=ns.athlete, set=result.members),
+            "verdict": result.verdict, "psi_star": result.psi_star,
+            "psi_bounds": bounds}
+    return Record(tree, [{"athlete": result.athlete_id, "verdict": result.verdict,
+                          "psi_star": result.psi_star}], {"psi_bounds": bounds})
 
 
-def _cmd_spe(ns: argparse.Namespace) -> RunOutput:
-    scenario = load_scenario(ns.file)
-    settings = scenario.settings or DEFAULT_SETTINGS
+def _cmd_spe(ns: argparse.Namespace, scenario: Scenario,
+             settings: SolverSettings) -> Record:
     results = assemble_spe(scenario, mode=ns.mode, settings=settings)
-    meta_settings, payload_settings = _settings_meta(scenario)
-    out = RunOutput(command="spe")
-    out.meta = [("command", "spe"), ("scenario", Path(ns.file).name),
-                ("mode", ns.mode)] + meta_settings
-    out.headers = ["set", "method", "id", "action", "payoff"]
-    results_payload = []
-    for result in results:
-        label = _set_label(result.members)
-        block = {"members": list(result.members), "method": result.method,
-                 "total_effort": _jnum(result.equilibrium.total_effort),
-                 "residual": _jnum(result.equilibrium.residual),
-                 "athletes": []}
-        for aid in scenario.ids:
-            out.rows.append([label, result.method, aid, result.actions[aid],
-                             format_number(result.payoffs[aid])])
-            block["athletes"].append({"id": aid, "action": result.actions[aid],
-                                      "payoff": _jnum(result.payoffs[aid])})
-        results_payload.append(block)
-    out.summary = [("equilibria", str(len(results)))]
-    out.payload = {"command": "spe", "scenario": Path(ns.file).name,
-                   "mode": ns.mode, "settings": payload_settings,
-                   "results": results_payload}
-    return out
+    blocks = [{"members": result.members, "method": result.method,
+               "total_effort": result.equilibrium.total_effort,
+               "residual": result.equilibrium.residual,
+               "athletes": [{"id": aid, "action": result.actions[aid],
+                             "payoff": result.payoffs[aid]}
+                            for aid in scenario.ids]}
+              for result in results]
+    rows = [{"set": block["members"], "method": block["method"], **athlete}
+            for block in blocks for athlete in block["athletes"]]
+    tree = {**_head(ns, settings, mode=ns.mode), "results": blocks}
+    return Record(tree, rows, {"equilibria": len(results)})
 
 
-def _cmd_welfare(ns: argparse.Namespace) -> RunOutput:
-    scenario = load_scenario(ns.file)
-    members = _parse_set(ns.set, scenario)
-    settings = scenario.settings or DEFAULT_SETTINGS
-    report = welfare_report(scenario, members, settings)
-    meta_settings, payload_settings = _settings_meta(scenario)
-    out = RunOutput(command="welfare")
-    out.meta = [("command", "welfare"), ("scenario", Path(ns.file).name),
-                ("set", _set_label(report.members))] + meta_settings
-    out.headers = ["metric", "value"]
-    metrics = [("total_welfare", report.total_welfare),
-               ("aggregate_cost", report.aggregate_cost),
-               ("aggregate_prize_intake", report.aggregate_prize_intake),
-               ("rent_ratio", report.rent_ratio)]
-    out.rows = [[name, format_number(value)] for name, value in metrics]
-    out.payload = {"command": "welfare", "scenario": Path(ns.file).name,
-                   "set": list(report.members), "settings": payload_settings,
-                   "metrics": {name: _jnum(value) for name, value in metrics}}
-    return out
+def _cmd_welfare(ns: argparse.Namespace, scenario: Scenario,
+                 settings: SolverSettings) -> Record:
+    report = welfare_report(scenario, _parse_set(ns.set, scenario), settings)
+    metrics = {name: getattr(report, name) for name in
+               ("total_welfare", "aggregate_cost", "aggregate_prize_intake",
+                "rent_ratio")}
+    tree = {**_head(ns, settings, set=report.members), "metrics": metrics}
+    return Record(tree, [{"metric": name, "value": value}
+                         for name, value in metrics.items()])
 
 
-def _cmd_sweep(ns: argparse.Namespace) -> RunOutput:
-    scenario = load_scenario(ns.file)
-    settings = scenario.settings or DEFAULT_SETTINGS
+def _cmd_sweep(ns: argparse.Namespace, scenario: Scenario,
+               settings: SolverSettings) -> Record:
     grid = _parse_grid(ns.grid)
     stage = "full" if ns.full_spe else "contest"
-    records = sweep(scenario, ns.param, grid, stage=stage, settings=settings)
-    meta_settings, payload_settings = _settings_meta(scenario)
-    out = RunOutput(command="sweep")
-    out.meta = [("command", "sweep"), ("scenario", Path(ns.file).name),
-                ("param", ns.param), ("grid", ns.grid),
-                ("stage", stage)] + meta_settings
-    size_sweep = ns.param == "m"
-    if size_sweep:
-        out.headers = ["param", "value", "total_effort", "e_star", "p_star",
-                       "value_star"]
-        if stage == "full":
-            out.headers.append("members")
-    else:
-        out.headers = ["param", "value", "total_effort"]
-        for aid in scenario.ids:
-            out.headers += [f"e_{aid}", f"p_{aid}", f"value_{aid}"]
-        if stage == "full":
-            out.headers.append("members")
-            out.headers += [f"action_{aid}" for aid in scenario.ids]
-    records_payload = []
-    for record in records:
-        row = [record.param, format_number(record.value),
-               format_number(record.total_effort)]
-        block: dict[str, Any] = {"value": _jnum(record.value),
-                                 "total_effort": _jnum(record.total_effort)}
-        if size_sweep:
-            first = next(iter(record.efforts))
-            row += [format_number(record.efforts[first]),
-                    format_number(record.probs[first]),
-                    format_number(record.continuation_values[first])]
-            block.update(e_star=_jnum(record.efforts[first]),
-                         p_star=_jnum(record.probs[first]),
-                         value_star=_jnum(record.continuation_values[first]))
-            if stage == "full":
-                row.append(_set_label(record.members or ()))
-                block["members"] = sorted(record.members or ())
+    points = sweep(scenario, ns.param, grid, stage=stage, settings=settings)
+    blocks, rows = [], []
+    for point in points:
+        block: dict[str, Any] = {"value": point.value,
+                                 "total_effort": point.total_effort}
+        row = {"param": point.param, **block}
+        if ns.param == "m":  # a symmetric field: one athlete speaks for all
+            first = next(iter(point.efforts))
+            block.update(e_star=point.efforts[first], p_star=point.probs[first],
+                         value_star=point.continuation_values[first])
+            row.update(block)
         else:
             block["athletes"] = []
             for aid in scenario.ids:
-                if aid in record.efforts:
-                    row += [format_number(record.efforts[aid]),
-                            format_number(record.probs[aid]),
-                            format_number(record.continuation_values[aid])]
-                    block["athletes"].append({
-                        "id": aid, "e_star": _jnum(record.efforts[aid]),
-                        "p_star": _jnum(record.probs[aid]),
-                        "value": _jnum(record.continuation_values[aid])})
-                else:
-                    row += ["", "", ""]
-                    block["athletes"].append({"id": aid})
-            if stage == "full":
-                row.append(_set_label(record.members or ()))
-                block["members"] = sorted(record.members or ())
-                for aid in scenario.ids:
-                    action = (record.actions or {}).get(aid, "")
-                    row.append(action)
-                    block["athletes"][scenario.ids.index(aid)]["action"] = action
-        out.rows.append(row)
-        records_payload.append(block)
-    out.summary = [("points", str(len(records)))]
-    out.payload = {"command": "sweep", "scenario": Path(ns.file).name,
-                   "param": ns.param, "grid": ns.grid, "stage": stage,
-                   "settings": payload_settings, "records": records_payload}
-    return out
+                athlete = {"id": aid}
+                if aid in point.efforts:
+                    athlete.update(e_star=point.efforts[aid], p_star=point.probs[aid],
+                                   value=point.continuation_values[aid])
+                if stage == "full":
+                    athlete["action"] = point.actions[aid]
+                block["athletes"].append(athlete)
+                row.update({f"e_{aid}": athlete.get("e_star"),
+                            f"p_{aid}": athlete.get("p_star"),
+                            f"value_{aid}": athlete.get("value")})
+        if stage == "full":
+            block["members"] = row["members"] = point.members
+            if ns.param != "m":
+                row.update({f"action_{aid}": point.actions[aid] for aid in scenario.ids})
+        blocks.append(block)
+        rows.append(row)
+    tree = {**_head(ns, settings, param=ns.param, grid=ns.grid, stage=stage),
+            "records": blocks}
+    return Record(tree, rows, {"points": len(points)})
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +353,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        output = ns.handler(ns)
+        scenario = load_scenario(ns.file)
+        record = ns.handler(ns, scenario, scenario.settings or DEFAULT_SETTINGS)
     except (ScenarioError, DomainError, DegenerateProfileError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (ConvergenceError, EntryIterationError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SOLVER
-    text = _RENDERERS[ns.output](output)
+    text = _RENDERERS[ns.output](record)
     if ns.out is not None:
         target = Path(ns.out)
         outdir = os.environ.get(_OUTDIR_VAR)

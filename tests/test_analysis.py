@@ -181,6 +181,28 @@ def test_welfare_identity_on_random_scenarios():
         assert 0.0 <= report.rent_ratio < 0.5
 
 
+def test_welfare_builds_each_contest_instance_once(monkeypatch):
+    """One report builds the full field, plus the subset when it is smaller."""
+    scenario = random_scenario(np.random.default_rng(606), n=6)
+    subset = scenario.ids[3:]
+    expected = welfare_report(scenario, subset)
+    built = []
+    original = ContestInstance.__post_init__
+
+    def counting(self):
+        built.append(self.ids)
+        original(self)
+
+    monkeypatch.setattr(ContestInstance, "__post_init__", counting)
+    assert welfare_report(scenario, subset) == expected
+    assert built == [scenario.ids, subset]
+    built.clear()
+    welfare_report(scenario, scenario.ids)
+    assert built == [scenario.ids]
+    # Repeated member ids collapse silently, as before.
+    assert welfare_report(scenario, subset + subset[:1]) == expected
+
+
 def test_symmetric_rent_ratio_formula():
     base = pair_scenario()
     for m in (2, 3, 5, 10, 25):

@@ -40,6 +40,14 @@ def minimal_payload() -> dict:
     }
 
 
+def src_env() -> dict:
+    """The environment with the checkout's ``src`` first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_cli(argv, capsys):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -358,9 +366,7 @@ def test_grid_matches_numpy_linspace():
 
 
 def test_cli_import_leaves_numpy_out():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env = src_env()
     result = subprocess.run(
         [sys.executable, "-c",
          "import sys, tricontest.cli; print('numpy' in sys.modules)"],
@@ -425,15 +431,22 @@ def test_outdir_env_var_anchors_relative_paths(tmp_path, capsys, monkeypatch):
 
 
 def test_module_entry_point_runs():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env = src_env()
     result = subprocess.run(
         [sys.executable, "-m", "tricontest", "solve", "--output", "csv",
          str(SCENARIOS / "symmetric_pair.json")],
         capture_output=True, text=True, cwd=ROOT, env=env)
     assert result.returncode == 0
     assert result.stdout.startswith("id,psi,k,e_star,p_star,value")
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                            capture_output=True, text=True, cwd=ROOT,
+                            env=src_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()
 
 
 # ---------------------------------------------------------------------------
