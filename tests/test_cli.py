@@ -152,6 +152,42 @@ def test_parse_rejects_malformed_shapes():
     assert str(err.value).startswith("globals.psi_bounds:")
 
 
+_ABSENT = object()
+
+
+_FAULTS = [
+    ("globals", "psi_bounds", None,
+     "globals.psi_bounds: expected a [low, high] pair of numbers, got None"),
+    ("globals", "speed", 1, "globals.speed: unknown field"),
+    ("solver", "speed", 1, "solver.speed: unknown field"),
+    ("solver", "max_iter", 1.5, "solver.max_iter: expected an integer, got 1.5"),
+    ("solver", "abs_tol", 0, "solver.abs_tol: abs_tol must be positive, got 0.0"),
+    ("athlete", "id", 7, "athletes[0].id: expected a string, got 7"),
+    ("athlete", "weight", -1,
+     "athletes[0].weight: weight must be positive, got -1.0 (athlete 'ada')"),
+    ("athlete", "theta", "x", "athletes[0].theta: expected a number, got 'x'"),
+    ("top", "globals", _ABSENT, "globals: expected an object, got NoneType"),
+    ("top", "version", "1", "version: expected an integer, got '1'"),
+]
+
+
+@pytest.mark.parametrize("block,key,value,message", _FAULTS,
+                         ids=[f"{block}.{key}" for block, key, _, _ in _FAULTS])
+def test_parse_fault_messages(block, key, value, message):
+    """Each single fault is reported with its exact path and text."""
+    payload = minimal_payload()
+    payload["solver"] = {}
+    target = {"top": payload, "globals": payload["globals"],
+              "solver": payload["solver"], "athlete": payload["athletes"][0]}[block]
+    if value is _ABSENT:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(payload)
+    assert str(err.value) == message
+
+
 def test_scenario_error_is_a_value_error():
     assert issubclass(ScenarioError, ValueError)
 
