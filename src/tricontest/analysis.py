@@ -10,7 +10,7 @@ the canonical monotonicity checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 from .contest import (
@@ -22,7 +22,7 @@ from .contest import (
     solve_total_effort,
 )
 from .entry import CONTINUE, Members, _Fields, assemble_spe, subset_equilibrium
-from .model import DomainError, GlobalParams, Scenario
+from .model import AthleteRecord, DomainError, GlobalParams, Scenario
 
 __all__ = [
     "PARAM_KINDS",
@@ -270,9 +270,9 @@ def welfare_report(scenario: Scenario, members: Sequence[str],
 # Sweeps
 # ---------------------------------------------------------------------------
 
-_ATHLETE_FIELDS = ("t_swim", "r_swim", "draft_share", "base_cost",
-                   "prize_diff", "weight", "theta")
-_GLOBAL_FIELDS = ("alpha", "beta", "eta")
+# Sweepable fields with their declared types: all but the id and the cutoff bounds.
+_ATHLETE_FIELDS = {f.name: f.type for f in fields(AthleteRecord) if f.name != "id"}
+_GLOBAL_FIELDS = {f.name: f.type for f in fields(GlobalParams) if f.name != "psi_bounds"}
 
 
 def _point_scenario(scenario: Scenario, param: str, value: float,
@@ -295,33 +295,25 @@ def _point_scenario(scenario: Scenario, param: str, value: float,
                            for i in range(1, size + 1))
             return Scenario(athletes=clones, globals=scenario.globals,
                             settings=scenario.settings)
-        if parts[0] == "globals" and len(parts) == 2:
-            field = parts[1]
-            if field not in _GLOBAL_FIELDS:
-                raise ValueError(f"unknown sweep parameter {param!r}; global "
-                                 f"fields are {_GLOBAL_FIELDS}")
-            new_globals = GlobalParams(**{
-                "alpha": scenario.globals.alpha,
-                "beta": scenario.globals.beta,
-                "eta": scenario.globals.eta,
-                "psi_bounds": None if field == "eta" else scenario.globals.psi_bounds,
-                field: float(value),
-            })
-            return replace(scenario, globals=new_globals)
-        if parts[0] == "athletes" and len(parts) == 3:
-            aid, field = parts[1], parts[2]
-            if field not in _ATHLETE_FIELDS:
-                raise ValueError(f"unknown sweep parameter {param!r}; athlete "
-                                 f"fields are {_ATHLETE_FIELDS}")
-            record = scenario.record(aid)
-            if field == "r_swim":
-                rank = round(value)
-                if abs(value - rank) > 1e-9:
-                    raise fail("r_swim must be an integer")
-                new_record = replace(record, r_swim=int(rank))
+        if (parts[0], len(parts)) in (("globals", 2), ("athletes", 3)):
+            block, field = parts[0], parts[-1]
+            types = _GLOBAL_FIELDS if block == "globals" else _ATHLETE_FIELDS
+            if field not in types:
+                raise ValueError(f"unknown sweep parameter {param!r}; {block[:-1]} "
+                                 f"fields are {tuple(types)}")
+            record = scenario.globals if block == "globals" else scenario.record(parts[1])
+            if types[field] == "int":
+                new = int(round(value))
+                if abs(value - new) > 1e-9:
+                    raise fail(f"{field} must be an integer")
             else:
-                new_record = replace(record, **{field: float(value)})
-            athletes = tuple(new_record if rec.id == aid else rec
+                new = float(value)
+            if block == "globals":
+                # A new eta moves the reduced-drag range, so the bounds follow it.
+                reset = {"psi_bounds": None} if field == "eta" else {}
+                return replace(scenario, globals=replace(record, **reset, **{field: new}))
+            new_record = replace(record, **{field: new})
+            athletes = tuple(new_record if rec is record else rec
                              for rec in scenario.athletes)
             return replace(scenario, athletes=athletes)
     except DomainError as err:

@@ -20,7 +20,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -136,7 +136,7 @@ def _head(ns: argparse.Namespace, settings: SolverSettings,
           **keys: Any) -> dict[str, Any]:
     """The tree's leading keys: command, scenario file name, ``keys``, settings."""
     return {"command": ns.command, "scenario": Path(ns.file).name, **keys,
-            "settings": {"abs_tol": settings.abs_tol, "max_iter": settings.max_iter}}
+            "settings": asdict(settings)}
 
 
 def _parse_set(raw: str | None, scenario: Scenario) -> tuple[str, ...]:

@@ -345,18 +345,18 @@ def two_player_equilibrium(instance: ContestInstance) -> ContestEquilibrium:
     With advantage ratio ``R = (delta_1/k_1) / (delta_2/k_2)`` and odds
     ratio ``rho = sqrt(R) * w_1 / w_2`` the first athlete wins with
     probability ``rho / (1 + rho)`` and efforts scale with
-    ``sqrt(delta * psi / cost)``.
+    ``sqrt(delta / k)``.
     """
     if instance.m != 2:
         raise ValueError(f"the duel closed form needs exactly 2 members, "
                          f"got {instance.m}")
-    adv = [instance.delta[i] * instance.psi[i] / instance.cost[i] for i in (0, 1)]
+    k = instance._k
+    adv = [instance.delta[i] / k[i] for i in (0, 1)]
     rho = math.sqrt(adv[0] / adv[1]) * instance.weight[0] / instance.weight[1]
     p = (rho / (1.0 + rho), 1.0 / (1.0 + rho))
     scale = math.sqrt(rho) / (1.0 + rho)
     e = (math.sqrt(adv[0]) * scale, math.sqrt(adv[1]) * scale)
     x = instance.weight[0] * e[0] + instance.weight[1] * e[1]
-    k = instance._k
     values = tuple(p[i] * instance.delta[i] - 0.5 * k[i] * e[i] * e[i] for i in (0, 1))
     ids = instance.ids
     return ContestEquilibrium(

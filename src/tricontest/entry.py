@@ -58,6 +58,9 @@ INTERIOR = "interior"
 ALWAYS_CONTINUE = "always_continue"
 ALWAYS_WITHDRAW = "always_withdraw"
 
+# Largest field whose 2^n - 1 candidate subsets are enumerated by default.
+_ENUM_MAX_N = 12
+
 
 class EntryIterationError(RuntimeError):
     """The set operator failed to settle and no fallback applies."""
@@ -278,17 +281,20 @@ def is_equilibrium_set(scenario: Scenario, members: Iterable[str],
     return fields.stable(fields.mask(members))
 
 
-def _stable_sets(fields: _Fields, max_n: int) -> list[Members]:
+def _check_enumerable(fields: _Fields, max_n: int, way_out: str) -> None:
+    """Refuse to enumerate more than ``max_n`` athletes, naming the caller's way out."""
     n = len(fields.ids)
     if n > max_n:
         raise ValueError(f"enumeration over {n} athletes needs 2^{n} subset "
-                         f"solves; raise max_n or use "
-                         f"iterate_continuation_operator")
+                         f"solves; {way_out}")
+
+
+def _stable_sets(fields: _Fields) -> list[Members]:
     return sorted(fields.members(mask) for mask in range(1, fields.everyone + 1)
                   if fields.stable(mask))
 
 
-def enumerate_equilibrium_sets(scenario: Scenario, max_n: int = 12,
+def enumerate_equilibrium_sets(scenario: Scenario, max_n: int = _ENUM_MAX_N,
                                settings: SolverSettings | None = None) -> list[Members]:
     """All stable continuation sets, in lexicographic order of sorted ids.
 
@@ -296,7 +302,9 @@ def enumerate_equilibrium_sets(scenario: Scenario, max_n: int = 12,
     capped at ``max_n``; larger fields should use the iterative operator.
     Each field is solved at most once, keyed by bitmask.
     """
-    return _stable_sets(_Fields(scenario, settings), max_n)
+    fields = _Fields(scenario, settings)
+    _check_enumerable(fields, max_n, "raise max_n or use iterate_continuation_operator")
+    return _stable_sets(fields)
 
 
 def _singleton_fallback(fields: _Fields) -> Members:
@@ -309,8 +317,7 @@ def _singleton_fallback(fields: _Fields) -> Members:
 def iterate_continuation_operator(scenario: Scenario,
                                   start: Iterable[str] | None = None,
                                   max_rounds: int | None = None,
-                                  settings: SolverSettings | None = None,
-                                  enum_max_n: int = 12) -> EntryIteration:
+                                  settings: SolverSettings | None = None) -> EntryIteration:
     """Iterate the best-reply set operator until it settles.
 
     Starting from ``start`` (default: the full field) each round keeps the
@@ -322,11 +329,10 @@ def iterate_continuation_operator(scenario: Scenario,
     """
     fields = _Fields(scenario, settings)
     mask = fields.everyone if start is None else fields.mask(start)
-    return _iterate(fields, mask, max_rounds, enum_max_n)
+    return _iterate(fields, mask, max_rounds)
 
 
-def _iterate(fields: _Fields, current: int, max_rounds: int | None,
-             enum_max_n: int) -> EntryIteration:
+def _iterate(fields: _Fields, current: int, max_rounds: int | None) -> EntryIteration:
     n = len(fields.ids)
     if max_rounds is None:
         max_rounds = 2 * n
@@ -348,8 +354,8 @@ def _iterate(fields: _Fields, current: int, max_rounds: int | None,
             break
         visited.add(nxt)
         current = nxt
-    if n <= enum_max_n:
-        sets = _stable_sets(fields, enum_max_n)
+    if n <= _ENUM_MAX_N:
+        sets = _stable_sets(fields)
         if sets:
             return EntryIteration(sets[0], tuple(trace), "enumeration")
         return EntryIteration(_singleton_fallback(fields), tuple(trace),
@@ -361,8 +367,7 @@ def _iterate(fields: _Fields, current: int, max_rounds: int | None,
 
 
 def assemble_spe(scenario: Scenario, mode: str = "first",
-                 settings: SolverSettings | None = None,
-                 nash_tol: float = 1e-6) -> list[SpeResult]:
+                 settings: SolverSettings | None = None) -> list[SpeResult]:
     """Full continuation outcomes: stable sets, actions, and payoffs.
 
     ``mode`` selects the stable set: ``"first"`` takes the lexicographically
@@ -377,11 +382,12 @@ def assemble_spe(scenario: Scenario, mode: str = "first",
         raise ValueError(f"mode must be 'first', 'all', or 'iterative', got {mode!r}")
     fields = _Fields(scenario, settings)
     if mode == "iterative":
-        outcome = _iterate(fields, fields.everyone, None, 12)
+        outcome = _iterate(fields, fields.everyone, None)
         method = "iteration" if outcome.method == "fixed_point" else outcome.method
         chosen = [(outcome.members, method)]
     else:
-        sets = _stable_sets(fields, 12)
+        _check_enumerable(fields, _ENUM_MAX_N, "use mode 'iterative'")
+        sets = _stable_sets(fields)
         if sets:
             if mode == "first":
                 sets = sets[:1]
@@ -395,7 +401,7 @@ def assemble_spe(scenario: Scenario, mode: str = "first",
         if method != "singleton_fallback" and not fields.stable(mask):
             raise RuntimeError(f"internal error: set {members} failed its "
                                f"stability re-check")
-        check = verify_nash(fields.instance(mask), equilibrium, nash_tol)
+        check = verify_nash(fields.instance(mask), equilibrium)
         if not check.passed:
             raise RuntimeError(f"internal error: contest on {members} failed "
                                f"the best-response check "

@@ -2,13 +2,18 @@
 
 A scenario file is a JSON document with an integer ``version``, a
 ``globals`` block, an ``athletes`` array, and optional ``graph`` and
-``solver`` blocks.  Loading is strict: unknown fields, missing fields, and
-out-of-range values are rejected with the offending path in the message.
+``solver`` blocks.  The ``globals`` block, each athlete and the ``solver``
+block are read into :class:`GlobalParams`, :class:`AthleteRecord` and
+:class:`SolverSettings`: a block's allowed keys, required keys (fields
+without a default), defaults and value types are those of its dataclass.
+Loading is strict: unknown fields, missing fields, and out-of-range values
+are rejected with the offending path in the message.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import Any
 
@@ -27,12 +32,6 @@ __all__ = ["SCHEMA_VERSION", "ScenarioError", "load_scenario", "parse_scenario",
 SCHEMA_VERSION = 1
 
 _TOP_KEYS = {"version", "globals", "athletes", "graph", "solver"}
-_GLOBAL_KEYS = {"alpha", "beta", "eta", "psi_bounds"}
-_ATHLETE_KEYS = {"id", "t_swim", "r_swim", "draft_share", "base_cost",
-                 "prize_diff", "weight", "theta"}
-_ATHLETE_REQUIRED = {"id", "t_swim", "r_swim", "draft_share", "base_cost",
-                     "prize_diff"}
-_SOLVER_KEYS = {"abs_tol", "max_iter"}
 
 
 class ScenarioError(ValueError):
@@ -56,88 +55,72 @@ def _no_unknown(block: dict, allowed: set[str], path: str) -> None:
                             "unknown field")
 
 
-def _number(block: dict, key: str, path: str) -> float:
-    if key not in block:
-        raise ScenarioError(f"{path}.{key}" if path else key, "missing field")
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}.{key}" if path else key,
-                            f"expected a number, got {value!r}")
-    return float(value)
+def _scalar(kind: type, noun: str):
+    """Reader of a JSON scalar for a field of type ``kind``; ints pass as numbers."""
+    accepted = (int, float) if kind is float else kind
+
+    def read(value: Any, path: str) -> Any:
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ScenarioError(path, f"expected {noun}, got {value!r}")
+        return kind(value)
+    return read
 
 
-def _integer(block: dict, key: str, path: str) -> int:
-    if key not in block:
-        raise ScenarioError(f"{path}.{key}" if path else key, "missing field")
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}.{key}" if path else key,
-                            f"expected an integer, got {value!r}")
-    return value
+def _pair(value: Any, path: str) -> tuple[float, float]:
+    if (not isinstance(value, list) or len(value) != 2
+            or any(isinstance(b, bool) or not isinstance(b, (int, float))
+                   for b in value)):
+        raise ScenarioError(path, f"expected a [low, high] pair of numbers, got {value!r}")
+    return float(value[0]), float(value[1])
 
 
-def _string(block: dict, key: str, path: str) -> str:
-    if key not in block:
-        raise ScenarioError(f"{path}.{key}" if path else key, "missing field")
-    value = block[key]
-    if not isinstance(value, str):
-        raise ScenarioError(f"{path}.{key}" if path else key,
-                            f"expected a string, got {value!r}")
-    return value
+# The reader of each declared field type (the annotation's text).
+_READERS = {
+    "str": _scalar(str, "a string"),
+    "int": _scalar(int, "an integer"),
+    "float": _scalar(float, "a number"),
+    "tuple[float, float] | None": _pair,
+}
+
+
+def _record(cls: type, raw: Any, path: str) -> Any:
+    """Read one block into the dataclass ``cls``.
+
+    The fields of ``cls`` are the allowed keys, those without a default are
+    required, and an absent optional key takes the field's default.
+    """
+    block = _object(raw, path)
+    specs = fields(cls)
+    _no_unknown(block, {f.name for f in specs}, path)
+    missing = sorted(f.name for f in specs
+                     if f.default is MISSING and f.name not in block)
+    if missing:
+        raise ScenarioError(f"{path}.{missing[0]}", "missing field")
+    values = {f.name: _READERS[f.type](block[f.name], f"{path}.{f.name}")
+              for f in specs if f.name in block}
+    try:
+        return cls(**values)
+    except DomainError as err:
+        raise ScenarioError(f"{path}.{err.field}", str(err)) from err
 
 
 def parse_scenario(data: Any) -> Scenario:
     """Build a validated :class:`Scenario` from decoded JSON data."""
     top = _object(data, "")
     _no_unknown(top, _TOP_KEYS, "")
-    version = _integer(top, "version", "")
+    if "version" not in top:
+        raise ScenarioError("version", "missing field")
+    version = _READERS["int"](top["version"], "version")
     if version != SCHEMA_VERSION:
         raise ScenarioError("version", f"unsupported version {version}; this "
                                        f"build reads version {SCHEMA_VERSION}")
 
-    globals_block = _object(top.get("globals"), "globals")
-    _no_unknown(globals_block, _GLOBAL_KEYS, "globals")
-    bounds = None
-    if "psi_bounds" in globals_block:
-        raw = globals_block["psi_bounds"]
-        if (not isinstance(raw, list) or len(raw) != 2
-                or any(isinstance(b, bool) or not isinstance(b, (int, float))
-                       for b in raw)):
-            raise ScenarioError("globals.psi_bounds",
-                                f"expected a [low, high] pair of numbers, got {raw!r}")
-        bounds = (float(raw[0]), float(raw[1]))
-    try:
-        params = GlobalParams(alpha=_number(globals_block, "alpha", "globals"),
-                              beta=_number(globals_block, "beta", "globals"),
-                              eta=_number(globals_block, "eta", "globals"),
-                              psi_bounds=bounds)
-    except DomainError as err:
-        raise ScenarioError(f"globals.{err.field}", str(err)) from err
-
+    params = _record(GlobalParams, top.get("globals"), "globals")
     athletes_raw = top.get("athletes")
     if not isinstance(athletes_raw, list):
         raise ScenarioError("athletes", "expected an array of athletes")
-    athletes = []
-    for i, entry in enumerate(athletes_raw):
-        path = f"athletes[{i}]"
-        block = _object(entry, path)
-        _no_unknown(block, _ATHLETE_KEYS, path)
-        missing = sorted(_ATHLETE_REQUIRED - set(block))
-        if missing:
-            raise ScenarioError(f"{path}.{missing[0]}", "missing field")
-        try:
-            athletes.append(AthleteRecord(
-                id=_string(block, "id", path),
-                t_swim=_number(block, "t_swim", path),
-                r_swim=_integer(block, "r_swim", path),
-                draft_share=_number(block, "draft_share", path),
-                base_cost=_number(block, "base_cost", path),
-                prize_diff=_number(block, "prize_diff", path),
-                weight=_number(block, "weight", path) if "weight" in block else 1.0,
-                theta=_number(block, "theta", path) if "theta" in block else 0.0,
-            ))
-        except DomainError as err:
-            raise ScenarioError(f"{path}.{err.field}", str(err)) from err
+    athletes = [_record(AthleteRecord, entry, f"athletes[{i}]")
+                for i, entry in enumerate(athletes_raw)]
 
     graph = DraftingGraph()
     if "graph" in top:
@@ -156,20 +139,7 @@ def parse_scenario(data: Any) -> Scenario:
         except DomainError as err:
             raise ScenarioError("graph", str(err)) from err
 
-    settings = None
-    if "solver" in top:
-        solver_block = _object(top["solver"], "solver")
-        _no_unknown(solver_block, _SOLVER_KEYS, "solver")
-        kwargs = {}
-        if "abs_tol" in solver_block:
-            kwargs["abs_tol"] = _number(solver_block, "abs_tol", "solver")
-        if "max_iter" in solver_block:
-            kwargs["max_iter"] = _integer(solver_block, "max_iter", "solver")
-        try:
-            settings = SolverSettings(**kwargs)
-        except DomainError as err:
-            raise ScenarioError(f"solver.{err.field}", str(err)) from err
-
+    settings = _record(SolverSettings, top["solver"], "solver") if "solver" in top else None
     try:
         return Scenario(athletes=tuple(athletes), globals=params, graph=graph,
                         settings=settings)
@@ -195,31 +165,14 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical JSON-ready form of a scenario; inverse of :func:`parse_scenario`."""
     data: dict[str, Any] = {
         "version": SCHEMA_VERSION,
-        "globals": {
-            "alpha": scenario.globals.alpha,
-            "beta": scenario.globals.beta,
-            "eta": scenario.globals.eta,
-            "psi_bounds": list(scenario.globals.psi_bounds),
-        },
-        "athletes": [
-            {
-                "id": rec.id,
-                "t_swim": rec.t_swim,
-                "r_swim": rec.r_swim,
-                "draft_share": rec.draft_share,
-                "base_cost": rec.base_cost,
-                "prize_diff": rec.prize_diff,
-                "weight": rec.weight,
-                "theta": rec.theta,
-            }
-            for rec in scenario.athletes
-        ],
+        "globals": {**asdict(scenario.globals),
+                    "psi_bounds": list(scenario.globals.psi_bounds)},
+        "athletes": [asdict(rec) for rec in scenario.athletes],
     }
     if scenario.graph.edges:
         data["graph"] = [list(edge) for edge in sorted(scenario.graph.edges)]
     if scenario.settings is not None:
-        data["solver"] = {"abs_tol": scenario.settings.abs_tol,
-                          "max_iter": scenario.settings.max_iter}
+        data["solver"] = asdict(scenario.settings)
     return data
 
 

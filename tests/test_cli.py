@@ -22,6 +22,8 @@ from tricontest import (
 )
 from tricontest.cli import _parse_grid, format_number, main
 
+from helpers import random_scenario
+
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -386,6 +388,16 @@ def test_malformed_grid_is_a_usage_error(capsys):
         assert "error:" in err
 
 
+def test_spe_past_the_enumeration_cap_points_at_the_iterative_mode(tmp_path, capsys):
+    path = tmp_path / "thirteen.json"
+    save_scenario(random_scenario(np.random.default_rng(0), n=13), path)
+    code, _, err = run_cli(["spe", str(path)], capsys)
+    assert code == 2
+    assert err.endswith("use mode 'iterative'\n")
+    code, _, _ = run_cli(["spe", "--mode", "iterative", str(path)], capsys)
+    assert code == 0
+
+
 def test_grid_matches_numpy_linspace():
     grids = [(2.0, 6.0, 5), (0.1, 0.7, 7), (-3.5, 1e-9, 11), (1.0, 1.0 + 2.0 ** -52, 5),
              (1e-300, 1e300, 9), (-1e-320, 1e-320, 1000), (0.0, 5e-324, 3),
@@ -483,6 +495,28 @@ def test_demo_runs(demo):
                             env=src_env(), timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_readme_quick_start_prints_what_it_says():
+    """Each ``print`` of the README's python block shows the value in its comment.
+
+    A comment ending in ``...`` gives a prefix of the printed line; any other
+    comment gives the whole line, followed by two spaces and a remark.
+    """
+    readme = (ROOT / "README.md").read_text()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("# ", 1)[1].split("  ")[0] for line in code.splitlines()
+                if line.startswith("print(")]
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, cwd=ROOT, env=src_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    printed = result.stdout.splitlines()
+    assert len(printed) == len(expected) == 7
+    for line, comment in zip(printed, expected):
+        if comment.endswith("..."):
+            assert line.startswith(comment[:-3])
+        else:
+            assert line == comment
 
 
 # ---------------------------------------------------------------------------

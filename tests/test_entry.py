@@ -239,6 +239,17 @@ def test_enumerate_respects_size_cap():
     scenario = random_scenario(rng, n=4)
     with pytest.raises(ValueError):
         enumerate_equilibrium_sets(scenario, max_n=3)
+    # Past the default cap each caller names an option that caller takes.
+    scenario = random_scenario(np.random.default_rng(0), n=13)
+    with pytest.raises(ValueError) as err:
+        enumerate_equilibrium_sets(scenario)
+    assert str(err.value).endswith("raise max_n or use iterate_continuation_operator")
+    for mode in ("first", "all"):
+        with pytest.raises(ValueError) as err:
+            assemble_spe(scenario, mode=mode)
+        assert str(err.value) == ("enumeration over 13 athletes needs 2^13 subset "
+                                  "solves; use mode 'iterative'")
+    assert assemble_spe(scenario, mode="iterative")[0].method == "iteration"
 
 
 def test_iterate_fixed_point_in_one_round():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tricontest import (
     AthleteRecord,
+    ContestInstance,
     DegenerateProfileError,
     DomainError,
     DraftingGraph,
@@ -216,6 +217,16 @@ def test_cost_times_multiplier_recovers_base(cost, share, eta):
     """effective_cost * multiplier == base_cost to 1e-12 relative."""
     product = effective_cost(cost, share, eta) * drafting_multiplier(share, eta)
     assert product == pytest.approx(cost, rel=1e-12)
+
+
+@given(cost=slopes, share=shares, eta=drags)
+def test_effective_cost_is_the_solver_slope(cost, share, eta):
+    """The model's effective cost is bit for bit the solver's ``k = cost / psi``."""
+    scenario = Scenario(
+        athletes=(make_athlete(base_cost=cost, draft_share=share),
+                  make_athlete(id="bea")),
+        globals=GlobalParams(alpha=0.001, beta=0.01, eta=eta))
+    assert effective_cost(cost, share, eta) == ContestInstance.from_scenario(scenario)._k[0]
 
 
 efforts_lists = st.lists(st.floats(min_value=1e-6, max_value=1e3),
