@@ -156,7 +156,6 @@ def test_parse_rejects_malformed_shapes():
 
 _ABSENT = object()
 
-
 _FAULTS = [
     ("globals", "psi_bounds", None,
      "globals.psi_bounds: expected a [low, high] pair of numbers, got None"),
@@ -501,7 +500,7 @@ def test_readme_quick_start_prints_what_it_says():
     """Each ``print`` of the README's python block shows the value in its comment.
 
     A comment ending in ``...`` gives a prefix of the printed line; any other
-    comment gives the whole line, followed by two spaces and a remark.
+    comment gives the whole line, up to two spaces before an optional remark.
     """
     readme = (ROOT / "README.md").read_text()
     code = readme.split("```python\n", 1)[1].split("```", 1)[0]
