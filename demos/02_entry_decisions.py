@@ -64,7 +64,7 @@ for rec in athletes:
 
 banner("Stable fields")
 
-# Exhaustive search over every nonempty subset.
+# Pruned search of the nonempty subsets (all of them at worst).
 stable = enumerate_equilibrium_sets(race)
 print(f"enumeration: {stable}")
 

@@ -274,6 +274,9 @@ def welfare_report(scenario: Scenario, members: Sequence[str],
 _ATHLETE_FIELDS = {f.name: f.type for f in fields(AthleteRecord) if f.name != "id"}
 _GLOBAL_FIELDS = {f.name: f.type for f in fields(GlobalParams) if f.name != "psi_bounds"}
 
+# Largest field a sweep of ``m`` builds; checked before any clone is made.
+_SWEEP_MAX_M = 100_000
+
 
 def _point_scenario(scenario: Scenario, param: str, value: float,
                     point: int) -> Scenario:
@@ -290,6 +293,8 @@ def _point_scenario(scenario: Scenario, param: str, value: float,
                 raise fail("field size must be an integer")
             if size < 2:
                 raise fail("field size must be at least 2")
+            if size > _SWEEP_MAX_M:
+                raise fail(f"field size must be at most {_SWEEP_MAX_M}")
             template = scenario.athletes[0]
             clones = tuple(replace(template, id=f"{template.id}{i}")
                            for i in range(1, size + 1))

@@ -3,11 +3,12 @@
 An athlete continues when the contest value of staying beats the outside
 option.  The module evaluates those net benefits for arbitrary candidate
 fields, finds the drafting-multiplier cutoff that makes an athlete
-indifferent, and assembles self-consistent continuation sets either by
-exhaustive enumeration or by iterating the best-reply set operator.
+indifferent, and assembles self-consistent continuation sets either by a
+pruned search over the candidate fields (all ``2^n - 1`` of them at worst)
+or by iterating the best-reply set operator.
 
 Each public call keys its scenario's candidate fields by bitmask (bit ``i``
-is the ``i``-th athlete) and solves every field at most once.
+is the ``i``-th athlete) and builds and solves every field at most once.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ INTERIOR = "interior"
 ALWAYS_CONTINUE = "always_continue"
 ALWAYS_WITHDRAW = "always_withdraw"
 
-# Largest field whose 2^n - 1 candidate subsets are enumerated by default.
+# Largest field searched for stable sets by default; the pruned search
+# solves all 2^n - 1 candidate subsets in the worst case.
 _ENUM_MAX_N = 12
 
 
@@ -116,7 +118,7 @@ class SpeResult:
 
 
 class _Fields:
-    """The candidate fields of one scenario, keyed by bitmask, each solved once.
+    """The candidate fields of one scenario, keyed by bitmask, each built and solved once.
 
     Bit ``i`` is the scenario's ``i``-th athlete.  A field's contest takes
     the full field's columns at its set bits, in scenario order, so it is
@@ -131,7 +133,7 @@ class _Fields:
                         for rec in scenario.athletes]
         self.settings = settings or scenario.settings or DEFAULT_SETTINGS
         self._bit = {aid: 1 << i for i, aid in enumerate(self.ids)}
-        self._solved: dict[int, ContestEquilibrium] = {}
+        self._solved: dict[int, tuple[ContestInstance, ContestEquilibrium]] = {}
 
     def mask(self, members: Iterable[str]) -> int:
         mask = 0
@@ -154,15 +156,21 @@ class _Fields:
         return ContestInstance(*(tuple(itertools.compress(column, keep)) for column in
                                  (full.ids, full.delta, full.cost, full.psi, full.weight)))
 
-    def solve(self, mask: int) -> ContestEquilibrium:
+    def solve(self, mask: int) -> tuple[ContestInstance, ContestEquilibrium]:
+        """The field's contest and its equilibrium."""
         if mask not in self._solved:
-            self._solved[mask] = solve_contest(self.instance(mask), self.settings)
+            instance = self.instance(mask)
+            self._solved[mask] = instance, solve_contest(instance, self.settings)
         return self._solved[mask]
 
     def net(self, mask: int, i: int) -> float:
         """Net benefit of athlete ``i`` in the field ``mask`` extended by them."""
-        stay = self.solve(mask | 1 << i).continuation_values[self.ids[i]]
+        stay = self.solve(mask | 1 << i)[1].continuation_values[self.ids[i]]
         return stay - self.outside[i]
+
+    def content(self, mask: int) -> bool:
+        """Every member of the field ``mask`` weakly prefers staying."""
+        return all(self.net(mask, i) >= 0.0 for i in range(len(self.ids)) if mask >> i & 1)
 
     def stable(self, mask: int) -> bool:
         """Members weakly prefer staying, outsiders weakly prefer staying out."""
@@ -178,7 +186,7 @@ def subset_equilibrium(scenario: Scenario, members: Iterable[str],
     once, keyed by bitmask, and keeps nothing between calls.
     """
     fields = _Fields(scenario, settings)
-    return fields.solve(fields.mask(members))
+    return fields.solve(fields.mask(members))[1]
 
 
 def continuation_value(scenario: Scenario, members: Iterable[str],
@@ -200,7 +208,7 @@ def net_benefit(scenario: Scenario, members: Iterable[str], athlete_id: str,
     """
     fields = _Fields(scenario, settings)
     mask = fields.mask(members) | fields.mask((athlete_id,))
-    stay = fields.solve(mask).continuation_values[athlete_id]
+    stay = fields.solve(mask)[1].continuation_values[athlete_id]
     leave = fields.outside[fields.ids.index(athlete_id)]
     return NetBenefit(athlete_id=athlete_id, members=fields.members(mask),
                       continuation=stay, outside=leave, value=stay - leave)
@@ -290,17 +298,47 @@ def _check_enumerable(fields: _Fields, max_n: int, way_out: str) -> None:
 
 
 def _stable_sets(fields: _Fields) -> list[Members]:
-    return sorted(fields.members(mask) for mask in range(1, fields.everyone + 1)
-                  if fields.stable(mask))
+    """Stable fields, sorted, by a depth-first search over the content fields.
+
+    A field is content when every member weakly prefers staying.  Joining
+    raises the aggregate and lowers every member's continuation value, so
+    every subset of a content field is content.  A continuation value is
+    never negative, so an athlete with a negative outside option is in
+    every stable field; at exactly zero a value that underflows to 0 lets
+    the athlete stay out.  Each stable field is therefore reached from the
+    forced stayers by adding athletes in increasing bit order through
+    content fields only.
+
+    A branch adds only athletes that keep its node content, so each of its
+    fields lies inside the node joined by all of them.  An outsider the
+    branch never adds who wants into that union wants into each of its
+    fields, and the branch is dropped.  The search solves all ``2^n - 1``
+    fields at worst, each at most once.
+    """
+    n = len(fields.ids)
+    forced = sum(1 << i for i, leave in enumerate(fields.outside) if leave < 0.0)
+    stack, found = [(forced, 0)], []
+    while stack:
+        mask, start = stack.pop()
+        grow = [i for i in range(start, n)
+                if not mask >> i & 1 and fields.content(mask | 1 << i)]
+        top = mask | sum(1 << i for i in grow)
+        if any(fields.net(top, j) > 0.0 for j in range(start) if not mask >> j & 1):
+            continue
+        if mask and fields.stable(mask):
+            found.append(fields.members(mask))
+        stack.extend((mask | 1 << i, i + 1) for i in grow)
+    return sorted(found)
 
 
 def enumerate_equilibrium_sets(scenario: Scenario, max_n: int = _ENUM_MAX_N,
                                settings: SolverSettings | None = None) -> list[Members]:
     """All stable continuation sets, in lexicographic order of sorted ids.
 
-    Exhaustive over the ``2^n - 1`` nonempty subsets, so the field size is
-    capped at ``max_n``; larger fields should use the iterative operator.
-    Each field is solved at most once, keyed by bitmask.
+    A pruned search that solves all ``2^n - 1`` nonempty subsets in the
+    worst case, so the field size is capped at ``max_n``; larger fields
+    should use the iterative operator.  Each field is solved at most once,
+    keyed by bitmask.
     """
     fields = _Fields(scenario, settings)
     _check_enumerable(fields, max_n, "raise max_n or use iterate_continuation_operator")
@@ -397,11 +435,11 @@ def assemble_spe(scenario: Scenario, mode: str = "first",
     results: list[SpeResult] = []
     for members, method in chosen:
         mask = fields.mask(members)
-        equilibrium = fields.solve(mask)
+        instance, equilibrium = fields.solve(mask)
         if method != "singleton_fallback" and not fields.stable(mask):
             raise RuntimeError(f"internal error: set {members} failed its "
                                f"stability re-check")
-        check = verify_nash(fields.instance(mask), equilibrium)
+        check = verify_nash(instance, equilibrium)
         if not check.passed:
             raise RuntimeError(f"internal error: contest on {members} failed "
                                f"the best-response check "

@@ -9,6 +9,8 @@ not tautology.
 The reference entry stage further down solves every candidate field afresh
 with ``solve_contest(ContestInstance.from_scenario(...))`` and loops over
 id tuples, so it shares none of the entry module's bookkeeping.
+``sweep_stable_sets`` is the fast reference for larger fields: it tests
+every bitmask of one field table instead of searching.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import itertools
 
 import numpy as np
 
+import tricontest.entry as entry
 from tricontest import (
     AthleteRecord,
     ContestInstance,
@@ -100,22 +103,39 @@ def pair_scenario(theta=(0.0, 0.0), draft=(0.0, 0.0), delta=(1.0, 1.0),
 
 
 def random_scenario(rng: np.random.Generator, n: int | None = None,
-                    eta: float = 0.5) -> Scenario:
+                    eta: float = 0.5, outside=(-0.3, 0.9)) -> Scenario:
     """Scenario whose outside options straddle the continuation values.
 
-    theta is chosen so the outside option lands between -0.3 and +0.9
-    times the own prize differential, which makes the continuation stage
-    genuinely selective instead of trivially keeping everyone in.
+    theta is chosen so the outside option lands between ``outside[0]`` and
+    ``outside[1]`` times the own prize differential; the default range
+    makes the continuation stage genuinely selective instead of trivially
+    keeping everyone in.
     """
     if n is None:
         n = int(rng.integers(2, 7))
+    return _ratio_scenario(rng, [outside] * n, eta)
+
+
+def selective_scenario(rng: np.random.Generator, n: int = 12) -> Scenario:
+    """Forced stayers and sure leavers alternate at the front; three marginal athletes close it.
+
+    An outside option below zero always keeps the athlete in (a contest
+    payoff is never negative); one above the own prize always keeps them
+    out (no field pays more).  Only the marginal athletes decide by field.
+    """
+    ranges = ([(-0.3, -0.05), (1.05, 1.5)] * n)[: n - 3] + [(0.05, 0.9)] * 3
+    return _ratio_scenario(rng, ranges, 0.5)
+
+
+def _ratio_scenario(rng: np.random.Generator, ranges, eta: float) -> Scenario:
+    """One athlete per ``(lo, hi)``: outside option a uniform multiple of the own prize."""
     alpha, beta = 0.001, 0.01
     athletes = []
-    for i in range(n):
+    for i, (lo, hi) in enumerate(ranges):
         t_swim = float(rng.uniform(1700.0, 1900.0))
         rank = i + 1
         prize = float(rng.uniform(0.5, 2.0))
-        target_outside = prize * float(rng.uniform(-0.3, 0.9))
+        target_outside = prize * float(rng.uniform(lo, hi))
         athletes.append(AthleteRecord(
             id=f"a{i:02d}",
             t_swim=t_swim,
@@ -158,6 +178,13 @@ def reference_stable_sets(scenario: Scenario) -> list[tuple[str, ...]]:
             if reference_is_stable(scenario, combo):
                 found.append(combo)
     return sorted(found)
+
+
+def sweep_stable_sets(scenario: Scenario) -> list[tuple[str, ...]]:
+    """Every stable field, by testing all ``2^n - 1`` bitmasks of one field table."""
+    fields = entry._Fields(scenario, None)
+    return sorted(fields.members(mask) for mask in range(1, fields.everyone + 1)
+                  if fields.stable(mask))
 
 
 def reference_singleton(scenario: Scenario) -> tuple[str, ...]:

@@ -289,6 +289,16 @@ def test_sweep_errors_name_the_grid_point():
     assert err.value.field == "grid"
 
 
+def test_field_size_sweep_refuses_oversized_fields_before_building_them():
+    scenario = pair_scenario()
+    for size in (100_001.0, 1e9):
+        with pytest.raises(DomainError) as err:
+            sweep(scenario, "m", [2.0, size])
+        assert err.value.field == "grid"
+        assert str(err.value).endswith(f"grid point 1 ({size!r}) for parameter 'm': "
+                                       f"field size must be at most 100000")
+
+
 def test_sweep_of_global_drag():
     records = sweep(pair_scenario(draft=(0.5, 0.0)), "globals.eta",
                     [0.2, 0.4, 0.6])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tricontest import (
     enumerate_equilibrium_sets,
     is_equilibrium_set,
     iterate_continuation_operator,
+    load_scenario,
     net_benefit,
     net_benefit_curve,
     solve_contest,
@@ -33,6 +35,8 @@ from helpers import (
     reference_iteration,
     reference_singleton,
     reference_stable_sets,
+    selective_scenario,
+    sweep_stable_sets,
 )
 
 ALPHA, BETA, T_SWIM = 0.001, 0.01, 1800.0
@@ -252,6 +256,56 @@ def test_enumerate_respects_size_cap():
     assert assemble_spe(scenario, mode="iterative")[0].method == "iteration"
 
 
+def athlete_with_outside(aid: str, rank: int, outside: float,
+                         prize: float = 1.0, cost: float = 1.0) -> AthleteRecord:
+    """Athlete whose outside option, under ``exact_globals``, is exactly ``outside``."""
+    return AthleteRecord(id=aid, t_swim=2.0, r_swim=rank, draft_share=0.0,
+                         base_cost=cost, prize_diff=prize,
+                         theta=1.0 + 0.25 * rank + outside)
+
+
+def exact_globals() -> GlobalParams:
+    """Swim terms that are exact in binary, so ``theta`` sets the outside option exactly."""
+    return GlobalParams(alpha=0.5, beta=0.25, eta=0.5)
+
+
+def test_an_outside_option_of_zero_does_not_force_entry():
+    """A payoff that underflows to 0 leaves an athlete free to stay out."""
+    scenario = Scenario(athletes=(
+        athlete_with_outside("ada", 1, 0.1),
+        athlete_with_outside("bea", 2, 0.0, prize=1e-150, cost=1e150),
+        athlete_with_outside("cal", 3, 0.1),
+    ), globals=exact_globals())
+    assert net_benefit(scenario, ("ada", "cal"), "bea").value == 0.0
+    assert enumerate_equilibrium_sets(scenario) == \
+        [("ada", "bea", "cal"), ("ada", "cal")] == sweep_stable_sets(scenario)
+
+
+def test_search_when_every_athlete_is_forced(monkeypatch):
+    fields = count_solves(monkeypatch)
+    scenario = Scenario(athletes=tuple(athlete_with_outside(f"a{i}", i + 1, -0.25 * i)
+                                       for i in range(1, 6)), globals=exact_globals())
+    assert enumerate_equilibrium_sets(scenario) == [scenario.ids]
+    assert fields == [scenario.ids]
+    assert sweep_stable_sets(scenario) == [scenario.ids]
+
+
+def test_search_when_no_athlete_is_forced():
+    scenario = Scenario(athletes=tuple(athlete_with_outside(f"a{i}", i + 1, 0.05 * i)
+                                       for i in range(1, 6)), globals=exact_globals())
+    stable = enumerate_equilibrium_sets(scenario)
+    assert stable == sweep_stable_sets(scenario) == reference_stable_sets(scenario)
+    assert stable
+
+
+def test_search_when_no_field_is_stable():
+    """Nobody stays in any field, so the lone best athlete is the fallback."""
+    scenario = pair_with_outside(10.0, 10.0, delta=(1.0, 2.0))
+    assert enumerate_equilibrium_sets(scenario) == [] == sweep_stable_sets(scenario)
+    results = assemble_spe(scenario, mode="all")
+    assert [(r.members, r.method) for r in results] == [(("bea",), "singleton_fallback")]
+
+
 def test_iterate_fixed_point_in_one_round():
     outcome = iterate_continuation_operator(pair_with_outside(0.0, 0.0))
     assert outcome.method == "fixed_point"
@@ -407,6 +461,73 @@ def test_assemble_solve_count_on_a_ten_athlete_field(monkeypatch):
     results = assemble_spe(scenario, mode="all")
     assert [r.members for r in results] == [("a02", "a03", "a04", "a05", "a07")]
     assert len(fields) <= 896
+
+
+def test_assemble_solve_count_on_a_selective_twelve_athlete_field(monkeypatch):
+    """The search stays near the forced stayers instead of testing all 4095 fields."""
+    fields = count_solves(monkeypatch)
+    scenario = selective_scenario(np.random.default_rng(1212))
+    results = assemble_spe(scenario, mode="all")
+    assert len(fields) <= 64
+    assert [r.members for r in results] == sweep_stable_sets(scenario)
+
+
+def test_assemble_solve_count_on_a_crowded_ten_athlete_field(monkeypatch):
+    """No athlete is forced and most fields are content, yet under half are solved."""
+    fields = count_solves(monkeypatch)
+    scenario = random_scenario(np.random.default_rng(3), n=10, outside=(0.01, 0.1))
+    results = assemble_spe(scenario, mode="all")
+    assert len(fields) <= 2 ** 9
+    assert len(results) == 9
+    assert [r.members for r in results] == sweep_stable_sets(scenario)
+
+
+def test_assemble_builds_each_contest_instance_once(monkeypatch):
+    scenario = load_scenario(Path(__file__).resolve().parent.parent
+                             / "scenarios" / "dropout_pair.json")
+    expected = assemble_spe(scenario, mode="all")
+    built = []
+    original = ContestInstance.__post_init__
+
+    def counting(self):
+        built.append(self.ids)
+        original(self)
+
+    monkeypatch.setattr(ContestInstance, "__post_init__", counting)
+    assert assemble_spe(scenario, mode="all") == expected
+    assert ("ada",) in built
+    assert len(built) == len(set(built))
+
+
+def test_search_matches_the_bitmask_sweep():
+    """Stable sets, the operator's enumeration fallback and the assembled outcomes.
+
+    Every fourth field has small positive outside options only: no athlete
+    is forced and most fields are content, which is where whole branches
+    are dropped for an outsider who wants in.
+    """
+    rng = np.random.default_rng(2024)
+    for k in range(200):
+        outside = (0.01, 0.1) if k % 4 == 3 else (-0.3, 0.9)
+        scenario = random_scenario(rng, n=int(rng.integers(2, 13)), outside=outside)
+        stable = sweep_stable_sets(scenario)
+        assert enumerate_equilibrium_sets(scenario) == stable
+        fallback = entry._singleton_fallback(entry._Fields(scenario, None))
+        outcome = iterate_continuation_operator(scenario, max_rounds=1)
+        if outcome.method != "fixed_point" and outcome.trace[-1]:
+            assert (outcome.members, outcome.method) == \
+                ((stable[0], "enumeration") if stable else (fallback, "singleton_fallback"))
+        results = assemble_spe(scenario, mode="all")
+        if stable:
+            assert [(r.members, r.method) for r in results] == \
+                [(members, "enumeration") for members in stable]
+            assert assemble_spe(scenario, mode="first") == results[:1]
+        else:
+            assert [(r.members, r.method) for r in results] == \
+                [(fallback, "singleton_fallback")]
+        for spe in results:
+            assert spe.equilibrium == solve_contest(
+                ContestInstance.from_scenario(scenario, spe.members))
 
 
 @settings(max_examples=50, deadline=None)
