@@ -87,8 +87,9 @@ for spe in assemble_spe(race, mode="all"):
 banner("Indifference cutoffs")
 
 # How much drafting shelter would each athlete have needed for the
-# continuation decision to flip?  The cutoff routine scans the athlete's
-# own multiplier over the configured bounds.
+# continuation decision to flip?  The cutoff routine gives the athlete's
+# own indifference multiplier in closed form and compares it with the
+# configured bounds.
 for rec in athletes:
     result = cutoff_psi(race, race.ids, rec.id)
     if result.verdict == "interior":

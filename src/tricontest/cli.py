@@ -206,10 +206,8 @@ def _cmd_solve(ns: argparse.Namespace, scenario: Scenario,
 
 def _cmd_cutoff(ns: argparse.Namespace, scenario: Scenario,
                 settings: SolverSettings) -> Record:
-    members = _parse_set(ns.set, scenario)
-    if ns.athlete not in members:
-        raise ValueError(f"athlete {ns.athlete!r} is not in the evaluated set")
-    result = cutoff_psi(scenario, members, ns.athlete, settings=settings)
+    result = cutoff_psi(scenario, _parse_set(ns.set, scenario), ns.athlete,
+                        settings=settings)
     bounds = scenario.globals.psi_bounds
     tree = {**_head(ns, settings, athlete=ns.athlete, set=result.members),
             "verdict": result.verdict, "psi_star": result.psi_star,

@@ -12,6 +12,7 @@ which odds, efforts, and payoffs follow in closed form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
@@ -47,7 +48,11 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tolerances and budgets for the aggregate root search."""
+    """Tolerances and budgets for the aggregate root search.
+
+    Newton stops at ``|g| <= max(abs_tol, m * eps * mass)`` for any ``abs_tol``;
+    ``m * eps * mass`` bounds the rounding of ``m`` shares summing to ``mass``.
+    """
 
     abs_tol: float = 1e-12
     max_iter: int = 200
@@ -69,8 +74,8 @@ class ConvergenceError(RuntimeError):
 
     Carries a bracket of the root, from the last Newton iterate (which
     approaches from below) to the a-priori upper bound
-    ``sqrt(sum de_i / k_i)``, so callers can inspect or retry with a larger
-    budget.
+    ``sqrt(sum de_i / k_i / mass)`` for a target share mass (one for a
+    contest), so callers can inspect or retry with a larger budget.
     """
 
     def __init__(self, message: str, bracket: tuple[float, float],
@@ -236,22 +241,22 @@ def _sum_left(values: Iterable[float]) -> float:
     return total
 
 
-def _shares_and_slope(instance: ContestInstance,
-                      t: float) -> tuple[list[float], float, float]:
-    """Win probabilities at ``t = X^2``, their excess mass ``g(t)``, and ``dg/dt``.
+def _shares_and_slope(instance: ContestInstance, t: float,
+                      mass: float = 1.0) -> tuple[list[float], float, float]:
+    """Win probabilities at ``t = X^2``, their excess over ``mass``, ``g(t)``, and ``dg/dt``.
 
     The sums run left to right in this loop, so they do not depend on how
     the interpreter's ``sum`` rounds.
     """
     probs = []
-    mass = slope = 0.0
+    total = slope = 0.0
     for k, de in zip(instance._k, instance._delta_eff):
         den = k * t + de
         p = de / den
         probs.append(p)
-        mass += p
+        total += p
         slope -= p * k / den
-    return probs, mass - 1.0, slope
+    return probs, total - mass, slope
 
 
 def aggregate_equation(total: float, instance: ContestInstance) -> float:
@@ -266,17 +271,15 @@ def aggregate_equation(total: float, instance: ContestInstance) -> float:
     return _shares_and_slope(instance, total * total)[1]
 
 
-def _newton(instance: ContestInstance,
-            settings: SolverSettings | None) -> tuple[float, list[float], float]:
+def _newton(instance: ContestInstance, settings: SolverSettings | None,
+            mass: float = 1.0) -> tuple[float, list[float], float]:
     settings = settings or DEFAULT_SETTINGS
-    if instance.m < 2:
-        raise ValueError("the aggregate root search needs at least two members; "
-                         "singleton fields are handled by solve_contest")
+    tol = max(settings.abs_tol, instance.m * sys.float_info.epsilon * mass)
     x = 0.0
     for _ in range(settings.max_iter):
         t = x * x
-        probs, gap, slope = _shares_and_slope(instance, t)
-        if abs(gap) <= settings.abs_tol:
+        probs, gap, slope = _shares_and_slope(instance, t, mass)
+        if abs(gap) <= tol:
             return x, probs, gap
         x, last = math.sqrt(t - gap / slope), x
         if x == last:
@@ -284,9 +287,9 @@ def _newton(instance: ContestInstance,
             break
     else:
         message = "Newton exhausted its iteration budget"
-    # Every share lies below de_i / (k_i t), so the root has t < sum de_i / k_i.
-    upper = math.sqrt(math.fsum(de / k for de, k in zip(instance._delta_eff, instance._k)))
-    raise ConvergenceError(message, (last, upper), gap)
+    # Every share lies below de_i / (k_i t), so the root has t < sum de_i / k_i / mass.
+    bound = math.fsum(de / k for de, k in zip(instance._delta_eff, instance._k)) / mass
+    raise ConvergenceError(message, (last, math.sqrt(bound)), gap)
 
 
 def solve_total_effort(instance: ContestInstance,
@@ -295,11 +298,14 @@ def solve_total_effort(instance: ContestInstance,
 
     The excess mass ``g(t)`` is convex and strictly decreasing, so Newton's
     method started at ``t = 0`` climbs to the root from below without a
-    bracket.  Iteration stops once the absolute residual at the returned
-    aggregate is at most ``settings.abs_tol``.  Raises
-    :class:`ConvergenceError` when ``settings.max_iter`` evaluations do not
-    get there or a step no longer moves the iterate.
+    bracket.  Iteration stops once the absolute residual is at most
+    ``max(settings.abs_tol, m * eps)`` for any ``abs_tol``, ``m * eps`` being
+    the rounding of ``m`` shares.  Raises :class:`ConvergenceError` when
+    ``settings.max_iter`` evaluations do not get there or a step stalls.
     """
+    if instance.m < 2:
+        raise ValueError("the aggregate root search needs at least two members; "
+                         "singleton fields are handled by solve_contest")
     return _newton(instance, settings)[0]
 
 

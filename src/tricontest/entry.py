@@ -2,10 +2,10 @@
 
 An athlete continues when the contest value of staying beats the outside
 option.  The module evaluates those net benefits for arbitrary candidate
-fields, finds the drafting-multiplier cutoff that makes an athlete
-indifferent, and assembles self-consistent continuation sets either by a
-pruned search over the candidate fields (all ``2^n - 1`` of them at worst)
-or by iterating the best-reply set operator.
+fields, gives in closed form the drafting-multiplier cutoff that makes an
+athlete indifferent, and assembles self-consistent continuation sets either
+by a pruned search over the candidate fields (all ``2^n - 1`` of them at
+worst) or by iterating the best-reply set operator.
 
 Each public call keys its scenario's candidate fields by bitmask (bit ``i``
 is the ``i``-th athlete) and builds and solves every field at most once.
@@ -14,14 +14,16 @@ is the ``i``-th athlete) and builds and solves every field at most once.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .contest import (
     DEFAULT_SETTINGS,
     ContestEquilibrium,
     ContestInstance,
     SolverSettings,
+    _newton,
     solve_contest,
     verify_nash,
 )
@@ -149,6 +151,11 @@ class _Fields:
         """Sorted ids of the field ``mask``."""
         return tuple(sorted(aid for i, aid in enumerate(self.ids) if mask >> i & 1))
 
+    def member_index(self, mask: int, athlete_id: str) -> int:
+        if athlete_id not in self._bit or not mask & self._bit[athlete_id]:
+            raise ValueError(f"athlete {athlete_id!r} is not in the member set")
+        return self.ids.index(athlete_id)
+
     def instance(self, mask: int) -> ContestInstance:
         if mask == self.everyone:
             return self.full
@@ -214,63 +221,51 @@ def net_benefit(scenario: Scenario, members: Iterable[str], athlete_id: str,
                       continuation=stay, outside=leave, value=stay - leave)
 
 
-def _psi_value_fn(scenario: Scenario, members: Iterable[str], athlete_id: str,
-                  settings: SolverSettings | None
-                  ) -> tuple[Members, Callable[[float], float]]:
-    """Sorted ``members`` and the net benefit of ``athlete_id`` in their own multiplier."""
-    fields = _Fields(scenario, settings)
-    mask = fields.mask(members)
-    key = fields.members(mask)
-    if athlete_id not in key:
-        raise ValueError(f"athlete {athlete_id!r} is not in the member set")
-    leave = fields.outside[fields.ids.index(athlete_id)]
-    base = fields.instance(mask)
-
-    def value(psi: float) -> float:
-        instance = base.with_psi(athlete_id, psi)
-        stay = solve_contest(instance, fields.settings).continuation_values[athlete_id]
-        return stay - leave
-
-    return key, value
-
-
 def net_benefit_curve(scenario: Scenario, members: Iterable[str],
                       athlete_id: str, psi_grid: Sequence[float],
                       settings: SolverSettings | None = None) -> list[float]:
     """Net benefit of ``athlete_id`` across a grid of own multipliers."""
-    _, value = _psi_value_fn(scenario, members, athlete_id, settings)
-    return [value(float(psi)) for psi in psi_grid]
+    fields = _Fields(scenario, settings)
+    mask = fields.mask(members)
+    leave = fields.outside[fields.member_index(mask, athlete_id)]
+    base = fields.instance(mask)
+    return [solve_contest(base.with_psi(athlete_id, float(psi)), fields.settings)
+            .continuation_values[athlete_id] - leave for psi in psi_grid]
 
 
 def cutoff_psi(scenario: Scenario, members: Iterable[str], athlete_id: str,
-               tol: float = 1e-10,
                settings: SolverSettings | None = None) -> CutoffResult:
     """Indifference multiplier of one athlete, holding everyone else fixed.
 
-    The net benefit is strictly increasing in the own multiplier, so the
-    search space splits cleanly: a nonnegative value at the lower bound
-    means the athlete always continues, a negative value at the upper bound
-    means they always withdraw, and otherwise bisection finds the interior
-    root of the net benefit.
+    An equilibrium win share ``p`` pays ``delta p (1 + p) / 2``, so with outside
+    option ``o`` the athlete stays iff ``p >= p* = (sqrt(1 + 8 o / delta) - 1) / 2``.
+    The others' shares then sum to ``1 - p*``; one root solve over them gives
+    ``t = X^2`` and ``psi* = cost p* t / (delta w^2 (1 - p*))``.  ``psi*`` is 0 when
+    ``o <= 0`` or a lone member has ``o <= delta``, else infinite when ``o >= delta``.
+    The verdict is ``always_continue`` for ``psi* <= lo``, ``always_withdraw`` for
+    ``psi* > hi`` and ``interior`` between, where ``(lo, hi) = psi_bounds``.
     """
-    key, value = _psi_value_fn(scenario, members, athlete_id, settings)
-    lo, hi = scenario.globals.psi_bounds
-    if value(lo) >= 0.0:
+    fields = _Fields(scenario, settings)
+    mask = fields.mask(members)
+    i = fields.member_index(mask, athlete_id)
+    leave, delta = fields.outside[i], fields.full.delta[i]
+    if leave <= 0.0 or (mask == 1 << i and leave <= delta):
+        psi_star = 0.0
+    elif leave >= delta:
+        psi_star = math.inf
+    else:
+        # p* in a form without the cancellation of (sqrt(1 + 8 r) - 1) / 2 at small r.
+        ratio = leave / delta
+        p_star = 4.0 * ratio / (1.0 + math.sqrt(1.0 + 8.0 * ratio))
+        x = _newton(fields.instance(mask & ~(1 << i)), fields.settings, 1.0 - p_star)[0]
+        psi_star = fields.full.cost[i] * p_star * x * x / (fields.full._delta_eff[i]
+                                                           * (1.0 - p_star))
+    key, (lo, hi) = fields.members(mask), scenario.globals.psi_bounds
+    if psi_star <= lo:
         return CutoffResult(athlete_id, key, ALWAYS_CONTINUE, None)
-    if value(hi) < 0.0:
+    if psi_star > hi:
         return CutoffResult(athlete_id, key, ALWAYS_WITHDRAW, None)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        vm = value(mid)
-        if abs(vm) <= tol:
-            return CutoffResult(athlete_id, key, INTERIOR, mid)
-        if vm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return CutoffResult(athlete_id, key, INTERIOR, 0.5 * (lo + hi))
+    return CutoffResult(athlete_id, key, INTERIOR, psi_star)
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ class AthleteRecord:
 class GlobalParams:
     """Race-wide penalty and drag parameters.
 
-    ``psi_bounds`` is the closed interval searched by cutoff routines; it
+    ``psi_bounds`` is the closed interval cutoff verdicts refer to; it
     must contain the reduced-drag range ``[1, 1/(1 - eta)]``.  When omitted
     it defaults to exactly that range.
     """

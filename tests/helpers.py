@@ -10,7 +10,9 @@ The reference entry stage further down solves every candidate field afresh
 with ``solve_contest(ContestInstance.from_scenario(...))`` and loops over
 id tuples, so it shares none of the entry module's bookkeeping.
 ``sweep_stable_sets`` is the fast reference for larger fields: it tests
-every bitmask of one field table instead of searching.
+every bitmask of one field table instead of searching.  ``reference_cutoff``
+bisects the solved net benefit in the own multiplier, so it shares nothing
+with the closed-form cutoff but the contest solver.
 """
 
 from __future__ import annotations
@@ -215,3 +217,38 @@ def reference_iteration(scenario: Scenario):
     if stable:
         return stable[0], tuple(trace), "enumeration"
     return reference_singleton(scenario), tuple(trace), "singleton_fallback"
+
+
+def reference_cutoff(scenario: Scenario, members, athlete_id: str,
+                     tol: float = 1e-10) -> tuple[str, float | None]:
+    """``(verdict, psi_star)`` of ``athlete_id`` by bisecting the net benefit in the own multiplier.
+
+    The net benefit rises in the own multiplier: a nonnegative value at the
+    lower bound means the athlete always continues, a negative value at the
+    upper bound that they always withdraw, and otherwise up to 200 halvings
+    find the interior root, each one a fresh contest solve.
+    """
+    base = ContestInstance.from_scenario(scenario, members)
+    leave = outside_option(scenario.record(athlete_id), scenario.globals)
+
+    def value(psi: float) -> float:
+        instance = base.with_psi(athlete_id, psi)
+        return solve_contest(instance, scenario.settings).continuation_values[athlete_id] - leave
+
+    lo, hi = scenario.globals.psi_bounds
+    if value(lo) >= 0.0:
+        return entry.ALWAYS_CONTINUE, None
+    if value(hi) < 0.0:
+        return entry.ALWAYS_WITHDRAW, None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        vm = value(mid)
+        if abs(vm) <= tol:
+            return entry.INTERIOR, mid
+        if vm < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return entry.INTERIOR, 0.5 * (lo + hi)

@@ -12,6 +12,7 @@ from tricontest import (
     sensitivity_report,
     solve_contest,
     sweep,
+    symmetric_equilibrium,
     total_effort_derivative,
     welfare_report,
 )
@@ -297,6 +298,15 @@ def test_field_size_sweep_refuses_oversized_fields_before_building_them():
         assert err.value.field == "grid"
         assert str(err.value).endswith(f"grid point 1 ({size!r}) for parameter 'm': "
                                        f"field size must be at most 100000")
+
+
+def test_field_size_sweep_solves_its_largest_field():
+    """At 100 000 members the share sum's rounding, not abs_tol, sets the stop."""
+    record, = sweep(pair_scenario(), "m", [100_000.0])
+    exact = symmetric_equilibrium(100_000, 1.0, 1.0, 1.0)
+    assert record.total_effort == pytest.approx(exact.total_effort, rel=1e-9)
+    assert len(record.efforts) == 100_000
+    assert max(abs(e / exact.effort - 1.0) for e in record.efforts.values()) <= 1e-9
 
 
 def test_sweep_of_global_drag():

@@ -300,7 +300,7 @@ def test_cutoff_requires_member(capsys):
     code, _, err = run_cli(["cutoff", "--athlete", "bea", "--set", "ada",
                             str(SCENARIOS / "symmetric_pair.json")], capsys)
     assert code == 2
-    assert "error:" in err
+    assert err == "error: athlete 'bea' is not in the member set\n"
 
 
 def test_spe_command(capsys):

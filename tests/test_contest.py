@@ -154,14 +154,26 @@ def test_root_within_twenty_evaluations():
     assert abs(aggregate_equation(total, crowd)) <= lean.abs_tol
 
 
+def test_continuation_value_is_the_share_identity():
+    """Substituting the first-order condition gives ``V = delta p (1 + p) / 2``."""
+    rng = np.random.default_rng(2026)
+    for _ in range(300):
+        instance = random_instance(rng, weighted=True)
+        equilibrium = solve_contest(instance)
+        for aid, delta in zip(instance.ids, instance.delta):
+            p = equilibrium.probs[aid]
+            assert equilibrium.continuation_values[aid] == \
+                pytest.approx(delta * p * (1.0 + p) / 2.0, rel=1e-13, abs=0.0)
+
+
 def test_solve_evaluates_the_shares_only_inside_newton(monkeypatch):
     """solve_contest reuses the shares of the last Newton step at the root."""
     evaluations = 0
 
-    def counted(instance, t):
+    def counted(instance, *args):
         nonlocal evaluations
         evaluations += 1
-        return shares_and_slope(instance, t)
+        return shares_and_slope(instance, *args)
 
     shares_and_slope = contest._shares_and_slope
     monkeypatch.setattr(contest, "_shares_and_slope", counted)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
+import tricontest.contest as contest
 import tricontest.entry as entry
 from tricontest import (
     AthleteRecord,
@@ -24,6 +27,7 @@ from tricontest import (
     load_scenario,
     net_benefit,
     net_benefit_curve,
+    outside_option,
     solve_contest,
     subset_equilibrium,
 )
@@ -31,6 +35,7 @@ from tricontest import (
 from helpers import (
     pair_scenario,
     random_scenario,
+    reference_cutoff,
     reference_equilibrium,
     reference_iteration,
     reference_singleton,
@@ -171,6 +176,16 @@ def test_cutoff_requires_membership():
         cutoff_psi(cutoff_scenario(0.375), ("bea",), "ada")
 
 
+@pytest.mark.parametrize("athlete", ["ada", "zed"])
+def test_cutoff_and_curve_share_the_membership_check(athlete):
+    scenario = cutoff_scenario(0.375)
+    message = f"athlete {athlete!r} is not in the member set"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cutoff_psi(scenario, ("bea",), athlete)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        net_benefit_curve(scenario, ("bea",), athlete, [1.0])
+
+
 def test_cutoff_moves_with_prize_and_cost():
     """A better prize lowers the indifference point; a worse cost raises it."""
     base = cutoff_scenario(0.375)
@@ -187,6 +202,133 @@ def test_cutoff_moves_with_prize_and_cost():
     slower = cutoff_psi(tweak(base_cost=1.1), ("ada", "bea"), "ada")
     assert slower.verdict == "interior"
     assert slower.psi_star > at_one
+
+
+def edge_scenario(u_ada: float, prize: float = 1.0) -> Scenario:
+    """Pair in which ada, with prize ``prize``, has outside option exactly ``u_ada``.
+
+    With no swim time and ``beta = 0.5`` at rank 1 the outside option is
+    ``theta - 0.5``, exact for the dyadic values the table uses.
+    """
+    athletes = (
+        AthleteRecord(id="ada", t_swim=0.0, r_swim=1, draft_share=0.0,
+                      base_cost=1.0, prize_diff=prize, theta=u_ada + 0.5),
+        AthleteRecord(id="bea", t_swim=0.0, r_swim=2, draft_share=0.0,
+                      base_cost=1.0, prize_diff=1.0),
+    )
+    params = GlobalParams(alpha=0.5, beta=0.5, eta=0.5, psi_bounds=(0.5, 2.0))
+    return Scenario(athletes=athletes, globals=params)
+
+
+# ada's outside option and prize, the field, the verdict, and the root
+# solves it takes.  In the unit pair, psi* = (p* / (1 - p*))^2: 0.068 at
+# o = 1/8, 1 at o = 3/8 and 21.7 at o = 3/4, against the bounds (0.5, 2).
+# With a prize of 2^20 an outside option of 2^-53 puts p* below half an ulp
+# of one, so the others' solve targets a share mass of exactly one.
+CUTOFF_EDGES = [
+    (-0.25, 1.0, ("ada", "bea"), entry.ALWAYS_CONTINUE, 0),
+    (0.0, 1.0, ("ada", "bea"), entry.ALWAYS_CONTINUE, 0),
+    (0.75, 1.0, ("ada",), entry.ALWAYS_CONTINUE, 0),
+    (1.0, 1.0, ("ada",), entry.ALWAYS_CONTINUE, 0),
+    (1.25, 1.0, ("ada",), entry.ALWAYS_WITHDRAW, 0),
+    (1.0, 1.0, ("ada", "bea"), entry.ALWAYS_WITHDRAW, 0),
+    (1.25, 1.0, ("ada", "bea"), entry.ALWAYS_WITHDRAW, 0),
+    (0.125, 1.0, ("ada", "bea"), entry.ALWAYS_CONTINUE, 1),
+    (0.375, 1.0, ("ada", "bea"), entry.INTERIOR, 1),
+    (0.75, 1.0, ("ada", "bea"), entry.ALWAYS_WITHDRAW, 1),
+    (2.0 ** -53, 2.0 ** 20, ("ada", "bea"), entry.ALWAYS_CONTINUE, 1),
+]
+
+
+@pytest.mark.parametrize("outside, prize, members, verdict, solves", CUTOFF_EDGES,
+                         ids=[f"{o}-{p}-{'+'.join(m)}" for o, p, m, _, _ in CUTOFF_EDGES])
+def test_cutoff_knife_edges(monkeypatch, outside, prize, members, verdict, solves):
+    """Each case of the rule, with one root solve only when ``0 < o < delta`` in company."""
+    scenario = edge_scenario(outside, prize)
+    assert outside_option(scenario.athletes[0], scenario.globals) == outside
+    assert reference_cutoff(scenario, members, "ada")[0] == verdict
+    newton, calls = contest._newton, []
+
+    def counted(*args):
+        calls.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(contest, "_newton", counted)
+    monkeypatch.setattr(entry, "_newton", counted, raising=False)
+    result = cutoff_psi(scenario, members, "ada")
+    assert (result.verdict, len(calls)) == (verdict, solves)
+    if verdict == entry.INTERIOR:
+        assert result.psi_star == pytest.approx(1.0, rel=1e-12)
+    else:
+        assert result.psi_star is None
+
+
+def weighted(rng: np.random.Generator, scenario: Scenario) -> Scenario:
+    """The scenario with lottery weights drawn from [0.5, 2]."""
+    return dataclasses.replace(scenario, athletes=tuple(
+        dataclasses.replace(rec, weight=float(rng.uniform(0.5, 2.0)))
+        for rec in scenario.athletes))
+
+
+def test_cutoff_matches_the_bisection_reference():
+    """Closed-form verdicts equal the bisection's; interior cutoffs agree to its tolerance."""
+    rng = np.random.default_rng(1212)
+    interior = 0
+    for draw in range(2000):
+        scenario = random_scenario(rng, eta=float(rng.uniform(0.2, 0.8)))
+        if draw % 2:
+            scenario = weighted(rng, scenario)
+        n = len(scenario.ids)
+        i = int(rng.integers(n))
+        keep = rng.random(n) < 0.6
+        keep[i] = True
+        members = tuple(itertools.compress(scenario.ids, keep))
+        result = cutoff_psi(scenario, members, scenario.ids[i])
+        verdict, psi_star = reference_cutoff(scenario, members, scenario.ids[i])
+        assert result.verdict == verdict
+        if verdict == entry.INTERIOR:
+            interior += 1
+            assert result.psi_star == pytest.approx(psi_star, rel=1e-8)
+    assert interior >= 100
+
+
+def mp_cutoff(scenario: Scenario, athlete_id: str):
+    """Root in the own multiplier of the net benefit over the full field, at 50 digits.
+
+    Each evaluation solves the aggregate equation and prices the payoff
+    ``p delta - k e^2 / 2`` directly, not through the share identity.
+    """
+    instance = ContestInstance.from_scenario(scenario)
+    i = instance.index(athlete_id)
+    leave = mp.mpf(outside_option(scenario.record(athlete_id), scenario.globals))
+    de = [mp.mpf(d) * mp.mpf(w) ** 2 for d, w in zip(instance.delta, instance.weight)]
+
+    def net(psi):
+        k = [mp.mpf(c) / (psi if j == i else mp.mpf(s))
+             for j, (c, s) in enumerate(zip(instance.cost, instance.psi))]
+        t = mp.findroot(lambda t: mp.fsum(d / (kk * t + d) for kk, d in zip(k, de)) - 1,
+                        (mp.mpf(0), mp.fsum(d / kk for d, kk in zip(de, k))),
+                        solver="anderson")
+        p = de[i] / (k[i] * t + de[i])
+        e = p * mp.sqrt(t) / instance.weight[i]
+        return p * instance.delta[i] - k[i] * e * e / 2 - leave
+
+    lo, hi = scenario.globals.psi_bounds
+    return mp.findroot(net, (mp.mpf(lo), mp.mpf(hi)), solver="anderson")
+
+
+def test_cutoff_matches_a_50_digit_root():
+    rng = np.random.default_rng(5150)
+    errors = []
+    with mp.workdps(50):
+        while len(errors) < 50:
+            scenario = weighted(rng, random_scenario(rng, eta=float(rng.uniform(0.2, 0.8))))
+            aid = scenario.ids[0]
+            result = cutoff_psi(scenario, scenario.ids, aid)
+            if result.verdict == entry.INTERIOR:
+                root = mp_cutoff(scenario, aid)
+                errors.append(float(abs(result.psi_star - root) / root))
+    assert max(errors) <= 1e-11
 
 
 def test_net_benefit_curve_nondecreasing():
