@@ -87,9 +87,9 @@ for m in (2, 4, 8):
 
 banner("Best-response verification")
 
-# The oracle scans unilateral deviations for every athlete and reports
-# the largest payoff improvement it can find.  At a true equilibrium that
-# gain is numerically zero.
+# The oracle computes every athlete's exact best response to the others
+# (the root of a cubic) and reports the largest payoff improvement it
+# offers.  At a true equilibrium that gain is numerically zero.
 check = verify_nash(field, eq)
 print(f"max unilateral gain at the solved point: {check.max_gain:.2e} "
       f"-> {'PASS' if check.passed else 'FAIL'}")

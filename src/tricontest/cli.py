@@ -25,17 +25,10 @@ from pathlib import Path
 from typing import Any
 
 from .analysis import sweep, welfare_report
-from .contest import (
-    DEFAULT_SETTINGS,
-    ContestInstance,
-    ConvergenceError,
-    SolverSettings,
-    solve_contest,
-    verify_nash,
-)
-from .entry import EntryIterationError, assemble_spe, cutoff_psi
-from .model import DegenerateProfileError, DomainError, Scenario
-from .scenario_io import ScenarioError, load_scenario
+from .contest import DEFAULT_SETTINGS, ContestInstance, SolverSettings, solve_contest, verify_nash
+from .entry import assemble_spe, cutoff_psi
+from .model import Scenario
+from .scenario_io import load_scenario
 
 __all__ = ["main", "format_number"]
 
@@ -353,10 +346,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(ns.file)
         record = ns.handler(ns, scenario, scenario.settings or DEFAULT_SETTINGS)
-    except (ScenarioError, DomainError, DegenerateProfileError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConvergenceError, EntryIterationError, RuntimeError) as err:
+    except RuntimeError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SOLVER
     text = _RENDERERS[ns.output](record)

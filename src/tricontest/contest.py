@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .model import (
     DegenerateProfileError,
@@ -41,10 +41,6 @@ __all__ = [
     "verify_nash",
     "payoff_curvature",
 ]
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -213,7 +209,7 @@ class SymmetricEquilibrium:
 
 @dataclass(frozen=True)
 class NashCheck:
-    """Outcome of the best-response verification oracle."""
+    """Largest gain any member gets from its exact best response, whose it is, and the verdict."""
 
     max_gain: float
     worst: str | None
@@ -392,46 +388,31 @@ def symmetric_equilibrium(m: int, delta: float, cost: float,
 # ---------------------------------------------------------------------------
 
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float,
-                x_tol: float) -> tuple[float, float]:
-    """Golden-section maximum of a unimodal function on ``[lo, hi]``."""
-    best_x, best_f = lo, fn(lo)
-    f_hi = fn(hi)
-    if f_hi > best_f:
-        best_x, best_f = hi, f_hi
-    h = hi - lo
-    if h <= x_tol:
-        return best_x, best_f
-    steps = int(math.ceil(math.log(x_tol / h) / math.log(_INVPHI)))
-    steps = max(1, min(steps, 200))
-    c = lo + _INVPHI2 * h
-    d = lo + _INVPHI * h
-    fc, fd = fn(c), fn(d)
-    for _ in range(steps):
-        if fc > best_f:
-            best_x, best_f = c, fc
-        if fd > best_f:
-            best_x, best_f = d, fd
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            h = hi - lo
-            c = lo + _INVPHI2 * h
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            h = hi - lo
-            d = lo + _INVPHI * h
-            fd = fn(d)
-    return best_x, best_f
+def _best_response(delta_eff: float, k: float, weight: float, rivals: float) -> float:
+    """Effort maximising ``delta w e / (w e + R) - k e^2 / 2`` against rivals' ``R > 0``.
+
+    The first-order condition is ``y^2 (y - 1) = g`` in ``y = (w e + R) / R``
+    with ``g = de / (k R^2)``.  Cardano's root ``y = 1 + d^2 / u`` has
+    ``u = cbrt(1/27 + s)``, ``s = g/2 + sqrt(g/27 + g^2/4)`` and
+    ``d = u - 1/3 = s / (u^2 + u/3 + 1/9)``: sums of positive terms only.
+    """
+    g = delta_eff / k / rivals / rivals
+    if g > 1e150:
+        # Rivals all but idle: w e = cbrt(de R / k) to rounding, and g^2 would overflow.
+        return (delta_eff / k) ** (1.0 / 3.0) * rivals ** (1.0 / 3.0) / weight
+    s = g / 2.0 + math.sqrt(g / 27.0 + g * g / 4.0)
+    u = (1.0 / 27.0 + s) ** (1.0 / 3.0)
+    d = s / (u * u + u / 3.0 + 1.0 / 9.0)
+    return rivals * d * d / (u * weight)
 
 
 def verify_nash(instance: ContestInstance, equilibrium: ContestEquilibrium,
                 deviation_tol: float = 1e-6) -> NashCheck:
-    """Best-response check: largest unilateral payoff improvement found.
+    """Best-response check: the largest gain from a unilateral deviation.
 
-    For every member a golden-section search maximises the own payoff over
-    deviations in ``[0, 4 * aggregate]`` holding rivals fixed.  The check
-    passes when no member improves by more than ``deviation_tol``.
+    Each member's gain is the payoff of its exact best response to the
+    rivals' weighted effort (the own payoff is strictly concave) less the
+    payoff of the effort played; the check passes if none exceeds ``deviation_tol``.
     """
     if instance.m == 1:
         # The lone member takes the prize at zero cost; effort only hurts.
@@ -444,9 +425,7 @@ def verify_nash(instance: ContestInstance, equilibrium: ContestEquilibrium,
     x_parts = [w * e for w, e in zip(instance.weight, efforts)]
     x_all = _sum_left(x_parts)
     if x_all <= 0.0:
-        raise DegenerateProfileError("the equilibrium profile must carry positive "
-                                     "total effort")
-    span = 4.0 * x_all
+        raise DegenerateProfileError("the equilibrium profile must carry positive total effort")
     max_gain = -math.inf
     worst: str | None = None
     for idx, aid in enumerate(instance.ids):
@@ -454,19 +433,16 @@ def verify_nash(instance: ContestInstance, equilibrium: ContestEquilibrium,
         delta_i = instance.delta[idx]
         k_i = instance._k[idx]
         w_i = instance.weight[idx]
-        own = float(efforts[idx])
+        own = efforts[idx]
         if rivals <= 0.0:
             # Rivals are idle: the win is safe at any positive effort, so the
             # only improvement is shedding the current cost.
             gain = 0.5 * k_i * own * own
         else:
-            def payoff(e: float, rivals: float = rivals, delta_i: float = delta_i,
-                       k_i: float = k_i, w_i: float = w_i) -> float:
-                return delta_i * (w_i * e) / (w_i * e + rivals) - 0.5 * k_i * e * e
-
-            current = payoff(own)
-            _, best = _golden_max(payoff, 0.0, span, x_tol=1e-12 * span)
-            gain = best - current
+            best = _best_response(instance._delta_eff[idx], k_i, w_i, rivals)
+            best_value, own_value = (delta_i * (w_i * e) / (w_i * e + rivals)
+                                     - 0.5 * k_i * e * e for e in (best, own))
+            gain = best_value - own_value
         if gain > max_gain:
             max_gain = gain
             worst = aid

@@ -13,6 +13,8 @@ id tuples, so it shares none of the entry module's bookkeeping.
 every bitmask of one field table instead of searching.  ``reference_cutoff``
 bisects the solved net benefit in the own multiplier, so it shares nothing
 with the closed-form cutoff but the contest solver.
+``reference_best_response`` bisects the best-response cubic in mpmath, so
+it shares nothing with the closed form in ``verify_nash``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from mpmath import mp
 
 import tricontest.entry as entry
 from tricontest import (
@@ -71,6 +74,31 @@ def reference_equilibrium(delta, cost, psi, weight=None):
     probs = reference_shares(total, k, delta_eff)
     efforts = [p * total / w for p, w in zip(probs, weight)]
     return total, efforts, probs
+
+
+def reference_best_response(delta_eff: float, k: float, weight: float, rivals: float,
+                            digits: int = 50) -> float:
+    """Best-response effort to rivals' weighted effort ``R`` by bisection at ``digits`` digits.
+
+    The own weighted effort ``D = w e`` solves ``(R + D)^2 D = de R / k``,
+    whose left side rises in ``D``.  With ``hi = min(cbrt(de R / k), de / (k R))``
+    the left side is at least ``de R / k`` at ``hi`` and at most
+    ``81/512`` of it at ``hi / 8``; geometric halvings shrink that bracket
+    to a relative width of ``10^-digits``.
+    """
+    with mp.workdps(digits):
+        de, kk, w, r = (mp.mpf(v) for v in (delta_eff, k, weight, rivals))
+        target = de * r / kk
+        hi = min(mp.cbrt(target), de / (kk * r))
+        lo = hi / 8
+        assert (r + lo) ** 2 * lo < target <= (r + hi) ** 2 * hi
+        while hi / lo - 1 > mp.mpf(10) ** -digits:
+            mid = mp.sqrt(lo * hi)
+            if (r + mid) ** 2 * mid < target:
+                lo = mid
+            else:
+                hi = mid
+        return float(hi / w)
 
 
 def random_instance(rng: np.random.Generator, m: int | None = None,

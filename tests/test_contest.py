@@ -35,7 +35,7 @@ from tricontest import (
     verify_nash,
 )
 
-from helpers import random_instance, reference_equilibrium
+from helpers import random_instance, reference_best_response, reference_equilibrium
 
 pos = st.floats(min_value=0.1, max_value=10.0)
 psis = st.floats(min_value=1.0, max_value=2.0)
@@ -424,6 +424,93 @@ def test_nash_check_passes_on_random_instances():
         instance = random_instance(rng, weighted=True)
         check = verify_nash(instance, solve_contest(instance))
         assert check.passed, (instance, check)
+
+
+def profile(efforts: dict[str, float]) -> ContestEquilibrium:
+    """An effort profile to check; ``verify_nash`` reads only the efforts."""
+    return ContestEquilibrium(total_effort=0.0, efforts=efforts, probs={},
+                              continuation_values={}, residual=0.0)
+
+
+def test_nash_gain_is_exact_on_the_duel():
+    """The gain is the exact forgone payoff, not a search's approximation."""
+    check = verify_nash(unit_pair(), profile({"ada": 0.6, "bea": 0.5}))
+    assert check.worst == "ada"
+    assert check.max_gain == pytest.approx(0.375 - (0.6 / 1.1 - 0.18), abs=1e-12)
+
+
+def low_weight_pair() -> ContestInstance:
+    return ContestInstance(ids=("ada", "bea"), delta=(100.0, 1.0), cost=(1.0, 1.0),
+                           psi=(1.0, 1.0), weight=(0.01, 1.0))
+
+
+def test_nash_check_catches_a_low_weight_deviation():
+    """A low-weight athlete's effort can exceed any multiple of the weighted aggregate.
+
+    ``ada`` plays 1.3 times its equilibrium effort and ``bea`` best-responds
+    to that, so only ``ada`` can gain, by shedding effort.
+    """
+    instance = low_weight_pair()
+    ada = 1.3 * solve_contest(instance).efforts["ada"]
+    bea = reference_best_response(1.0, 1.0, 1.0, 0.01 * ada)
+    assert (ada, bea) == (pytest.approx(3.7372372347), pytest.approx(0.3098970848))
+    check = verify_nash(instance, profile({"ada": ada, "bea": bea}))
+    assert not check.passed
+    assert check.worst == "ada"
+    assert check.max_gain == pytest.approx(0.5914058636, rel=1e-9)
+
+
+def test_nash_check_on_a_low_weight_equilibrium():
+    instance = low_weight_pair()
+    solved = solve_contest(instance)
+    assert verify_nash(instance, solved).passed
+    bent = profile({**solved.efforts, "ada": 1.01 * solved.efforts["ada"]})
+    check = verify_nash(instance, bent)
+    assert not check.passed
+    assert check.worst == "ada"
+
+
+def test_best_response_matches_a_50_digit_root():
+    """The closed form keeps 1e-13 relative precision over 1e±30 parameter scales."""
+    rng = np.random.default_rng(8)
+    worst = 0.0
+    for _ in range(200):
+        delta_eff, k = 10.0 ** rng.uniform(-30, 30, size=2)
+        weight = 10.0 ** rng.uniform(-3, 3)
+        rivals = math.sqrt(delta_eff / k) * 10.0 ** rng.uniform(-15, 15)
+        exact = reference_best_response(delta_eff, k, weight, rivals)
+        fast = contest._best_response(delta_eff, k, weight, rivals)
+        worst = max(worst, abs(fast / exact - 1.0))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("ratio", [1e-74, 1e-76, 1e-150, 1e-160, 1e-200, 1e-300])
+def test_best_response_against_nearly_idle_rivals(ratio):
+    """Where ``de / (k R^2)`` passes 1e150 or overflows, the effort is ``cbrt(de R / k)``."""
+    delta_eff, k, weight = 2.0, 0.5, 1.5
+    rivals = math.sqrt(delta_eff / k) * ratio
+    exact = reference_best_response(delta_eff, k, weight, rivals)
+    assert contest._best_response(delta_eff, k, weight, rivals) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-300])
+def test_nash_gain_stays_finite_against_idle_rivals(scale):
+    """Rivals at ``scale`` of the own effort: the gain is the whole cost, never NaN."""
+    instance = ContestInstance(ids=("ada", "bea"), delta=(1.0, 1.0), cost=(10.0, 1.0),
+                               psi=(1.0, 1.0), weight=(1.0, 1.0))
+    check = verify_nash(instance, profile({"ada": 0.5, "bea": 0.5 * scale}))
+    assert check.worst == "ada"
+    assert check.max_gain == pytest.approx(0.5 * 10.0 * 0.25, rel=1e-12)
+
+
+def test_best_response_is_finite_at_extreme_scales():
+    values = [5e-324, 1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e300, 1.7e308]
+    for delta_eff in (1e-150, 1.0, 1e150):
+        for k in (1e-150, 1.0, 1e150):
+            for weight in (1e-3, 1.0, 1e3):
+                for rivals in values:
+                    effort = contest._best_response(delta_eff, k, weight, rivals)
+                    assert math.isfinite(effort) and effort >= 0.0, (delta_eff, k, weight, rivals)
 
 
 # ---------------------------------------------------------------------------

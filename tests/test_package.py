@@ -1,0 +1,108 @@
+"""Package surface, read from the source with ``ast``: exports and imports.
+
+The package ``__all__`` must list exactly the public names ``__init__``
+imports, every submodule ``__all__`` entry must be defined, and no module
+may import a name it never uses (imports under ``if TYPE_CHECKING:`` are
+for annotations and do not count).
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tricontest"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def declared_all(tree: ast.Module) -> list[str] | None:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            return [ast.literal_eval(element) for element in node.value.elts]
+    return None
+
+
+def imported_names(nodes) -> dict[str, int]:
+    """Name each import binds, with its line, skipping ``from __future__``."""
+    names = {}
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+def type_checking_nodes(tree: ast.Module) -> set[int]:
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
+                and node.test.id == "TYPE_CHECKING":
+            skipped.update(id(sub) for sub in ast.walk(node))
+    return skipped
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere, string annotations included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for note in annotations:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return used
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    names = set(imported_names(tree.body))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(n.id for target in node.targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_package_all_lists_every_public_import():
+    tree = parse(PACKAGE / "__init__.py")
+    public = {name for name in imported_names(tree.body) if not name.startswith("_")}
+    exported = declared_all(tree)
+    assert len(exported) == len(set(exported))
+    assert set(exported) == public
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_all_names_exist(path):
+    tree = parse(path)
+    exported = declared_all(tree) or []
+    assert set(exported) <= top_level_names(tree)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    tree = parse(path)
+    skipped = type_checking_nodes(tree)
+    imports = imported_names(node for node in ast.walk(tree) if id(node) not in skipped)
+    used = used_names(tree) | set(declared_all(tree) or [])
+    unused = {name: line for name, line in imports.items() if name not in used}
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
