@@ -17,11 +17,11 @@ from .contest import (
     DEFAULT_SETTINGS,
     ContestInstance,
     SolverSettings,
+    _newton,
     _shares_and_slope,
     solve_contest,
-    solve_total_effort,
 )
-from .entry import CONTINUE, Members, _Fields, assemble_spe, subset_equilibrium
+from .entry import CONTINUE, Members, _Fields, assemble_spe
 from .model import AthleteRecord, DomainError, GlobalParams, Scenario
 
 __all__ = [
@@ -151,7 +151,7 @@ def _aggregate_response(instance: ContestInstance, kind: str, idx: int,
 
     Implicit function theorem on ``g(x^2) = 0``, with ``dg/dx = 2 x dg/dt``.
     """
-    x = solve_total_effort(instance, settings)
+    x = _newton(instance, settings)[0]
     g_x = 2.0 * x * _shares_and_slope(instance, x * x)[2]
     g_p = _gap_param_partial(instance, x, kind, idx)
     return x, g_p, -g_p / g_x
@@ -200,7 +200,8 @@ def sensitivity_report(instance: ContestInstance,
 
     ``target`` is ``("total", None)``, ``("prob", id)``, or
     ``("effort", id)``.  The finite difference re-solves the contest at the
-    perturbed parameter values, so the step must keep them positive.
+    perturbed parameter values, so the step must keep them positive.  Each
+    re-solve starts Newton from the unperturbed root, with the same stop rule.
     """
     t_kind = target[0]
     if t_kind not in TARGET_KINDS:
@@ -229,7 +230,7 @@ def sensitivity_report(instance: ContestInstance,
 
     def resolved(value: float) -> float:
         solved = mutate(param[1], value)
-        return _target_at(solved, t_kind, t_idx, solve_total_effort(solved, tight))[0]
+        return _target_at(solved, t_kind, t_idx, _newton(solved, tight, start=x)[0])[0]
 
     finite = (resolved(base + step) - resolved(base - step)) / (2.0 * step)
     rel_err = abs(analytic - finite) / max(abs(analytic), 1e-12)
@@ -351,7 +352,8 @@ def sweep(scenario: Scenario, param: str, grid: Sequence[float],
     for point, value in enumerate(values):
         local = _point_scenario(scenario, param, value, point)
         if stage == "contest":
-            equilibrium = subset_equilibrium(local, local.ids, settings)
+            equilibrium = solve_contest(ContestInstance.from_scenario(local),
+                                        settings or local.settings)
             members = None
             actions = None
         else:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
+from operator import mul, truediv
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -63,13 +64,14 @@ class SolverSettings:
 
 
 DEFAULT_SETTINGS = SolverSettings()
+_TINY = sys.float_info.min  # smallest normal float: the root search fails below it
 
 
 class ConvergenceError(RuntimeError):
     """The Newton root search ran out of budget or stalled.
 
-    Carries a bracket of the root, from the last Newton iterate (which
-    approaches from below) to the a-priori upper bound
+    Carries a bracket of the root, from the last Newton iterate below it
+    (zero if a warm start left none) to the a-priori upper bound
     ``sqrt(sum de_i / k_i / mass)`` for a target share mass (one for a
     contest), so callers can inspect or retry with a larger budget.
     """
@@ -99,22 +101,21 @@ class ContestInstance:
     weight: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        ids = tuple(str(aid) for aid in self.ids)
+        ids = tuple(map(str, self.ids))
         object.__setattr__(self, "ids", ids)
         if len(ids) < 1:
             raise DomainError("ids", "a contest instance needs at least one member")
         if len(set(ids)) != len(ids):
             raise DomainError("ids", "contest member ids must be unique")
         for name in ("delta", "cost", "psi", "weight"):
-            raw = getattr(self, name)
-            values = tuple(float(v) for v in raw)
+            values = tuple(map(float, getattr(self, name)))
             if len(values) != len(ids):
                 raise DomainError(name, f"{name} needs one entry per member "
                                         f"({len(ids)}), got {len(values)}")
-            for aid, value in zip(ids, values):
-                if not (math.isfinite(value) and value > 0.0):
-                    raise DomainError(name, f"{name} must be positive and finite, "
-                                            f"got {value} (athlete {aid!r})")
+            for value in values:
+                if not 0.0 < value < math.inf:  # false for NaN as well
+                    raise DomainError(name, f"{name} must be positive and finite, got {value} "
+                                            f"(athlete {ids[values.index(value)]!r})")
             object.__setattr__(self, name, values)
 
     @property
@@ -129,11 +130,20 @@ class ContestInstance:
 
     @cached_property
     def _k(self) -> tuple[float, ...]:
-        return tuple(c / s for c, s in zip(self.cost, self.psi))
+        return self._normal("effective_cost", "effective cost slope cost/psi",
+                            tuple(map(truediv, self.cost, self.psi)))
 
     @cached_property
     def _delta_eff(self) -> tuple[float, ...]:
-        return tuple(d * w * w for d, w in zip(self.delta, self.weight))
+        return self._normal("effective_prize", "effective prize delta*weight^2",
+                            tuple(map(mul, map(mul, self.delta, self.weight), self.weight)))
+
+    def _normal(self, name: str, label: str, values: tuple[float, ...]) -> tuple[float, ...]:
+        for value in values:
+            if not _TINY <= value < math.inf:
+                raise DomainError(name, f"{label} must be a normal finite float, got {value} "
+                                        f"(athlete {self.ids[values.index(value)]!r})")
+        return values
 
     def _with_field(self, name: str, athlete_id: str, value: float) -> "ContestInstance":
         idx = self.index(athlete_id)
@@ -268,16 +278,18 @@ def aggregate_equation(total: float, instance: ContestInstance) -> float:
 
 
 def _newton(instance: ContestInstance, settings: SolverSettings | None,
-            mass: float = 1.0) -> tuple[float, list[float], float]:
+            mass: float = 1.0, start: float = 0.0) -> tuple[float, list[float], float]:
+    """Root ``X``, its shares and gap by Newton in ``t = X^2`` from ``X = start``: a start
+    above the root steps to or below it (``g`` is convex, ``t < 0`` clamps to 0), then climbs."""
     settings = settings or DEFAULT_SETTINGS
     tol = max(settings.abs_tol, instance.m * sys.float_info.epsilon * mass)
-    x = 0.0
+    x = start
     for _ in range(settings.max_iter):
         t = x * x
         probs, gap, slope = _shares_and_slope(instance, t, mass)
         if abs(gap) <= tol:
             return x, probs, gap
-        x, last = math.sqrt(t - gap / slope), x
+        x, last = math.sqrt(t_next if (t_next := t - gap / slope) > 0.0 else 0.0), x
         if x == last:
             message = "Newton stalled at floating point resolution"
             break
@@ -285,7 +297,7 @@ def _newton(instance: ContestInstance, settings: SolverSettings | None,
         message = "Newton exhausted its iteration budget"
     # Every share lies below de_i / (k_i t), so the root has t < sum de_i / k_i / mass.
     bound = math.fsum(de / k for de, k in zip(instance._delta_eff, instance._k)) / mass
-    raise ConvergenceError(message, (last, math.sqrt(bound)), gap)
+    raise ConvergenceError(message, (last if gap > 0.0 else 0.0, math.sqrt(bound)), gap)
 
 
 def solve_total_effort(instance: ContestInstance,
@@ -412,7 +424,8 @@ def verify_nash(instance: ContestInstance, equilibrium: ContestEquilibrium,
 
     Each member's gain is the payoff of its exact best response to the
     rivals' weighted effort (the own payoff is strictly concave) less the
-    payoff of the effort played; the check passes if none exceeds ``deviation_tol``.
+    payoff of the effort played.  It passes if no gain exceeds ``deviation_tol``
+    plus 16 eps times the larger payoff, which bounds the rounding of their difference.
     """
     if instance.m == 1:
         # The lone member takes the prize at zero cost; effort only hurts.
@@ -428,6 +441,7 @@ def verify_nash(instance: ContestInstance, equilibrium: ContestEquilibrium,
         raise DegenerateProfileError("the equilibrium profile must carry positive total effort")
     max_gain = -math.inf
     worst: str | None = None
+    passed = True
     for idx, aid in enumerate(instance.ids):
         rivals = x_all - x_parts[idx]
         delta_i = instance.delta[idx]
@@ -437,16 +451,18 @@ def verify_nash(instance: ContestInstance, equilibrium: ContestEquilibrium,
         if rivals <= 0.0:
             # Rivals are idle: the win is safe at any positive effort, so the
             # only improvement is shedding the current cost.
-            gain = 0.5 * k_i * own * own
+            gain, scale = 0.5 * k_i * own * own, 0.0
         else:
             best = _best_response(instance._delta_eff[idx], k_i, w_i, rivals)
             best_value, own_value = (delta_i * (w_i * e) / (w_i * e + rivals)
                                      - 0.5 * k_i * e * e for e in (best, own))
             gain = best_value - own_value
+            scale = max(abs(best_value), abs(own_value))
+        passed &= gain <= deviation_tol + 16.0 * sys.float_info.epsilon * scale
         if gain > max_gain:
             max_gain = gain
             worst = aid
-    return NashCheck(max_gain=max_gain, worst=worst, passed=max_gain <= deviation_tol)
+    return NashCheck(max_gain=max_gain, worst=worst, passed=passed)
 
 
 def payoff_curvature(instance: ContestInstance, profile: EffortProfile,

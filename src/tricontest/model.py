@@ -68,12 +68,14 @@ def _finite(value: float, field: str, label: str) -> float:
 
 def drafting_multiplier(draft_share: float, eta: float) -> float:
     """Cost-reduction multiplier earned by drafting: ``1 / (1 - eta * draft_share)``."""
+    share = float(draft_share)
+    if 0.0 <= share <= 1.0 and 0.0 < (rate := float(eta)) < 1.0:  # false for NaN
+        return 1.0 / (1.0 - rate * share)
     draft_share = _finite(draft_share, "draft_share", "draft_share")
     eta = _finite(eta, "eta", "eta")
     _require(0.0 <= draft_share <= 1.0, "draft_share",
              f"draft_share must lie in [0, 1], got {draft_share}")
-    _require(0.0 < eta < 1.0, "eta", f"eta must lie in (0,1), got {eta}")
-    return 1.0 / (1.0 - eta * draft_share)
+    raise DomainError("eta", f"eta must lie in (0,1), got {eta}")
 
 
 def effective_cost(base_cost: float, draft_share: float, eta: float) -> float:

@@ -8,6 +8,7 @@ import pytest
 from tricontest import (
     ContestInstance,
     DomainError,
+    SolverSettings,
     prediction_report,
     sensitivity_report,
     solve_contest,
@@ -107,6 +108,38 @@ def test_sensitivity_agrees_with_central_differences():
             int(rng.integers(3))]
         report = sensitivity_report(instance, target, (kind, aid))
         assert report.rel_err <= 1e-4, report
+
+
+def test_warm_started_differences_match_cold_re_solves():
+    """The finite difference moves only within the re-solves' stop rule.
+
+    The reference re-solves each perturbed field cold, from zero.  Both stop
+    at a residual of 1e-14, which leaves each re-solved value within about
+    1e-14 of itself relative, so the quotient by ``2 step`` may move by
+    ``1e-14 |f| / step``.  Fields are n = 8 what-if fields and weighted
+    fields of 2 to 8 athletes.
+    """
+    tight = SolverSettings(abs_tol=1e-14)
+    step = 1e-5
+    rng = np.random.default_rng(2024)
+    for trial in range(24):
+        if trial % 2:
+            instance = random_instance(rng, weighted=True)
+        else:
+            instance = ContestInstance.from_scenario(random_scenario(rng, n=8))
+        aid = instance.ids[0]
+        for target in (("total", None), ("prob", aid), ("effort", aid)):
+            for kind in ("psi", "delta", "cost"):
+                report = sensitivity_report(instance, target, (kind, aid), step)
+                base = getattr(instance, kind)[0]
+                values = []
+                for value in (base + step, base - step):
+                    solved = solve_contest(getattr(instance, f"with_{kind}")(aid, value), tight)
+                    values.append(solved.total_effort if target[1] is None else
+                                  getattr(solved, target[0] + "s")[aid])
+                cold = (values[0] - values[1]) / (2.0 * step)
+                bound = 1e-14 * max(map(abs, values)) / step
+                assert abs(report.finite_diff - cold) <= bound, (trial, target, kind)
 
 
 def test_rival_odds_never_rise_with_a_rivals_multiplier():

@@ -397,6 +397,30 @@ def test_spe_past_the_enumeration_cap_points_at_the_iterative_mode(tmp_path, cap
     assert code == 0
 
 
+@pytest.mark.parametrize("scale", [1e10, 1e20, 1e30])
+def test_spe_solves_large_prize_scales(scale, tmp_path, capsys):
+    payload = json.loads((SCENARIOS / "heterogeneous_triple.json").read_text())
+    for athlete in payload["athletes"]:
+        athlete["prize_diff"] *= scale
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli(["spe", str(path)], capsys)
+    assert code == 0, err
+
+
+def test_degenerate_effective_prize_is_a_usage_error(tmp_path, capsys):
+    """``prize_diff * weight^2`` underflows to zero: a domain error, exit 2."""
+    payload = minimal_payload()
+    payload["athletes"][1].update(prize_diff=1e-200, weight=1e-100)
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["solve", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: effective prize delta*weight^2 must be a normal finite "
+                   "float, got 0.0 (athlete 'bea')\n")
+
+
 def test_grid_matches_numpy_linspace():
     grids = [(2.0, 6.0, 5), (0.1, 0.7, 7), (-3.5, 1e-9, 11), (1.0, 1.0 + 2.0 ** -52, 5),
              (1e-300, 1e300, 9), (-1e-320, 1e-320, 1000), (0.0, 5e-324, 3),

@@ -205,6 +205,31 @@ def test_convergence_error_carries_bracket():
     assert isinstance(err.value, RuntimeError)
 
 
+def test_warm_starts_reach_the_cold_root():
+    """From below, at, above and far above the root Newton lands on the cold root.
+
+    At the residual 1e-14 that sensitivity re-solves use; at the default
+    1e-12 the stop rule alone lets two roots differ by about 2e-12 relative.
+    A start above the root is stepped to or below it (3 x* clamps ``t`` at 0),
+    and a budget that ends there still returns a bracket that holds the root.
+    """
+    tight = SolverSettings(abs_tol=1e-14)
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        instance = random_instance(rng, weighted=True)
+        cold = contest._newton(instance, tight)[0]
+        for factor in (0.0, 0.5, 1.0, 1.5, 3.0, 1e6):
+            warm = contest._newton(instance, tight, start=factor * cold)[0]
+            assert warm == pytest.approx(cold, rel=1e-12, abs=0.0), factor
+        for factor in (1.5, 3.0, 1e6):
+            for budget in (1, 2, 3):
+                with pytest.raises(ConvergenceError) as err:
+                    contest._newton(instance, SolverSettings(max_iter=budget),
+                                    start=factor * cold)
+                lo, hi = err.value.bracket
+                assert lo <= cold < hi, (factor, budget)
+
+
 def test_solve_total_effort_rejects_singleton():
     lone = ContestInstance(ids=("a",), delta=(1.0,), cost=(1.0,),
                            psi=(1.0,), weight=(1.0,))
@@ -468,6 +493,41 @@ def test_nash_check_on_a_low_weight_equilibrium():
     check = verify_nash(instance, bent)
     assert not check.passed
     assert check.worst == "ada"
+
+
+@pytest.mark.parametrize("scale", [1e10, 1e20, 1e30])
+def test_nash_check_holds_at_large_prize_scales(scale):
+    """Payoff rounding near ``scale`` is not a gain; a 1% deviation still is."""
+    base = mixed_triple()
+    instance = ContestInstance(ids=base.ids, delta=tuple(scale * d for d in base.delta),
+                               cost=base.cost, psi=base.psi, weight=base.weight)
+    solved = solve_contest(instance)
+    assert verify_nash(instance, solved).passed
+    for aid in instance.ids:
+        bent = profile({**solved.efforts, aid: 1.01 * solved.efforts[aid]})
+        check = verify_nash(instance, bent)
+        assert not check.passed
+        assert check.worst == aid
+
+
+@pytest.mark.parametrize("columns, field, shown", [
+    ({"delta": 1e-200, "weight": 1e-100}, "effective_prize", "0.0"),
+    ({"delta": 1e-300, "weight": 1e-10}, "effective_prize", "1e-320"),
+    ({"delta": 1e-310}, "effective_prize", "1e-310"),
+    ({"cost": 1e300, "psi": 1e-10}, "effective_cost", "inf"),
+])
+def test_degenerate_effective_parameters_are_domain_errors(columns, field, shown):
+    """A zero, subnormal or infinite effective prize or slope is refused at solve time.
+
+    Unchecked, these divide by zero, stall Newton, or leave a NaN bracket.
+    """
+    values = {"delta": (1.0, 1.0), "cost": (1.0, 1.0), "psi": (1.0, 1.0), "weight": (1.0, 1.0)}
+    values.update({name: (1.0, value) for name, value in columns.items()})
+    instance = ContestInstance(ids=("ada", "bea"), **values)
+    with pytest.raises(DomainError) as err:
+        solve_contest(instance)
+    assert err.value.field == field
+    assert str(err.value).endswith(f"must be a normal finite float, got {shown} (athlete 'bea')")
 
 
 def test_best_response_matches_a_50_digit_root():

@@ -118,6 +118,107 @@ def test_domain_errors_name_the_field():
     assert err.value.field == "base_cost"
 
 
+# Outcomes of the element-by-element checks the one-comparison checks replaced:
+# a number accepted, or the (field, message) of the DomainError raised.
+NAN, INF = math.nan, math.inf
+COLUMN_VALUES = [
+    (NAN, "nan"), (INF, "inf"), (-INF, "-inf"), (0.0, "0.0"), (-0.0, "-0.0"),
+    (-1, "-1.0"), ("2.5", None), ("nan", "nan"), ("-inf", "-inf"), ("1e400", "inf"),
+]
+MULTIPLIER_CASES = [
+    (NAN, 0.5, ("draft_share", "draft_share must be finite, got nan")),
+    (INF, 0.5, ("draft_share", "draft_share must be finite, got inf")),
+    (-INF, 0.5, ("draft_share", "draft_share must be finite, got -inf")),
+    (0.0, 0.5, 1.0),
+    (-0.0, 0.5, 1.0),
+    (1.0, 0.5, 2.0),
+    ("0.5", 0.5, 4.0 / 3.0),
+    (-1, 0.5, ("draft_share", "draft_share must lie in [0, 1], got -1.0")),
+    (-0.1, 0.5, ("draft_share", "draft_share must lie in [0, 1], got -0.1")),
+    (1.5, 0.5, ("draft_share", "draft_share must lie in [0, 1], got 1.5")),
+    ("2.5", 0.5, ("draft_share", "draft_share must lie in [0, 1], got 2.5")),
+    ("nan", 0.5, ("draft_share", "draft_share must be finite, got nan")),
+    ("1e400", 0.5, ("draft_share", "draft_share must be finite, got inf")),
+    (0.5, NAN, ("eta", "eta must be finite, got nan")),
+    (0.5, INF, ("eta", "eta must be finite, got inf")),
+    (0.5, -INF, ("eta", "eta must be finite, got -inf")),
+    (0.5, 0.0, ("eta", "eta must lie in (0,1), got 0.0")),
+    (0.5, -0.0, ("eta", "eta must lie in (0,1), got -0.0")),
+    (0.5, -1, ("eta", "eta must lie in (0,1), got -1.0")),
+    (0.5, 1.0, ("eta", "eta must lie in (0,1), got 1.0")),
+    (0.5, 1.5, ("eta", "eta must lie in (0,1), got 1.5")),
+    (0.5, "0.25", 8.0 / 7.0),
+    (0.5, "nan", ("eta", "eta must be finite, got nan")),
+    # Both bad: the share's finiteness, then eta's, then the share's range.
+    (NAN, 2.0, ("draft_share", "draft_share must be finite, got nan")),
+    (2.0, NAN, ("eta", "eta must be finite, got nan")),
+    (1.5, 1.5, ("draft_share", "draft_share must lie in [0, 1], got 1.5")),
+    (NAN, "x", ("draft_share", "draft_share must be finite, got nan")),
+    (1.5, "x", ("ValueError", "could not convert string to float: 'x'")),
+    (0.5, "x", ("ValueError", "could not convert string to float: 'x'")),
+]
+BASE_COST_CASES = [
+    (NAN, ("base_cost", "base_cost must be finite, got nan")),
+    (INF, ("base_cost", "base_cost must be finite, got inf")),
+    (-INF, ("base_cost", "base_cost must be finite, got -inf")),
+    (0.0, ("base_cost", "base_cost must be positive, got 0.0")),
+    (-0.0, ("base_cost", "base_cost must be positive, got -0.0")),
+    (-1, ("base_cost", "base_cost must be positive, got -1.0")),
+    ("2.5", 1.875),
+    ("1e400", ("base_cost", "base_cost must be finite, got inf")),
+]
+
+
+def outcome(call):
+    """A returned value, or the (field, message) of what the call raised."""
+    try:
+        return call()
+    except DomainError as err:
+        return err.field, str(err)
+    except ValueError as err:
+        return "ValueError", str(err)
+
+
+@pytest.mark.parametrize("column", ["delta", "cost", "psi", "weight"])
+@pytest.mark.parametrize("value, shown", COLUMN_VALUES)
+def test_instance_column_validation_table(column, value, shown):
+    columns = {name: (1.0, 2.0) for name in ("delta", "cost", "psi", "weight")}
+    columns[column] = (1.0, value)
+    got = outcome(lambda: getattr(ContestInstance(ids=("ada", "bea"), **columns), column))
+    if shown is None:
+        assert got == (1.0, float(value))
+    else:
+        assert got == (column, f"{column} must be positive and finite, "
+                               f"got {shown} (athlete 'bea')")
+
+
+@pytest.mark.parametrize("column, shown, athlete", [
+    ((1.0, -0.0, 0.0), "-0.0", "bea"),
+    ((1.0, 0.0, -0.0), "0.0", "bea"),
+    ((1.0, NAN, NAN), "nan", "bea"),
+    ((1.0, "nan", NAN), "nan", "bea"),
+    ((1.0, 2.0, INF), "inf", "cal"),
+])
+def test_instance_validation_names_the_first_bad_athlete(column, shown, athlete):
+    ones = (1.0, 1.0, 1.0)
+    with pytest.raises(DomainError) as err:
+        ContestInstance(ids=("ada", "bea", "cal"), delta=column, cost=ones, psi=ones, weight=ones)
+    assert str(err.value) == f"delta must be positive and finite, got {shown} (athlete {athlete!r})"
+
+
+@pytest.mark.parametrize("share, eta, expected", MULTIPLIER_CASES)
+def test_drafting_multiplier_validation_table(share, eta, expected):
+    assert outcome(lambda: drafting_multiplier(share, eta)) == expected
+
+
+@pytest.mark.parametrize("base_cost, expected", BASE_COST_CASES)
+def test_effective_cost_validation_table(base_cost, expected):
+    assert outcome(lambda: effective_cost(base_cost, 0.5, 0.5)) == expected
+    if not isinstance(expected, float):
+        # A bad base cost is named before a bad share or eta.
+        assert outcome(lambda: effective_cost(base_cost, NAN, 1.0)) == expected
+
+
 def test_domain_error_is_a_value_error():
     assert issubclass(DomainError, ValueError)
     assert issubclass(DegenerateProfileError, ValueError)
