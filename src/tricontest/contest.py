@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from operator import mul, truediv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -84,6 +84,19 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
+_Column = tuple[float, ...]
+
+
+def _slopes(cost: _Column, psi: _Column) -> _Column:
+    """Effective cost slopes ``cost / psi``, unchecked."""
+    return tuple(map(truediv, cost, psi))
+
+
+def _prizes(delta: _Column, weight: _Column) -> _Column:
+    """Effective prizes ``delta * weight^2``, unchecked."""
+    return tuple(map(mul, map(mul, delta, weight), weight))
+
+
 @dataclass(frozen=True)
 class ContestInstance:
     """Parameters of one effort lottery over an ordered field of athletes.
@@ -91,7 +104,10 @@ class ContestInstance:
     ``delta`` holds prize differentials, ``cost`` the baseline quadratic
     cost slopes, ``psi`` the drafting multipliers, and ``weight`` the
     lottery weights.  The effective cost slope is ``cost / psi`` and the
-    effective prize is ``delta * weight^2``.
+    effective prize is ``delta * weight^2``.  Public input is checked once,
+    here; fields and variants derived from an instance or a scenario reuse
+    those checked columns, and every instance checks its own effective
+    columns when first solved.
     """
 
     ids: tuple[str, ...]
@@ -102,11 +118,11 @@ class ContestInstance:
 
     def __post_init__(self) -> None:
         ids = tuple(map(str, self.ids))
-        object.__setattr__(self, "ids", ids)
         if len(ids) < 1:
             raise DomainError("ids", "a contest instance needs at least one member")
         if len(set(ids)) != len(ids):
             raise DomainError("ids", "contest member ids must be unique")
+        columns = []
         for name in ("delta", "cost", "psi", "weight"):
             values = tuple(map(float, getattr(self, name)))
             if len(values) != len(ids):
@@ -116,7 +132,30 @@ class ContestInstance:
                 if not 0.0 < value < math.inf:  # false for NaN as well
                     raise DomainError(name, f"{name} must be positive and finite, got {value} "
                                             f"(athlete {ids[values.index(value)]!r})")
-            object.__setattr__(self, name, values)
+            columns.append(values)
+        self._store(ids, *columns)
+
+    def _store(self, ids: tuple[str, ...], delta: _Column, cost: _Column, psi: _Column,
+               weight: _Column, effective: tuple[_Column, _Column] | None = None) -> None:
+        """Set the checked columns; every construction ends here.  A derived instance's
+        unchecked ``effective`` columns serve as ``_k`` and ``_delta_eff`` where they are
+        normal throughout; elsewhere that property refuses them when first solved."""
+        columns = self.__dict__
+        columns.update(ids=ids, delta=delta, cost=cost, psi=psi, weight=weight)
+        if effective is not None:
+            columns["_effective"] = effective
+            for name, values in zip(("_k", "_delta_eff"), effective):
+                if _all_normal(values):
+                    columns[name] = values
+
+    @classmethod
+    def _derived(cls, ids: tuple[str, ...], delta: _Column, cost: _Column, psi: _Column,
+                 weight: _Column, effective: tuple[_Column, _Column]) -> "ContestInstance":
+        """An instance over already-checked float columns and their ``_effective`` ones,
+        without the public checks."""
+        self = object.__new__(cls)
+        self._store(ids, delta, cost, psi, weight, effective)
+        return self
 
     @property
     def m(self) -> int:
@@ -129,14 +168,19 @@ class ContestInstance:
             raise ValueError(f"athlete {athlete_id!r} is not a contest member") from None
 
     @cached_property
+    def _effective(self) -> tuple[_Column, _Column]:
+        """Effective slopes and prizes, unchecked; a derived instance is given them."""
+        return _slopes(self.cost, self.psi), _prizes(self.delta, self.weight)
+
+    @cached_property
     def _k(self) -> tuple[float, ...]:
         return self._normal("effective_cost", "effective cost slope cost/psi",
-                            tuple(map(truediv, self.cost, self.psi)))
+                            _slopes(self.cost, self.psi))
 
     @cached_property
     def _delta_eff(self) -> tuple[float, ...]:
         return self._normal("effective_prize", "effective prize delta*weight^2",
-                            tuple(map(mul, map(mul, self.delta, self.weight), self.weight)))
+                            _prizes(self.delta, self.weight))
 
     def _normal(self, name: str, label: str, values: tuple[float, ...]) -> tuple[float, ...]:
         for value in values:
@@ -147,9 +191,19 @@ class ContestInstance:
 
     def _with_field(self, name: str, athlete_id: str, value: float) -> "ContestInstance":
         idx = self.index(athlete_id)
-        values = list(getattr(self, name))
-        values[idx] = float(value)
-        return replace(self, **{name: tuple(values)})
+        value = float(value)
+        if not 0.0 < value < math.inf:  # false for NaN as well
+            raise DomainError(name, f"{name} must be positive and finite, got {value} "
+                                    f"(athlete {self.ids[idx]!r})")
+        columns = {"delta": self.delta, "cost": self.cost, "psi": self.psi,
+                   "weight": self.weight}
+        columns[name] = _put(columns[name], idx, value)
+        delta, cost, psi, weight = columns.values()
+        k, delta_eff = self._effective
+        one = slice(idx, idx + 1)
+        return self._derived(self.ids, delta, cost, psi, weight,
+                             (_put(k, idx, *_slopes(cost[one], psi[one])),
+                              _put(delta_eff, idx, *_prizes(delta[one], weight[one]))))
 
     def with_psi(self, athlete_id: str, value: float) -> "ContestInstance":
         return self._with_field("psi", athlete_id, value)
@@ -169,7 +223,7 @@ class ContestInstance:
         they are passed in.
         """
         if members is None:
-            wanted = set(scenario.ids)
+            chosen = scenario.athletes
         else:
             wanted = set()
             known = set(scenario.ids)
@@ -181,15 +235,23 @@ class ContestInstance:
                 wanted.add(aid)
             if not wanted:
                 raise ValueError("the member set must not be empty")
+            chosen = [rec for rec in scenario.athletes if rec.id in wanted]
         eta = scenario.globals.eta
-        chosen = [rec for rec in scenario.athletes if rec.id in wanted]
-        return cls(
-            ids=tuple(rec.id for rec in chosen),
-            delta=tuple(rec.prize_diff for rec in chosen),
-            cost=tuple(rec.base_cost for rec in chosen),
-            psi=tuple(drafting_multiplier(rec.draft_share, eta) for rec in chosen),
-            weight=tuple(rec.weight for rec in chosen),
-        )
+        ids, delta, cost, psi, weight = zip(*[
+            (rec.id, float(rec.prize_diff), float(rec.base_cost),
+             drafting_multiplier(rec.draft_share, eta), float(rec.weight)) for rec in chosen])
+        return cls._derived(ids, delta, cost, psi, weight,
+                            (_slopes(cost, psi), _prizes(delta, weight)))
+
+
+def _all_normal(values: _Column) -> bool:
+    """``_TINY <= value < inf`` throughout; never NaN, as every column is positive and finite."""
+    return _TINY <= min(values) and max(values) < math.inf
+
+
+def _put(column: _Column, idx: int, value: float) -> _Column:
+    """``column`` with entry ``idx`` replaced by ``value``."""
+    return column[:idx] + (value,) + column[idx + 1:]
 
 
 @dataclass(frozen=True)
@@ -424,8 +486,10 @@ def verify_nash(instance: ContestInstance, equilibrium: ContestEquilibrium,
 
     Each member's gain is the payoff of its exact best response to the
     rivals' weighted effort (the own payoff is strictly concave) less the
-    payoff of the effort played.  It passes if no gain exceeds ``deviation_tol``
-    plus 16 eps times the larger payoff, which bounds the rounding of their difference.
+    payoff of the effort played.  The check is relative: it passes if no gain
+    exceeds ``deviation_tol + 16 eps`` times the member's payoff scale, the
+    larger of those two payoffs (16 eps bounds the rounding of their
+    difference), or its prize when the rivals are idle.
     """
     if instance.m == 1:
         # The lone member takes the prize at zero cost; effort only hurts.
@@ -451,14 +515,14 @@ def verify_nash(instance: ContestInstance, equilibrium: ContestEquilibrium,
         if rivals <= 0.0:
             # Rivals are idle: the win is safe at any positive effort, so the
             # only improvement is shedding the current cost.
-            gain, scale = 0.5 * k_i * own * own, 0.0
+            gain, scale = 0.5 * k_i * own * own, delta_i
         else:
             best = _best_response(instance._delta_eff[idx], k_i, w_i, rivals)
             best_value, own_value = (delta_i * (w_i * e) / (w_i * e + rivals)
                                      - 0.5 * k_i * e * e for e in (best, own))
             gain = best_value - own_value
             scale = max(abs(best_value), abs(own_value))
-        passed &= gain <= deviation_tol + 16.0 * sys.float_info.epsilon * scale
+        passed &= gain <= (deviation_tol + 16.0 * sys.float_info.epsilon) * scale
         if gain > max_gain:
             max_gain = gain
             worst = aid

@@ -160,8 +160,10 @@ class _Fields:
         if mask == self.everyone:
             return self.full
         full, keep = self.full, [mask >> i & 1 for i in range(len(self.ids))]
-        return ContestInstance(*(tuple(itertools.compress(column, keep)) for column in
-                                 (full.ids, full.delta, full.cost, full.psi, full.weight)))
+        ids, delta, cost, psi, weight, k, delta_eff = (
+            tuple(itertools.compress(column, keep)) for column in
+            (full.ids, full.delta, full.cost, full.psi, full.weight, *full._effective))
+        return ContestInstance._derived(ids, delta, cost, psi, weight, (k, delta_eff))
 
     def solve(self, mask: int) -> tuple[ContestInstance, ContestEquilibrium]:
         """The field's contest and its equilibrium."""
@@ -257,9 +259,10 @@ def cutoff_psi(scenario: Scenario, members: Iterable[str], athlete_id: str,
         # p* in a form without the cancellation of (sqrt(1 + 8 r) - 1) / 2 at small r.
         ratio = leave / delta
         p_star = 4.0 * ratio / (1.0 + math.sqrt(1.0 + 8.0 * ratio))
+        field = fields.instance(mask)  # only this field's effective prizes are checked
+        delta_eff = field._delta_eff[field.index(athlete_id)]
         x = _newton(fields.instance(mask & ~(1 << i)), fields.settings, 1.0 - p_star)[0]
-        psi_star = fields.full.cost[i] * p_star * x * x / (fields.full._delta_eff[i]
-                                                           * (1.0 - p_star))
+        psi_star = fields.full.cost[i] * p_star * x * x / (delta_eff * (1.0 - p_star))
     key, (lo, hi) = fields.members(mask), scenario.globals.psi_bounds
     if psi_star <= lo:
         return CutoffResult(athlete_id, key, ALWAYS_CONTINUE, None)

@@ -125,7 +125,7 @@ def test_criterion_2_fixed_point_and_foc_residuals():
 
 
 def test_criterion_3_nash_oracle():
-    """No athlete can gain more than 1e-6 by deviating, on 200 instances."""
+    """No athlete can gain more than 1e-6 of its payoff by deviating, on 200 instances."""
     rng = np.random.default_rng(1003)
     worst = 0.0
     failures = 0

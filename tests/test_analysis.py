@@ -221,13 +221,13 @@ def test_welfare_builds_each_contest_instance_once(monkeypatch):
     subset = scenario.ids[3:]
     expected = welfare_report(scenario, subset)
     built = []
-    original = ContestInstance.__post_init__
+    original = ContestInstance._store
 
-    def counting(self):
-        built.append(self.ids)
-        original(self)
+    def counting(self, ids, *columns):
+        built.append(ids)
+        original(self, ids, *columns)
 
-    monkeypatch.setattr(ContestInstance, "__post_init__", counting)
+    monkeypatch.setattr(ContestInstance, "_store", counting)
     assert welfare_report(scenario, subset) == expected
     assert built == [scenario.ids, subset]
     built.clear()

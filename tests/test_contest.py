@@ -510,6 +510,43 @@ def test_nash_check_holds_at_large_prize_scales(scale):
         assert check.worst == aid
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1e-20, 1e-30])
+def test_nash_check_holds_at_small_prize_scales(scale):
+    """The pass rule scales with the payoffs: no absolute floor hides a deviation.
+
+    At three times its equilibrium effort ``ada`` forgoes more than twice
+    its own equilibrium payoff, a gain far below 1e-6 at these prizes.
+    """
+    base = mixed_triple()
+    instance = ContestInstance(ids=base.ids, delta=tuple(scale * d for d in base.delta),
+                               cost=base.cost, psi=base.psi, weight=base.weight)
+    solved = solve_contest(instance)
+    assert verify_nash(instance, solved).passed
+    for factor in (3.0, 1.01):
+        bent = profile({**solved.efforts, "ada": factor * solved.efforts["ada"]})
+        check = verify_nash(instance, bent)
+        assert not check.passed
+        assert check.worst == "ada"
+        if factor == 3.0:
+            assert check.max_gain > 2.0 * solved.continuation_values["ada"]
+
+
+def test_nash_check_against_idle_rivals_scales_with_the_prize():
+    """With idle rivals the whole effort cost is the gain, judged against the own prize.
+
+    ``bea``'s cost is so high that its exact best response to ``ada`` is
+    below ``ada``'s rounding, so ``ada`` faces idle rivals.
+    """
+    for prize, passed in ((1.0, True), (1e-10, False)):
+        bea = contest._best_response(prize, 1e60, 1.0, 1e-4)
+        assert 1e-4 + bea == 1e-4
+        instance = ContestInstance(ids=("ada", "bea"), delta=(prize, prize), cost=(10.0, 1e60),
+                                   psi=(1.0, 1.0), weight=(1.0, 1.0))
+        check = verify_nash(instance, profile({"ada": 1e-4, "bea": bea}))
+        assert check.max_gain == pytest.approx(5e-8, rel=1e-12)
+        assert (check.passed, check.worst) == (passed, "ada")
+
+
 @pytest.mark.parametrize("columns, field, shown", [
     ({"delta": 1e-200, "weight": 1e-100}, "effective_prize", "0.0"),
     ({"delta": 1e-300, "weight": 1e-10}, "effective_prize", "1e-320"),

@@ -629,13 +629,13 @@ def test_assemble_builds_each_contest_instance_once(monkeypatch):
                              / "scenarios" / "dropout_pair.json")
     expected = assemble_spe(scenario, mode="all")
     built = []
-    original = ContestInstance.__post_init__
+    original = ContestInstance._store
 
-    def counting(self):
-        built.append(self.ids)
-        original(self)
+    def counting(self, ids, *columns):
+        built.append(ids)
+        original(self, ids, *columns)
 
-    monkeypatch.setattr(ContestInstance, "__post_init__", counting)
+    monkeypatch.setattr(ContestInstance, "_store", counting)
     assert assemble_spe(scenario, mode="all") == expected
     assert ("ada",) in built
     assert len(built) == len(set(built))

@@ -1,0 +1,193 @@
+"""Contest instances derived from scenarios, candidate fields and one-entry variants.
+
+``ContestInstance.from_scenario``, the entry stage's field slices and
+``with_psi``/``with_delta``/``with_cost`` reuse columns that were checked
+once.  Each derived instance must be the instance the public constructor
+builds from the same columns, down to the bits of its effective columns,
+and must refuse what the public constructor refuses, with the same error.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+import tricontest.entry as entry
+from tricontest import (
+    AthleteRecord,
+    ContestInstance,
+    DomainError,
+    GlobalParams,
+    Scenario,
+    cutoff_psi,
+    solve_contest,
+    subset_equilibrium,
+)
+
+from helpers import random_scenario
+
+COLUMNS = ("ids", "delta", "cost", "psi", "weight")
+
+
+def public(instance: ContestInstance) -> ContestInstance:
+    """The instance the public constructor builds from ``instance``'s columns."""
+    return ContestInstance(**{name: getattr(instance, name) for name in COLUMNS})
+
+
+def bits(values) -> list[str]:
+    return [float.hex(v) for v in values]
+
+
+def assert_matches_public(derived: ContestInstance) -> None:
+    built = public(derived)
+    assert derived == built
+    assert all(type(v) is float for name in COLUMNS[1:] for v in getattr(derived, name))
+    assert bits(derived._k) == bits(built._k)
+    assert bits(derived._delta_eff) == bits(built._delta_eff)
+
+
+def odd_scenario(rng: np.random.Generator) -> Scenario:
+    """A random scenario whose records also hold ints and numpy floats."""
+    base = random_scenario(rng, n=int(rng.integers(2, 9)))
+    cast = (int, np.float64, float)
+    athletes = []
+    for rec in base.athletes:
+        weight = float(rng.uniform(0.25, 4.0))
+        athletes.append(AthleteRecord(
+            id=rec.id, t_swim=rec.t_swim, r_swim=rec.r_swim,
+            draft_share=cast[int(rng.integers(1, 3))](rec.draft_share),
+            base_cost=cast[int(rng.integers(0, 3))](rec.base_cost * 10.0),
+            prize_diff=cast[int(rng.integers(0, 3))](rec.prize_diff * 10.0),
+            weight=cast[int(rng.integers(0, 3))](weight * 4.0),
+            theta=rec.theta))
+    return Scenario(athletes=tuple(athletes), globals=base.globals)
+
+
+def test_derived_instances_match_the_public_constructor():
+    """Scenarios, member subsets in any order, bitmask fields and one-entry variants."""
+    rng = np.random.default_rng(1010)
+    for _ in range(150):
+        scenario = odd_scenario(rng)
+        full = ContestInstance.from_scenario(scenario)
+        assert_matches_public(full)
+        ids = scenario.ids
+        members = [aid for aid in ids if rng.uniform() < 0.6] or [ids[-1]]
+        shuffled = [members[i] for i in rng.permutation(len(members))]
+        subset = ContestInstance.from_scenario(scenario, shuffled)
+        assert subset.ids == tuple(members)
+        assert_matches_public(subset)
+        fields = entry._Fields(scenario, None)
+        mask = int(rng.integers(1, fields.everyone + 1))
+        field = fields.instance(mask)
+        assert field == ContestInstance.from_scenario(scenario, fields.members(mask))
+        assert_matches_public(field)
+        for instance in (full, field):
+            aid = instance.ids[int(rng.integers(0, instance.m))]
+            for kind in ("psi", "delta", "cost"):
+                value = float(10.0 ** rng.uniform(-3.0, 3.0))
+                variant = getattr(instance, f"with_{kind}")(aid, value)
+                assert getattr(variant, kind)[instance.index(aid)] == value
+                assert_matches_public(variant)
+                assert_matches_public(variant.with_psi(instance.ids[0], 1.5))
+
+
+def test_derived_instances_solve_like_public_ones():
+    rng = np.random.default_rng(1011)
+    for _ in range(40):
+        scenario = odd_scenario(rng)
+        fields = entry._Fields(scenario, None)
+        for mask in range(1, min(fields.everyone, 40) + 1):
+            field = fields.instance(mask)
+            assert solve_contest(field) == solve_contest(public(field))
+            variant = field.with_cost(field.ids[-1], 0.75)
+            assert solve_contest(variant) == solve_contest(public(variant))
+
+
+BAD_VALUES = [(0, "0.0"), (-1, "-1.0"), (math.nan, "nan"), (math.inf, "inf"),
+              (-0.0, "-0.0"), ("nan", "nan"), ("1e400", "inf")]
+
+
+@pytest.mark.parametrize("kind", ["psi", "delta", "cost"])
+@pytest.mark.parametrize("value, shown", BAD_VALUES)
+def test_variants_refuse_what_the_constructor_refuses(kind, value, shown):
+    base = ContestInstance(ids=("ada", "bea", "cal"), delta=(1.0, 2.0, 1.0),
+                           cost=(1.0, 1.0, 2.0), psi=(1.0, 1.25, 1.5), weight=(1.0, 0.5, 2.0))
+    with pytest.raises(DomainError) as variant:
+        getattr(base, f"with_{kind}")("bea", value)
+    column = list(getattr(base, kind))
+    column[1] = value
+    with pytest.raises(DomainError) as built:
+        ContestInstance(**{**{name: getattr(base, name) for name in COLUMNS}, kind: column})
+    assert variant.value.field == built.value.field == kind
+    assert str(variant.value) == str(built.value) == \
+        f"{kind} must be positive and finite, got {shown} (athlete 'bea')"
+
+
+def test_variants_of_unknown_athletes_and_non_numbers():
+    base = ContestInstance(ids=("ada", "bea"), delta=(1.0, 1.0), cost=(1.0, 1.0),
+                           psi=(1.0, 1.0), weight=(1.0, 1.0))
+    with pytest.raises(ValueError, match="athlete 'cal' is not a contest member"):
+        base.with_psi("cal", 1.5)
+    with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+        base.with_delta("bea", "x")
+    assert base.with_cost("bea", "2.5").cost == (1.0, 2.5)
+
+
+def subnormal_scenario() -> Scenario:
+    """``cal``'s effective prize ``1e-300 * (1e-10)^2`` is the subnormal 1e-320."""
+    athletes = tuple(AthleteRecord(id=aid, t_swim=1800.0, r_swim=i + 1, draft_share=0.25 * i,
+                                   base_cost=1.0, prize_diff=prize, weight=weight)
+                     for i, (aid, prize, weight) in enumerate(
+                         (("ada", 1.0, 1.0), ("bea", 2.0, 1.0), ("cal", 1e-300, 1e-10))))
+    return Scenario(athletes=athletes, globals=GlobalParams(alpha=0.001, beta=0.01, eta=0.5))
+
+
+def test_fields_without_a_subnormal_athlete_solve():
+    scenario = subnormal_scenario()
+    solved = subset_equilibrium(scenario, ["bea", "ada"])
+    assert solved == solve_contest(public(ContestInstance.from_scenario(scenario, ["ada", "bea"])))
+    fields = entry._Fields(scenario, None)
+    assert fields.instance(0b011) == ContestInstance.from_scenario(scenario, ["ada", "bea"])
+
+
+@pytest.mark.parametrize("members", [["ada", "cal"], ["cal", "bea"], ["ada", "bea", "cal"]])
+def test_fields_with_a_subnormal_athlete_refuse_at_solve_time(members):
+    scenario = subnormal_scenario()
+    instance = ContestInstance.from_scenario(scenario, members)  # builds without complaint
+    for call in (lambda: subset_equilibrium(scenario, members),
+                 lambda: solve_contest(instance),
+                 lambda: solve_contest(public(instance))):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert err.value.field == "effective_prize"
+        assert str(err.value) == ("effective prize delta*weight^2 must be a normal finite "
+                                  "float, got 1e-320 (athlete 'cal')")
+    # Mending the one entry clears the refusal.
+    mended = instance.with_delta("cal", 1e10)
+    assert solve_contest(mended) == solve_contest(public(mended))
+
+
+def test_cutoffs_in_fields_without_a_subnormal_athlete():
+    """A cutoff checks its own field only; ``theta`` puts ``ada``'s in the closed-form branch."""
+    scenario = subnormal_scenario()
+    scenario = dataclasses.replace(scenario, athletes=tuple(
+        dataclasses.replace(rec, theta=1.9) for rec in scenario.athletes))
+    without = dataclasses.replace(scenario, athletes=scenario.athletes[:2])
+    for aid in ("ada", "bea"):
+        assert cutoff_psi(scenario, ["ada", "bea"], aid) == cutoff_psi(without, ["ada", "bea"], aid)
+    with pytest.raises(DomainError, match="got 1e-320 \\(athlete 'cal'\\)$"):
+        cutoff_psi(scenario, ["ada", "cal"], "ada")
+
+
+def test_every_member_subset_of_a_field_is_its_slice():
+    scenario = random_scenario(np.random.default_rng(1012), n=5)
+    fields = entry._Fields(scenario, None)
+    for size in range(1, 6):
+        for members in itertools.combinations(scenario.ids, size):
+            sliced = fields.instance(fields.mask(members))
+            assert sliced == ContestInstance.from_scenario(scenario, members)
+            assert bits(sliced._k) == bits(ContestInstance.from_scenario(scenario, members)._k)
