@@ -243,16 +243,14 @@ def sensitivity_report(instance: ContestInstance,
 # ---------------------------------------------------------------------------
 
 
-def welfare_report(scenario: Scenario, members: Sequence[str],
-                   settings: SolverSettings | None = None) -> WelfareReport:
+def welfare_report(scenario: Scenario, members: Sequence[str]) -> WelfareReport:
     """Surplus accounting for the contest among ``members``.
 
     ``rent_ratio`` is aggregate effort cost over aggregate expected prize
     intake; for a symmetric field of size ``m`` it equals ``(m-1)/(2m)``.
     """
-    fields = _Fields(scenario, settings)
-    instance = fields.instance(fields.mask(members))
-    equilibrium = solve_contest(instance, fields.settings)
+    fields = _Fields(scenario)
+    instance, equilibrium = fields.solve(fields.mask(members))
     cost = 0.0
     intake = 0.0
     welfare = 0.0
@@ -331,8 +329,7 @@ def _point_scenario(scenario: Scenario, param: str, value: float,
 
 
 def sweep(scenario: Scenario, param: str, grid: Sequence[float],
-          stage: str = "contest",
-          settings: SolverSettings | None = None) -> list[SweepRecord]:
+          stage: str = "contest") -> list[SweepRecord]:
     """Re-solve the scenario along a strictly increasing parameter grid.
 
     ``param`` addresses either one athlete's field
@@ -352,12 +349,11 @@ def sweep(scenario: Scenario, param: str, grid: Sequence[float],
     for point, value in enumerate(values):
         local = _point_scenario(scenario, param, value, point)
         if stage == "contest":
-            equilibrium = solve_contest(ContestInstance.from_scenario(local),
-                                        settings or local.settings)
+            equilibrium = solve_contest(ContestInstance.from_scenario(local), local.settings)
             members = None
             actions = None
         else:
-            result = assemble_spe(local, mode="iterative", settings=settings)[0]
+            result = assemble_spe(local, mode="iterative")[0]
             equilibrium = result.equilibrium
             members = result.members
             actions = result.actions
@@ -388,8 +384,7 @@ def _series(values: Sequence[float]) -> str:
 def prediction_report(scenario: Scenario, athlete_id: str | None = None,
                       draft_grid: Sequence[float] | None = None,
                       size_grid: Sequence[int] | None = None,
-                      psi_by_size: Mapping[int, float] | None = None,
-                      settings: SolverSettings | None = None) -> PredictionReport:
+                      psi_by_size: Mapping[int, float] | None = None) -> PredictionReport:
     """Run the canonical sweeps and report the observed monotonicities.
 
     Three sections always appear: win odds and effort rising in the own
@@ -411,8 +406,7 @@ def prediction_report(scenario: Scenario, athlete_id: str | None = None,
 
     # Drafting share up: own odds and effort up.
     param = f"athletes.{athlete_id}.draft_share"
-    records = sweep(scenario, param, draft_grid, stage="contest",
-                    settings=settings)
+    records = sweep(scenario, param, draft_grid, stage="contest")
     probs = [r.probs[athlete_id] for r in records]
     efforts = [r.efforts[athlete_id] for r in records]
     ok = _strictly(probs, True) and _strictly(efforts, True)
@@ -423,8 +417,7 @@ def prediction_report(scenario: Scenario, athlete_id: str | None = None,
 
     # Field size up: symmetric effort down.
     size_values = [float(m) for m in size_grid]
-    records = sweep(scenario, "m", size_values, stage="contest",
-                    settings=settings)
+    records = sweep(scenario, "m", size_values, stage="contest")
     per_head = [next(iter(r.efforts.values())) for r in records]
     ok = _strictly(per_head, False)
     sections.append(PredictionSection(
@@ -432,8 +425,7 @@ def prediction_report(scenario: Scenario, athlete_id: str | None = None,
         detail=f"e*: {_series(per_head)}"))
 
     # Drafting share up with the continuation stage in the loop.
-    records = sweep(scenario, param, draft_grid, stage="full",
-                    settings=settings)
+    records = sweep(scenario, param, draft_grid, stage="full")
     if all(len(r.members or ()) < 2 for r in records):
         sections.append(PredictionSection(
             name="entry_response", status="skipped",
@@ -461,7 +453,7 @@ def prediction_report(scenario: Scenario, athlete_id: str | None = None,
                 cost=(template.base_cost,) * m,
                 psi=(float(psi_by_size[m]),) * m,
                 weight=(1.0,) * m)
-            solved = solve_contest(instance, settings)
+            solved = solve_contest(instance, scenario.settings)
             trail.append((m, next(iter(solved.efforts.values()))))
         efforts = [e for _, e in trail]
         shape = ("strictly decreasing" if _strictly(efforts, False)

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any
 
 from .analysis import sweep, welfare_report
-from .contest import DEFAULT_SETTINGS, ContestInstance, SolverSettings, solve_contest, verify_nash
+from .contest import DEFAULT_SETTINGS, ContestInstance, solve_contest, verify_nash
 from .entry import assemble_spe, cutoff_psi
 from .model import Scenario
 from .scenario_io import load_scenario
@@ -125,11 +125,10 @@ def _render_tree(record: Record) -> str:
 _RENDERERS = {"table": _render_table, "csv": _render_csv, "tree": _render_tree}
 
 
-def _head(ns: argparse.Namespace, settings: SolverSettings,
-          **keys: Any) -> dict[str, Any]:
-    """The tree's leading keys: command, scenario file name, ``keys``, settings."""
+def _head(ns: argparse.Namespace, scenario: Scenario, **keys: Any) -> dict[str, Any]:
+    """The tree's leading keys: command, scenario file name, ``keys``, solver settings."""
     return {"command": ns.command, "scenario": Path(ns.file).name, **keys,
-            "settings": asdict(settings)}
+            "settings": asdict(scenario.settings or DEFAULT_SETTINGS)}
 
 
 def _parse_set(raw: str | None, scenario: Scenario) -> tuple[str, ...]:
@@ -175,18 +174,17 @@ def _parse_grid(raw: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(ns: argparse.Namespace, scenario: Scenario,
-               settings: SolverSettings) -> Record:
+def _cmd_solve(ns: argparse.Namespace, scenario: Scenario) -> Record:
     members = _parse_set(ns.set, scenario)
     instance = ContestInstance.from_scenario(scenario, members)
-    equilibrium = solve_contest(instance, settings)
+    equilibrium = solve_contest(instance, scenario.settings)
     check = verify_nash(instance, equilibrium)
     athletes = [{"id": aid, "psi": psi, "k": k,
                  "e_star": equilibrium.efforts[aid],
                  "p_star": equilibrium.probs[aid],
                  "value": equilibrium.continuation_values[aid]}
                 for aid, psi, k in zip(instance.ids, instance.psi, instance._k)]
-    tree = {**_head(ns, settings, set=members), "athletes": athletes,
+    tree = {**_head(ns, scenario, set=members), "athletes": athletes,
             "total_effort": equilibrium.total_effort,
             "residual": equilibrium.residual,
             "nash": {"max_gain": check.max_gain, "worst": check.worst,
@@ -197,21 +195,18 @@ def _cmd_solve(ns: argparse.Namespace, scenario: Scenario,
         "nash": "PASS" if check.passed else "FAIL"})
 
 
-def _cmd_cutoff(ns: argparse.Namespace, scenario: Scenario,
-                settings: SolverSettings) -> Record:
-    result = cutoff_psi(scenario, _parse_set(ns.set, scenario), ns.athlete,
-                        settings=settings)
+def _cmd_cutoff(ns: argparse.Namespace, scenario: Scenario) -> Record:
+    result = cutoff_psi(scenario, _parse_set(ns.set, scenario), ns.athlete)
     bounds = scenario.globals.psi_bounds
-    tree = {**_head(ns, settings, athlete=ns.athlete, set=result.members),
+    tree = {**_head(ns, scenario, athlete=ns.athlete, set=result.members),
             "verdict": result.verdict, "psi_star": result.psi_star,
             "psi_bounds": bounds}
     return Record(tree, [{"athlete": result.athlete_id, "verdict": result.verdict,
                           "psi_star": result.psi_star}], {"psi_bounds": bounds})
 
 
-def _cmd_spe(ns: argparse.Namespace, scenario: Scenario,
-             settings: SolverSettings) -> Record:
-    results = assemble_spe(scenario, mode=ns.mode, settings=settings)
+def _cmd_spe(ns: argparse.Namespace, scenario: Scenario) -> Record:
+    results = assemble_spe(scenario, mode=ns.mode)
     blocks = [{"members": result.members, "method": result.method,
                "total_effort": result.equilibrium.total_effort,
                "residual": result.equilibrium.residual,
@@ -221,26 +216,24 @@ def _cmd_spe(ns: argparse.Namespace, scenario: Scenario,
               for result in results]
     rows = [{"set": block["members"], "method": block["method"], **athlete}
             for block in blocks for athlete in block["athletes"]]
-    tree = {**_head(ns, settings, mode=ns.mode), "results": blocks}
+    tree = {**_head(ns, scenario, mode=ns.mode), "results": blocks}
     return Record(tree, rows, {"equilibria": len(results)})
 
 
-def _cmd_welfare(ns: argparse.Namespace, scenario: Scenario,
-                 settings: SolverSettings) -> Record:
-    report = welfare_report(scenario, _parse_set(ns.set, scenario), settings)
+def _cmd_welfare(ns: argparse.Namespace, scenario: Scenario) -> Record:
+    report = welfare_report(scenario, _parse_set(ns.set, scenario))
     metrics = {name: getattr(report, name) for name in
                ("total_welfare", "aggregate_cost", "aggregate_prize_intake",
                 "rent_ratio")}
-    tree = {**_head(ns, settings, set=report.members), "metrics": metrics}
+    tree = {**_head(ns, scenario, set=report.members), "metrics": metrics}
     return Record(tree, [{"metric": name, "value": value}
                          for name, value in metrics.items()])
 
 
-def _cmd_sweep(ns: argparse.Namespace, scenario: Scenario,
-               settings: SolverSettings) -> Record:
+def _cmd_sweep(ns: argparse.Namespace, scenario: Scenario) -> Record:
     grid = _parse_grid(ns.grid)
     stage = "full" if ns.full_spe else "contest"
-    points = sweep(scenario, ns.param, grid, stage=stage, settings=settings)
+    points = sweep(scenario, ns.param, grid, stage=stage)
     blocks, rows = [], []
     for point in points:
         block: dict[str, Any] = {"value": point.value,
@@ -270,7 +263,7 @@ def _cmd_sweep(ns: argparse.Namespace, scenario: Scenario,
                 row.update({f"action_{aid}": point.actions[aid] for aid in scenario.ids})
         blocks.append(block)
         rows.append(row)
-    tree = {**_head(ns, settings, param=ns.param, grid=ns.grid, stage=stage),
+    tree = {**_head(ns, scenario, param=ns.param, grid=ns.grid, stage=stage),
             "records": blocks}
     return Record(tree, rows, {"points": len(points)})
 
@@ -345,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         scenario = load_scenario(ns.file)
-        record = ns.handler(ns, scenario, scenario.settings or DEFAULT_SETTINGS)
+        record = ns.handler(ns, scenario)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

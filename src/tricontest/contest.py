@@ -85,6 +85,7 @@ class ConvergenceError(RuntimeError):
 
 
 _Column = tuple[float, ...]
+_Effective = tuple[_Column, _Column]  # slopes cost/psi and prizes delta*weight^2
 
 
 def _slopes(cost: _Column, psi: _Column) -> _Column:
@@ -106,8 +107,8 @@ class ContestInstance:
     lottery weights.  The effective cost slope is ``cost / psi`` and the
     effective prize is ``delta * weight^2``.  Public input is checked once,
     here; fields and variants derived from an instance or a scenario reuse
-    those checked columns, and every instance checks its own effective
-    columns when first solved.
+    those checked columns.  Every instance computes its effective columns
+    when built and refuses any that are not normal floats when first solved.
     """
 
     ids: tuple[str, ...]
@@ -136,23 +137,23 @@ class ContestInstance:
         self._store(ids, *columns)
 
     def _store(self, ids: tuple[str, ...], delta: _Column, cost: _Column, psi: _Column,
-               weight: _Column, effective: tuple[_Column, _Column] | None = None) -> None:
-        """Set the checked columns; every construction ends here.  A derived instance's
-        unchecked ``effective`` columns serve as ``_k`` and ``_delta_eff`` where they are
-        normal throughout; elsewhere that property refuses them when first solved."""
+               weight: _Column, effective: _Effective | None = None) -> None:
+        """Set the checked columns and their unchecked ``_effective`` slopes and prizes;
+        every construction ends here.  Those serve as ``_k`` and ``_delta_eff`` where they
+        are normal throughout; elsewhere that property refuses them when first solved."""
+        if effective is None:
+            effective = _slopes(cost, psi), _prizes(delta, weight)
         columns = self.__dict__
-        columns.update(ids=ids, delta=delta, cost=cost, psi=psi, weight=weight)
-        if effective is not None:
-            columns["_effective"] = effective
-            for name, values in zip(("_k", "_delta_eff"), effective):
-                if _all_normal(values):
-                    columns[name] = values
+        columns.update(ids=ids, delta=delta, cost=cost, psi=psi, weight=weight,
+                       _effective=effective)
+        for name, values in zip(("_k", "_delta_eff"), effective):
+            if _all_normal(values):
+                columns[name] = values
 
     @classmethod
     def _derived(cls, ids: tuple[str, ...], delta: _Column, cost: _Column, psi: _Column,
-                 weight: _Column, effective: tuple[_Column, _Column]) -> "ContestInstance":
-        """An instance over already-checked float columns and their ``_effective`` ones,
-        without the public checks."""
+                 weight: _Column, effective: _Effective | None = None) -> "ContestInstance":
+        """An instance over already-checked float columns, without the public checks."""
         self = object.__new__(cls)
         self._store(ids, delta, cost, psi, weight, effective)
         return self
@@ -168,19 +169,14 @@ class ContestInstance:
             raise ValueError(f"athlete {athlete_id!r} is not a contest member") from None
 
     @cached_property
-    def _effective(self) -> tuple[_Column, _Column]:
-        """Effective slopes and prizes, unchecked; a derived instance is given them."""
-        return _slopes(self.cost, self.psi), _prizes(self.delta, self.weight)
-
-    @cached_property
     def _k(self) -> tuple[float, ...]:
         return self._normal("effective_cost", "effective cost slope cost/psi",
-                            _slopes(self.cost, self.psi))
+                            self._effective[0])
 
     @cached_property
     def _delta_eff(self) -> tuple[float, ...]:
         return self._normal("effective_prize", "effective prize delta*weight^2",
-                            _prizes(self.delta, self.weight))
+                            self._effective[1])
 
     def _normal(self, name: str, label: str, values: tuple[float, ...]) -> tuple[float, ...]:
         for value in values:
@@ -240,8 +236,7 @@ class ContestInstance:
         ids, delta, cost, psi, weight = zip(*[
             (rec.id, float(rec.prize_diff), float(rec.base_cost),
              drafting_multiplier(rec.draft_share, eta), float(rec.weight)) for rec in chosen])
-        return cls._derived(ids, delta, cost, psi, weight,
-                            (_slopes(cost, psi), _prizes(delta, weight)))
+        return cls._derived(ids, delta, cost, psi, weight)
 
 
 def _all_normal(values: _Column) -> bool:

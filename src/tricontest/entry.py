@@ -22,7 +22,6 @@ from .contest import (
     DEFAULT_SETTINGS,
     ContestEquilibrium,
     ContestInstance,
-    SolverSettings,
     _newton,
     solve_contest,
     verify_nash,
@@ -127,13 +126,13 @@ class _Fields:
     the instance ``ContestInstance.from_scenario`` builds for those members.
     """
 
-    def __init__(self, scenario: Scenario, settings: SolverSettings | None) -> None:
+    def __init__(self, scenario: Scenario) -> None:
         self.full = ContestInstance.from_scenario(scenario)
         self.ids = self.full.ids
         self.everyone = (1 << len(self.ids)) - 1
         self.outside = [outside_option(rec, scenario.globals)
                         for rec in scenario.athletes]
-        self.settings = settings or scenario.settings or DEFAULT_SETTINGS
+        self.settings = scenario.settings or DEFAULT_SETTINGS
         self._bit = {aid: 1 << i for i, aid in enumerate(self.ids)}
         self._solved: dict[int, tuple[ContestInstance, ContestEquilibrium]] = {}
 
@@ -187,35 +186,31 @@ class _Fields:
                        for i in range(len(self.ids)))
 
 
-def subset_equilibrium(scenario: Scenario, members: Iterable[str],
-                       settings: SolverSettings | None = None) -> ContestEquilibrium:
+def subset_equilibrium(scenario: Scenario, members: Iterable[str]) -> ContestEquilibrium:
     """Solve the contest among ``members``, given in any order.
 
     Like every public call of this module, it solves each field at most
     once, keyed by bitmask, and keeps nothing between calls.
     """
-    fields = _Fields(scenario, settings)
+    fields = _Fields(scenario)
     return fields.solve(fields.mask(members))[1]
 
 
-def continuation_value(scenario: Scenario, members: Iterable[str],
-                       athlete_id: str,
-                       settings: SolverSettings | None = None) -> float:
+def continuation_value(scenario: Scenario, members: Iterable[str], athlete_id: str) -> float:
     """Expected contest payoff of ``athlete_id`` inside the field ``members``."""
-    values = subset_equilibrium(scenario, members, settings).continuation_values
+    values = subset_equilibrium(scenario, members).continuation_values
     if athlete_id not in values:
         raise ValueError(f"athlete {athlete_id!r} is not in the member set")
     return values[athlete_id]
 
 
-def net_benefit(scenario: Scenario, members: Iterable[str], athlete_id: str,
-                settings: SolverSettings | None = None) -> NetBenefit:
+def net_benefit(scenario: Scenario, members: Iterable[str], athlete_id: str) -> NetBenefit:
     """Continuation value minus outside option for one athlete.
 
     An athlete outside ``members`` is judged on the field extended by them,
     which is the payoff relevant to their own entry decision.
     """
-    fields = _Fields(scenario, settings)
+    fields = _Fields(scenario)
     mask = fields.mask(members) | fields.mask((athlete_id,))
     stay = fields.solve(mask)[1].continuation_values[athlete_id]
     leave = fields.outside[fields.ids.index(athlete_id)]
@@ -224,10 +219,9 @@ def net_benefit(scenario: Scenario, members: Iterable[str], athlete_id: str,
 
 
 def net_benefit_curve(scenario: Scenario, members: Iterable[str],
-                      athlete_id: str, psi_grid: Sequence[float],
-                      settings: SolverSettings | None = None) -> list[float]:
+                      athlete_id: str, psi_grid: Sequence[float]) -> list[float]:
     """Net benefit of ``athlete_id`` across a grid of own multipliers."""
-    fields = _Fields(scenario, settings)
+    fields = _Fields(scenario)
     mask = fields.mask(members)
     leave = fields.outside[fields.member_index(mask, athlete_id)]
     base = fields.instance(mask)
@@ -235,8 +229,7 @@ def net_benefit_curve(scenario: Scenario, members: Iterable[str],
             .continuation_values[athlete_id] - leave for psi in psi_grid]
 
 
-def cutoff_psi(scenario: Scenario, members: Iterable[str], athlete_id: str,
-               settings: SolverSettings | None = None) -> CutoffResult:
+def cutoff_psi(scenario: Scenario, members: Iterable[str], athlete_id: str) -> CutoffResult:
     """Indifference multiplier of one athlete, holding everyone else fixed.
 
     An equilibrium win share ``p`` pays ``delta p (1 + p) / 2``, so with outside
@@ -247,7 +240,7 @@ def cutoff_psi(scenario: Scenario, members: Iterable[str], athlete_id: str,
     The verdict is ``always_continue`` for ``psi* <= lo``, ``always_withdraw`` for
     ``psi* > hi`` and ``interior`` between, where ``(lo, hi) = psi_bounds``.
     """
-    fields = _Fields(scenario, settings)
+    fields = _Fields(scenario)
     mask = fields.mask(members)
     i = fields.member_index(mask, athlete_id)
     leave, delta = fields.outside[i], fields.full.delta[i]
@@ -276,14 +269,13 @@ def cutoff_psi(scenario: Scenario, members: Iterable[str], athlete_id: str,
 # ---------------------------------------------------------------------------
 
 
-def is_equilibrium_set(scenario: Scenario, members: Iterable[str],
-                       settings: SolverSettings | None = None) -> bool:
+def is_equilibrium_set(scenario: Scenario, members: Iterable[str]) -> bool:
     """Direct check of the two stability conditions for a candidate field.
 
     Every member must weakly prefer staying, and every outsider must weakly
     prefer staying out of the field extended by themselves.
     """
-    fields = _Fields(scenario, settings)
+    fields = _Fields(scenario)
     return fields.stable(fields.mask(members))
 
 
@@ -329,8 +321,7 @@ def _stable_sets(fields: _Fields) -> list[Members]:
     return sorted(found)
 
 
-def enumerate_equilibrium_sets(scenario: Scenario, max_n: int = _ENUM_MAX_N,
-                               settings: SolverSettings | None = None) -> list[Members]:
+def enumerate_equilibrium_sets(scenario: Scenario, max_n: int = _ENUM_MAX_N) -> list[Members]:
     """All stable continuation sets, in lexicographic order of sorted ids.
 
     A pruned search that solves all ``2^n - 1`` nonempty subsets in the
@@ -338,7 +329,7 @@ def enumerate_equilibrium_sets(scenario: Scenario, max_n: int = _ENUM_MAX_N,
     should use the iterative operator.  Each field is solved at most once,
     keyed by bitmask.
     """
-    fields = _Fields(scenario, settings)
+    fields = _Fields(scenario)
     _check_enumerable(fields, max_n, "raise max_n or use iterate_continuation_operator")
     return _stable_sets(fields)
 
@@ -352,8 +343,7 @@ def _singleton_fallback(fields: _Fields) -> Members:
 
 def iterate_continuation_operator(scenario: Scenario,
                                   start: Iterable[str] | None = None,
-                                  max_rounds: int | None = None,
-                                  settings: SolverSettings | None = None) -> EntryIteration:
+                                  max_rounds: int | None = None) -> EntryIteration:
     """Iterate the best-reply set operator until it settles.
 
     Starting from ``start`` (default: the full field) each round keeps the
@@ -363,7 +353,7 @@ def iterate_continuation_operator(scenario: Scenario,
     cycle; small fields then fall back to enumeration, larger ones raise
     :class:`EntryIterationError` with the visited trace.
     """
-    fields = _Fields(scenario, settings)
+    fields = _Fields(scenario)
     mask = fields.everyone if start is None else fields.mask(start)
     return _iterate(fields, mask, max_rounds)
 
@@ -402,8 +392,7 @@ def _iterate(fields: _Fields, current: int, max_rounds: int | None) -> EntryIter
                               f"enumerate", tuple(trace))
 
 
-def assemble_spe(scenario: Scenario, mode: str = "first",
-                 settings: SolverSettings | None = None) -> list[SpeResult]:
+def assemble_spe(scenario: Scenario, mode: str = "first") -> list[SpeResult]:
     """Full continuation outcomes: stable sets, actions, and payoffs.
 
     ``mode`` selects the stable set: ``"first"`` takes the lexicographically
@@ -416,7 +405,7 @@ def assemble_spe(scenario: Scenario, mode: str = "first",
     """
     if mode not in ("first", "all", "iterative"):
         raise ValueError(f"mode must be 'first', 'all', or 'iterative', got {mode!r}")
-    fields = _Fields(scenario, settings)
+    fields = _Fields(scenario)
     if mode == "iterative":
         outcome = _iterate(fields, fields.everyone, None)
         method = "iteration" if outcome.method == "fixed_point" else outcome.method

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - only used for annotations
     from .contest import SolverSettings
@@ -23,14 +23,11 @@ __all__ = [
     "DegenerateProfileError",
     "AthleteRecord",
     "GlobalParams",
-    "DraftingGraph",
     "Scenario",
     "EffortProfile",
     "drafting_multiplier",
     "effective_cost",
     "outside_option",
-    "win_probabilities",
-    "contest_payoff",
 ]
 
 
@@ -47,7 +44,7 @@ class DomainError(ValueError):
 
 
 class DegenerateProfileError(ValueError):
-    """Win odds were requested at the all-zero effort profile."""
+    """Raised by ``verify_nash`` and ``payoff_curvature`` at a zero-total effort profile."""
 
 
 def _require(condition: bool, field: str, message: str) -> None:
@@ -167,32 +164,23 @@ class GlobalParams:
 
 
 @dataclass(frozen=True)
-class DraftingGraph:
-    """Directed who-drafted-whom edges.  Carried with scenarios, not consumed."""
-
-    edges: frozenset[tuple[str, str]] = frozenset()
-
-    def __post_init__(self) -> None:
-        edges = frozenset((str(a), str(b)) for a, b in self.edges)
-        for a, b in edges:
-            _require(a != b, "edges", f"drafting edge ({a!r}, {b!r}) is a self-loop")
-        object.__setattr__(self, "edges", edges)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "DraftingGraph":
-        return cls(frozenset(tuple(p) for p in pairs))
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """Full description of one race: athletes, global parameters, graph, settings."""
+    """Full description of one race: athletes, global parameters, graph, settings.
+
+    ``graph`` holds who-drafted-whom ``(from, to)`` id pairs, carried, not consumed;
+    ``settings`` (``None``: the defaults) tune every solve of the scenario.
+    """
 
     athletes: tuple[AthleteRecord, ...]
     globals: GlobalParams
-    graph: DraftingGraph = DraftingGraph()
+    graph: frozenset[tuple[str, str]] = frozenset()
     settings: "SolverSettings | None" = None
 
     def __post_init__(self) -> None:
+        graph = frozenset((str(a), str(b)) for a, b in self.graph)
+        for a, b in graph:
+            _require(a != b, "graph", f"drafting edge ({a!r}, {b!r}) is a self-loop")
+        object.__setattr__(self, "graph", graph)
         athletes = tuple(self.athletes)
         object.__setattr__(self, "athletes", athletes)
         _require(len(athletes) >= 2, "athletes",
@@ -202,7 +190,7 @@ class Scenario:
             _require(record.id not in seen, "athletes",
                      f"duplicate athlete id {record.id!r}")
             seen.add(record.id)
-        for a, b in self.graph.edges:
+        for a, b in graph:
             _require(a in seen and b in seen, "graph",
                      f"drafting edge ({a!r}, {b!r}) references an unknown athlete")
 
@@ -244,43 +232,3 @@ class EffortProfile:
 def outside_option(athlete: AthleteRecord, params: GlobalParams) -> float:
     """Value of leaving after the swim: ``-alpha*t_swim - beta*r_swim + theta``."""
     return -params.alpha * athlete.t_swim - params.beta * athlete.r_swim + athlete.theta
-
-
-def win_probabilities(profile: EffortProfile,
-                      weights: Mapping[str, float]) -> dict[str, float]:
-    """Weighted-lottery win odds for every athlete in the profile.
-
-    Odds are proportional to ``weight * effort`` and sum to one.  The
-    all-zero profile has no well-defined odds and raises
-    :class:`DegenerateProfileError`.
-    """
-    total = 0.0
-    for aid, effort in profile.efforts.items():
-        weight = weights.get(aid)
-        if weight is None:
-            raise DomainError("weight", f"missing contest weight for athlete {aid!r}")
-        _require(weight > 0.0, "weight",
-                 f"weight must be positive, got {weight} (athlete {aid!r})")
-        total += weight * effort
-    if total <= 0.0:
-        raise DegenerateProfileError(
-            "win odds are undefined when every effort is zero")
-    return {aid: weights[aid] * effort / total
-            for aid, effort in profile.efforts.items()}
-
-
-def contest_payoff(athlete_id: str, profile: EffortProfile, prize: float,
-                   cost_slope: float, weights: Mapping[str, float]) -> float:
-    """Expected prize minus quadratic effort cost for one athlete.
-
-    ``prize`` is the athlete's prize differential and ``cost_slope`` the
-    effective quadratic cost coefficient.
-    """
-    _require(prize > 0.0, "prize", f"prize must be positive, got {prize}")
-    _require(cost_slope > 0.0, "cost_slope",
-             f"cost_slope must be positive, got {cost_slope}")
-    probs = win_probabilities(profile, weights)
-    if athlete_id not in probs:
-        raise ValueError(f"athlete {athlete_id!r} is not in the effort profile")
-    effort = profile.efforts[athlete_id]
-    return probs[athlete_id] * prize - 0.5 * cost_slope * effort * effort

@@ -21,7 +21,6 @@ from .contest import SolverSettings
 from .model import (
     AthleteRecord,
     DomainError,
-    DraftingGraph,
     GlobalParams,
     Scenario,
 )
@@ -122,22 +121,14 @@ def parse_scenario(data: Any) -> Scenario:
     athletes = [_record(AthleteRecord, entry, f"athletes[{i}]")
                 for i, entry in enumerate(athletes_raw)]
 
-    graph = DraftingGraph()
-    if "graph" in top:
-        raw_graph = top["graph"]
-        if not isinstance(raw_graph, list):
-            raise ScenarioError("graph", "expected an array of [from, to] pairs")
-        pairs = []
-        for i, edge in enumerate(raw_graph):
-            if (not isinstance(edge, list) or len(edge) != 2
-                    or not all(isinstance(e, str) for e in edge)):
-                raise ScenarioError(f"graph[{i}]",
-                                    f"expected a [from, to] pair of ids, got {edge!r}")
-            pairs.append((edge[0], edge[1]))
-        try:
-            graph = DraftingGraph.from_pairs(pairs)
-        except DomainError as err:
-            raise ScenarioError("graph", str(err)) from err
+    graph = top.get("graph", [])
+    if not isinstance(graph, list):
+        raise ScenarioError("graph", "expected an array of [from, to] pairs")
+    for i, edge in enumerate(graph):
+        if (not isinstance(edge, list) or len(edge) != 2
+                or not all(isinstance(e, str) for e in edge)):
+            raise ScenarioError(f"graph[{i}]",
+                                f"expected a [from, to] pair of ids, got {edge!r}")
 
     settings = _record(SolverSettings, top["solver"], "solver") if "solver" in top else None
     try:
@@ -169,8 +160,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                     "psi_bounds": list(scenario.globals.psi_bounds)},
         "athletes": [asdict(rec) for rec in scenario.athletes],
     }
-    if scenario.graph.edges:
-        data["graph"] = [list(edge) for edge in sorted(scenario.graph.edges)]
+    if scenario.graph:
+        data["graph"] = [list(edge) for edge in sorted(scenario.graph)]
     if scenario.settings is not None:
         data["solver"] = asdict(scenario.settings)
     return data

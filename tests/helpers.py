@@ -28,7 +28,6 @@ import tricontest.entry as entry
 from tricontest import (
     AthleteRecord,
     ContestInstance,
-    DraftingGraph,
     GlobalParams,
     Scenario,
     outside_option,
@@ -176,8 +175,7 @@ def _ratio_scenario(rng: np.random.Generator, ranges, eta: float) -> Scenario:
             theta=target_outside + alpha * t_swim + beta * rank,
         ))
     return Scenario(athletes=tuple(athletes),
-                    globals=GlobalParams(alpha=alpha, beta=beta, eta=eta),
-                    graph=DraftingGraph())
+                    globals=GlobalParams(alpha=alpha, beta=beta, eta=eta))
 
 
 def reference_net_benefit(scenario: Scenario, members, athlete_id: str) -> float:
@@ -212,7 +210,7 @@ def reference_stable_sets(scenario: Scenario) -> list[tuple[str, ...]]:
 
 def sweep_stable_sets(scenario: Scenario) -> list[tuple[str, ...]]:
     """Every stable field, by testing all ``2^n - 1`` bitmasks of one field table."""
-    fields = entry._Fields(scenario, None)
+    fields = entry._Fields(scenario)
     return sorted(fields.members(mask) for mask in range(1, fields.everyone + 1)
                   if fields.stable(mask))
 

@@ -2,16 +2,30 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import tricontest.analysis as analysis
+import tricontest.entry as entry
 from tricontest import (
     ContestInstance,
     DomainError,
     SolverSettings,
+    assemble_spe,
+    continuation_value,
+    cutoff_psi,
+    enumerate_equilibrium_sets,
+    is_equilibrium_set,
+    iterate_continuation_operator,
+    net_benefit,
+    net_benefit_curve,
+    outside_option,
     prediction_report,
     sensitivity_report,
     solve_contest,
+    subset_equilibrium,
     sweep,
     symmetric_equilibrium,
     total_effort_derivative,
@@ -399,3 +413,53 @@ def test_prediction_report_rejects_unknown_athlete():
         prediction_report(pair_scenario(), athlete_id="zed")
     with pytest.raises(KeyError):
         prediction_report(pair_scenario()).section("mystery")
+
+
+# ---------------------------------------------------------------------------
+# Solver settings
+# ---------------------------------------------------------------------------
+
+
+def test_the_solver_block_reaches_every_solve(monkeypatch):
+    """Every root solve under a public scenario call uses the scenario's settings."""
+    chosen = SolverSettings(abs_tol=1e-11, max_iter=77)
+    rng = np.random.default_rng(77)
+    while True:
+        scenario = dataclasses.replace(random_scenario(rng, n=4), settings=chosen)
+        ids = scenario.ids
+        # A cutoff makes a root solve only for 0 < o < delta.
+        inner = [rec.id for rec in scenario.athletes
+                 if 0.0 < outside_option(rec, scenario.globals) < rec.prize_diff]
+        if inner:
+            break
+    seen = []
+    for module in (entry, analysis):
+        for name in ("solve_contest", "_newton"):
+            real = getattr(module, name)
+
+            def spy(instance, settings=None, *rest, _real=real, **keys):
+                seen.append(settings)
+                return _real(instance, settings, *rest, **keys)
+
+            monkeypatch.setattr(module, name, spy)
+    draft = f"athletes.{ids[0]}.draft_share"
+    calls = {
+        "subset_equilibrium": lambda: subset_equilibrium(scenario, ids[:2]),
+        "continuation_value": lambda: continuation_value(scenario, ids[:2], ids[0]),
+        "net_benefit": lambda: net_benefit(scenario, ids[:2], ids[2]),
+        "net_benefit_curve": lambda: net_benefit_curve(scenario, ids, ids[0], [1.0, 1.5]),
+        "cutoff_psi": lambda: cutoff_psi(scenario, ids, inner[0]),
+        "is_equilibrium_set": lambda: is_equilibrium_set(scenario, ids[:1]),
+        "enumerate_equilibrium_sets": lambda: enumerate_equilibrium_sets(scenario),
+        "iterate_continuation_operator": lambda: iterate_continuation_operator(scenario),
+        "assemble_spe": lambda: assemble_spe(scenario, mode="all"),
+        "welfare_report": lambda: welfare_report(scenario, ids[1:]),
+        "sweep": lambda: (sweep(scenario, draft, [0.0, 0.5]),
+                          sweep(scenario, draft, [0.0, 0.5], stage="full")),
+        "prediction_report": lambda: prediction_report(scenario, psi_by_size={2: 1.2, 3: 1.3}),
+    }
+    for name, call in calls.items():
+        seen.clear()
+        call()
+        assert seen, name
+        assert all(settings is chosen for settings in seen), (name, seen)

@@ -78,7 +78,7 @@ def test_parse_optional_blocks():
     scenario = parse_scenario(payload)
     assert scenario.athletes[0].weight == 2.0
     assert scenario.athletes[0].theta == -0.5
-    assert ("ada", "bea") in scenario.graph.edges
+    assert scenario.graph == frozenset({("ada", "bea")})
     assert scenario.settings.max_iter == 99
 
 
@@ -169,6 +169,9 @@ _FAULTS = [
     ("athlete", "theta", "x", "athletes[0].theta: expected a number, got 'x'"),
     ("top", "globals", _ABSENT, "globals: expected an object, got NoneType"),
     ("top", "version", "1", "version: expected an integer, got '1'"),
+    ("top", "graph", [["ada", "ada"]], "graph: drafting edge ('ada', 'ada') is a self-loop"),
+    ("top", "graph", [["ada", "zed"]],
+     "graph: drafting edge ('ada', 'zed') references an unknown athlete"),
 ]
 
 
@@ -215,6 +218,15 @@ def test_shipped_scenarios_round_trip(name, tmp_path):
     copy_path = tmp_path / name
     save_scenario(original, copy_path)
     assert load_scenario(copy_path) == original
+
+
+def test_scenario_with_a_graph_round_trips(tmp_path):
+    payload = minimal_payload()
+    payload["graph"] = [["bea", "ada"], ["ada", "bea"]]
+    original = parse_scenario(payload)
+    save_scenario(original, tmp_path / "graph.json")
+    assert load_scenario(tmp_path / "graph.json") == original
+    assert scenario_to_dict(original)["graph"] == [["ada", "bea"], ["bea", "ada"]]
 
 
 def test_scenario_to_dict_omits_empty_blocks():

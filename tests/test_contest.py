@@ -26,7 +26,6 @@ from tricontest import (
     Scenario,
     SolverSettings,
     aggregate_equation,
-    contest_payoff,
     payoff_curvature,
     solve_contest,
     solve_total_effort,
@@ -635,12 +634,10 @@ def test_curvature_matches_finite_differences():
                                weight=(1.4, 0.7))
     e = {"i": 0.4, "j": 0.7}
     report = payoff_curvature(instance, EffortProfile(e), "i")
-    weights = dict(zip(instance.ids, instance.weight))
-    k_i = instance.cost[0] / instance.psi[0]
+    (w_i, w_j), k_i = instance.weight, instance.cost[0] / instance.psi[0]
 
     def payoff(ei: float, ej: float) -> float:
-        profile = EffortProfile({"i": ei, "j": ej})
-        return contest_payoff("i", profile, instance.delta[0], k_i, weights)
+        return instance.delta[0] * w_i * ei / (w_i * ei + w_j * ej) - 0.5 * k_i * ei * ei
 
     h = 1e-5
     second_fd = (payoff(e["i"] + h, e["j"]) - 2.0 * payoff(e["i"], e["j"])

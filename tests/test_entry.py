@@ -18,6 +18,7 @@ from tricontest import (
     ContestInstance,
     GlobalParams,
     Scenario,
+    SolverSettings,
     assemble_spe,
     continuation_value,
     cutoff_psi,
@@ -38,6 +39,7 @@ from helpers import (
     reference_cutoff,
     reference_equilibrium,
     reference_iteration,
+    reference_net_benefit,
     reference_singleton,
     reference_stable_sets,
     selective_scenario,
@@ -654,7 +656,7 @@ def test_search_matches_the_bitmask_sweep():
         scenario = random_scenario(rng, n=int(rng.integers(2, 13)), outside=outside)
         stable = sweep_stable_sets(scenario)
         assert enumerate_equilibrium_sets(scenario) == stable
-        fallback = entry._singleton_fallback(entry._Fields(scenario, None))
+        fallback = entry._singleton_fallback(entry._Fields(scenario))
         outcome = iterate_continuation_operator(scenario, max_rounds=1)
         if outcome.method != "fixed_point" and outcome.trace[-1]:
             assert (outcome.members, outcome.method) == \
@@ -683,8 +685,27 @@ def test_entry_stage_matches_the_reference_enumeration(seed, n):
     outcome = iterate_continuation_operator(scenario)
     assert (outcome.members, outcome.trace, outcome.method) == \
         reference_iteration(scenario)
-    fallback = entry._singleton_fallback(entry._Fields(scenario, None))
+    fallback = entry._singleton_fallback(entry._Fields(scenario))
     assert fallback == reference_singleton(scenario)
     for spe in assemble_spe(scenario, mode="all"):
         assert spe.equilibrium == solve_contest(
             ContestInstance.from_scenario(scenario, spe.members))
+
+
+def test_stable_sets_away_from_ties_do_not_depend_on_the_tolerance():
+    """Where no net benefit lies within 1e-8 of zero, abs_tol does not move a verdict."""
+    rng = np.random.default_rng(3030)
+    checked = 0
+    for _ in range(60):
+        scenario = random_scenario(rng, n=int(rng.integers(2, 7)))
+        ids = scenario.ids
+        if any(abs(reference_net_benefit(scenario, members, aid)) <= 1e-8
+               for size in range(1, len(ids) + 1)
+               for members in itertools.combinations(ids, size) for aid in ids):
+            continue
+        found = [enumerate_equilibrium_sets(dataclasses.replace(
+                     scenario, settings=SolverSettings(abs_tol=tol)))
+                 for tol in (1e-10, 1e-12, 1e-14)]
+        assert found[0] == found[1] == found[2]
+        checked += 1
+    assert checked >= 40

@@ -80,7 +80,7 @@ def test_derived_instances_match_the_public_constructor():
         subset = ContestInstance.from_scenario(scenario, shuffled)
         assert subset.ids == tuple(members)
         assert_matches_public(subset)
-        fields = entry._Fields(scenario, None)
+        fields = entry._Fields(scenario)
         mask = int(rng.integers(1, fields.everyone + 1))
         field = fields.instance(mask)
         assert field == ContestInstance.from_scenario(scenario, fields.members(mask))
@@ -99,7 +99,7 @@ def test_derived_instances_solve_like_public_ones():
     rng = np.random.default_rng(1011)
     for _ in range(40):
         scenario = odd_scenario(rng)
-        fields = entry._Fields(scenario, None)
+        fields = entry._Fields(scenario)
         for mask in range(1, min(fields.everyone, 40) + 1):
             field = fields.instance(mask)
             assert solve_contest(field) == solve_contest(public(field))
@@ -150,7 +150,7 @@ def test_fields_without_a_subnormal_athlete_solve():
     scenario = subnormal_scenario()
     solved = subset_equilibrium(scenario, ["bea", "ada"])
     assert solved == solve_contest(public(ContestInstance.from_scenario(scenario, ["ada", "bea"])))
-    fields = entry._Fields(scenario, None)
+    fields = entry._Fields(scenario)
     assert fields.instance(0b011) == ContestInstance.from_scenario(scenario, ["ada", "bea"])
 
 
@@ -185,9 +185,36 @@ def test_cutoffs_in_fields_without_a_subnormal_athlete():
 
 def test_every_member_subset_of_a_field_is_its_slice():
     scenario = random_scenario(np.random.default_rng(1012), n=5)
-    fields = entry._Fields(scenario, None)
+    fields = entry._Fields(scenario)
     for size in range(1, 6):
         for members in itertools.combinations(scenario.ids, size):
             sliced = fields.instance(fields.mask(members))
             assert sliced == ContestInstance.from_scenario(scenario, members)
             assert bits(sliced._k) == bits(ContestInstance.from_scenario(scenario, members)._k)
+
+
+def test_the_normal_check_runs_only_where_it_refuses(monkeypatch):
+    """Normal effective columns are stored as checked: solving them never calls ``_normal``."""
+    calls = []
+    real = ContestInstance._normal
+
+    def counting(self, *args):
+        calls.append(self.ids)
+        return real(self, *args)
+
+    monkeypatch.setattr(ContestInstance, "_normal", counting)
+    rng = np.random.default_rng(1013)
+    for _ in range(30):
+        scenario = odd_scenario(rng)
+        full = ContestInstance.from_scenario(scenario)
+        fields = entry._Fields(scenario)
+        field = fields.instance(int(rng.integers(1, fields.everyone + 1)))
+        aid = full.ids[-1]
+        for instance in (public(full), full, ContestInstance.from_scenario(scenario, [aid]),
+                         field, full.with_psi(aid, 1.5), full.with_delta(aid, 2.0),
+                         field.with_cost(field.ids[0], 0.5)):
+            solve_contest(instance)
+    assert calls == []
+    with pytest.raises(DomainError):
+        solve_contest(ContestInstance.from_scenario(subnormal_scenario()))
+    assert calls == [("ada", "bea", "cal")]

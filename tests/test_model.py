@@ -9,18 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from tricontest import (
     AthleteRecord,
+    ContestEquilibrium,
     ContestInstance,
     DegenerateProfileError,
     DomainError,
-    DraftingGraph,
     EffortProfile,
     GlobalParams,
     Scenario,
-    contest_payoff,
     drafting_multiplier,
     effective_cost,
     outside_option,
-    win_probabilities,
+    payoff_curvature,
+    verify_nash,
 )
 
 shares = st.floats(min_value=0.0, max_value=1.0)
@@ -66,37 +66,15 @@ def test_outside_option_values():
     assert outside_option(cal, params) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_win_probabilities_values():
-    even = win_probabilities(EffortProfile({"a": 1.0, "b": 1.0}),
-                             {"a": 1.0, "b": 1.0})
-    assert even == {"a": 0.5, "b": 0.5}
-
-    tilted = win_probabilities(EffortProfile({"a": 1.0, "b": 1.0}),
-                               {"a": 2.0, "b": 1.0})
-    assert tilted["a"] == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert tilted["b"] == pytest.approx(1.0 / 3.0, rel=1e-15)
-
-    corner = win_probabilities(EffortProfile({"a": 0.0, "b": 1.0}),
-                               {"a": 1.0, "b": 1.0})
-    assert corner == {"a": 0.0, "b": 1.0}
-
-
-def test_win_probabilities_rejects_all_zero():
-    profile = EffortProfile({"a": 0.0, "b": 0.0})
+def test_zero_total_profiles_are_degenerate():
+    instance = ContestInstance(ids=("a", "b"), delta=(1.0, 1.0), cost=(1.0, 1.0),
+                               psi=(1.0, 1.0), weight=(1.0, 2.0))
+    zero = {"a": 0.0, "b": 0.0}
     with pytest.raises(DegenerateProfileError):
-        win_probabilities(profile, {"a": 1.0, "b": 1.0})
-
-
-def test_contest_payoff_values():
-    w = {"a": 1.0, "b": 1.0}
-    half = EffortProfile({"a": 0.5, "b": 0.5})
-    assert contest_payoff("a", half, 1.0, 1.0, w) == pytest.approx(0.375)
-
-    slack = EffortProfile({"a": 0.0, "b": 1.0})
-    assert contest_payoff("a", slack, 1.0, 1.0, w) == 0.0
-
-    full = EffortProfile({"a": 1.0, "b": 1.0})
-    assert contest_payoff("a", full, 2.0, 1.0, w) == pytest.approx(0.5)
+        payoff_curvature(instance, EffortProfile(zero), "a")
+    with pytest.raises(DegenerateProfileError):
+        verify_nash(instance, ContestEquilibrium(total_effort=0.0, efforts=zero, probs={},
+                                                 continuation_values={}, residual=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +242,12 @@ def test_default_psi_bounds_cover_reduced_drag_range():
 
 
 def test_drafting_graph_rejects_self_loop():
-    with pytest.raises(DomainError):
-        DraftingGraph(frozenset({("a", "a")}))
+    params = GlobalParams(alpha=0.001, beta=0.01, eta=0.5)
+    with pytest.raises(DomainError) as err:
+        Scenario(athletes=(make_athlete(id="a"), make_athlete(id="b")), globals=params,
+                 graph=[("a", "a")])
+    assert err.value.field == "graph"
+    assert str(err.value) == "drafting edge ('a', 'a') is a self-loop"
 
 
 def test_scenario_validation():
@@ -279,9 +261,12 @@ def test_scenario_validation():
                  globals=params)
     with pytest.raises(DomainError):
         Scenario(athletes=(ada, bea), globals=params,
-                 graph=DraftingGraph.from_pairs([("ada", "zed")]))
+                 graph=frozenset({("ada", "zed")}))
     two = Scenario(athletes=(ada, bea), globals=params)
     assert two.ids == ("ada", "bea")
+    assert two.graph == frozenset()
+    drafted = Scenario(athletes=(ada, bea), globals=params, graph=[["ada", "bea"]])
+    assert drafted.graph == frozenset({("ada", "bea")})
     assert two.record("bea").r_swim == 2
     with pytest.raises(ValueError):
         two.record("zed")
@@ -330,36 +315,14 @@ def test_effective_cost_is_the_solver_slope(cost, share, eta):
     assert effective_cost(cost, share, eta) == ContestInstance.from_scenario(scenario)._k[0]
 
 
-efforts_lists = st.lists(st.floats(min_value=1e-6, max_value=1e3),
-                         min_size=2, max_size=6)
-
-
-@given(efforts=efforts_lists,
-       scale=st.floats(min_value=1e-3, max_value=1e3))
-def test_win_probabilities_sum_and_scale_invariance(efforts, scale):
-    ids = [f"a{i}" for i in range(len(efforts))]
-    weights = {aid: 1.0 for aid in ids}
-    base = win_probabilities(EffortProfile(dict(zip(ids, efforts))), weights)
-    assert sum(base.values()) == pytest.approx(1.0, abs=1e-12)
-    scaled = win_probabilities(
-        EffortProfile({aid: scale * e for aid, e in zip(ids, efforts)}), weights)
-    for aid in ids:
-        assert scaled[aid] == pytest.approx(base[aid], abs=1e-12)
-
-
 @settings(max_examples=20)
 @given(rival=st.floats(min_value=0.05, max_value=5.0),
        own=st.floats(min_value=0.05, max_value=5.0),
        prize=st.floats(min_value=0.1, max_value=10.0),
        slope=st.floats(min_value=0.1, max_value=10.0))
 def test_payoff_concave_in_own_effort(rival, own, prize, slope):
-    """Central second difference of the payoff in own effort is negative."""
-    weights = {"i": 1.0, "j": 1.0}
-    h = 1e-4 * max(1.0, own)
-
-    def payoff(e: float) -> float:
-        return contest_payoff("i", EffortProfile({"i": e, "j": rival}),
-                              prize, slope, weights)
-
-    second = (payoff(own + h) - 2.0 * payoff(own) + payoff(own - h)) / (h * h)
-    assert second < 0.0
+    """The exact second derivative of the payoff in own effort is negative."""
+    instance = ContestInstance(ids=("i", "j"), delta=(prize, prize), cost=(slope, slope),
+                               psi=(1.0, 1.0), weight=(1.0, 1.0))
+    profile = EffortProfile({"i": own, "j": rival})
+    assert payoff_curvature(instance, profile, "i").second < 0.0

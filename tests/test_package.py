@@ -1,17 +1,22 @@
-"""Package surface, read from the source with ``ast``: exports and imports.
+"""Package surface: exports, imports, and where solver settings come from.
 
-The package ``__all__`` must list exactly the public names ``__init__``
-imports, every submodule ``__all__`` entry must be defined, and no module
-may import a name it never uses (imports under ``if TYPE_CHECKING:`` are
-for annotations and do not count).
+Read from the source with ``ast``: the package ``__all__`` must list
+exactly the public names ``__init__`` imports, every submodule ``__all__``
+entry must be defined, and no module may import a name it never uses
+(imports under ``if TYPE_CHECKING:`` are for annotations and do not count).
+Read with ``inspect``: a public function that takes a scenario solves with
+that scenario's settings and takes no ``settings`` of its own.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+import tricontest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tricontest"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -106,3 +111,20 @@ def test_module_uses_every_import(path):
     used = used_names(tree) | set(declared_all(tree) or [])
     unused = {name: line for name, line in imports.items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_scenario_functions_take_no_settings():
+    takes_scenario = []
+    for name in tricontest.__all__:
+        value = getattr(tricontest, name)
+        if not inspect.isfunction(value):
+            continue
+        parameters = inspect.signature(value).parameters
+        first = next(iter(parameters.values()), None)
+        if first is not None and first.annotation in ("Scenario", tricontest.Scenario):
+            takes_scenario.append(name)
+            assert "settings" not in parameters, name
+    assert {"subset_equilibrium", "continuation_value", "net_benefit", "net_benefit_curve",
+            "cutoff_psi", "is_equilibrium_set", "enumerate_equilibrium_sets",
+            "iterate_continuation_operator", "assemble_spe", "welfare_report", "sweep",
+            "prediction_report"} <= set(takes_scenario)
