@@ -9,7 +9,6 @@ the canonical monotonicity checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
@@ -18,7 +17,6 @@ from .contest import (
     ContestInstance,
     SolverSettings,
     _newton,
-    _shares_and_slope,
     solve_contest,
 )
 from .entry import CONTINUE, Members, _Fields, assemble_spe
@@ -46,8 +44,10 @@ TARGET_KINDS = ("total", "prob", "effort")
 #: below which a sensitivity check counts as passing.
 REL_ERR_PASS = 1e-4
 
-# Finite differences re-solve the aggregate root; the residual tolerance is
-# tightened to keep solver noise out of the difference quotient.
+# Finite differences move the parameter by _FD_STEP either way and re-solve the
+# aggregate root; the residual tolerance is tightened to keep solver noise out
+# of the difference quotient.
+_FD_STEP = 1e-5
 _FD_ABS_TOL = 1e-14
 
 
@@ -151,8 +151,8 @@ def _aggregate_response(instance: ContestInstance, kind: str, idx: int,
 
     Implicit function theorem on ``g(x^2) = 0``, with ``dg/dx = 2 x dg/dt``.
     """
-    x = _newton(instance, settings)[0]
-    g_x = 2.0 * x * _shares_and_slope(instance, x * x)[2]
+    x, _, _, slope = _newton(instance, settings)
+    g_x = 2.0 * x * slope
     g_p = _gap_param_partial(instance, x, kind, idx)
     return x, g_p, -g_p / g_x
 
@@ -194,14 +194,14 @@ def _target_at(instance: ContestInstance, kind: str, idx: int | None, x: float,
 
 def sensitivity_report(instance: ContestInstance,
                        target: tuple[str, str | None],
-                       param: tuple[str, str], step: float = 1e-5,
+                       param: tuple[str, str],
                        settings: SolverSettings | None = None) -> SensitivityReport:
     """Analytic derivative of a solved quantity against a central difference.
 
     ``target`` is ``("total", None)``, ``("prob", id)``, or
     ``("effort", id)``.  The finite difference re-solves the contest at the
-    perturbed parameter values, so the step must keep them positive.  Each
-    re-solve starts Newton from the unperturbed root, with the same stop rule.
+    parameter plus and minus ``1e-5``, so the parameter must exceed ``1e-5``.
+    Each re-solve starts Newton from the unperturbed root, with the same stop rule.
     """
     t_kind = target[0]
     if t_kind not in TARGET_KINDS:
@@ -209,8 +209,6 @@ def sensitivity_report(instance: ContestInstance,
     p_kind, p_idx = _check_param(instance, param)
     if instance.m < 2:
         raise ValueError("comparative statics need a contested field (m >= 2)")
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ValueError(f"step must be positive, got {step}")
     settings = settings or DEFAULT_SETTINGS
 
     t_idx = None if t_kind == "total" else instance.index(target[1])
@@ -222,8 +220,8 @@ def sensitivity_report(instance: ContestInstance,
 
     # Central difference at a tightened residual tolerance.
     base = getattr(instance, p_kind)[p_idx]
-    if base - step <= 0.0:
-        raise DomainError("step", f"step {step} drives {p_kind} of athlete "
+    if base - _FD_STEP <= 0.0:
+        raise DomainError("step", f"step {_FD_STEP} drives {p_kind} of athlete "
                                   f"{param[1]!r} out of its positive domain")
     tight = replace(settings, abs_tol=min(settings.abs_tol, _FD_ABS_TOL))
     mutate = getattr(instance, f"with_{p_kind}")
@@ -232,7 +230,7 @@ def sensitivity_report(instance: ContestInstance,
         solved = mutate(param[1], value)
         return _target_at(solved, t_kind, t_idx, _newton(solved, tight, start=x)[0])[0]
 
-    finite = (resolved(base + step) - resolved(base - step)) / (2.0 * step)
+    finite = (resolved(base + _FD_STEP) - resolved(base - _FD_STEP)) / (2.0 * _FD_STEP)
     rel_err = abs(analytic - finite) / max(abs(analytic), 1e-12)
     return SensitivityReport(target=target, parameter=param, analytic=analytic,
                              finite_diff=finite, rel_err=rel_err)
@@ -382,26 +380,23 @@ def _series(values: Sequence[float]) -> str:
 
 
 def prediction_report(scenario: Scenario, athlete_id: str | None = None,
-                      draft_grid: Sequence[float] | None = None,
-                      size_grid: Sequence[int] | None = None,
                       psi_by_size: Mapping[int, float] | None = None) -> PredictionReport:
     """Run the canonical sweeps and report the observed monotonicities.
 
     Three sections always appear: win odds and effort rising in the own
-    drafting share (asserted), symmetric effort falling in the field size
-    (asserted), and the continuation action across a drafting sweep
-    (reported, flagged when the field never reaches two members).  A
-    ``psi_by_size`` table adds a descriptive section tracing symmetric
-    effort when the multiplier grows with the field.
+    drafting share over 0, 0.25, 0.5 and 0.75 (asserted), symmetric effort
+    falling in the field size over 2 to 10 (asserted), and the continuation
+    action across the drafting sweep (reported, flagged when the field never
+    reaches two members).  A ``psi_by_size`` table adds a descriptive section
+    tracing symmetric effort over its sizes in 2 to 10 when the multiplier
+    grows with the field.
     """
     if athlete_id is None:
         athlete_id = scenario.athletes[0].id
     else:
         scenario.record(athlete_id)
-    if draft_grid is None:
-        draft_grid = [0.0, 0.25, 0.5, 0.75]
-    if size_grid is None:
-        size_grid = list(range(2, 11))
+    draft_grid = (0.0, 0.25, 0.5, 0.75)
+    size_grid = range(2, 11)
     sections: list[PredictionSection] = []
 
     # Drafting share up: own odds and effort up.
@@ -416,8 +411,7 @@ def prediction_report(scenario: Scenario, athlete_id: str | None = None,
                f"e({athlete_id}): {_series(efforts)}"))
 
     # Field size up: symmetric effort down.
-    size_values = [float(m) for m in size_grid]
-    records = sweep(scenario, "m", size_values, stage="contest")
+    records = sweep(scenario, "m", size_grid, stage="contest")
     per_head = [next(iter(r.efforts.values())) for r in records]
     ok = _strictly(per_head, False)
     sections.append(PredictionSection(

@@ -335,9 +335,9 @@ def aggregate_equation(total: float, instance: ContestInstance) -> float:
 
 
 def _newton(instance: ContestInstance, settings: SolverSettings | None,
-            mass: float = 1.0, start: float = 0.0) -> tuple[float, list[float], float]:
-    """Root ``X``, its shares and gap by Newton in ``t = X^2`` from ``X = start``: a start
-    above the root steps to or below it (``g`` is convex, ``t < 0`` clamps to 0), then climbs."""
+            mass: float = 1.0, start: float = 0.0) -> tuple[float, list[float], float, float]:
+    """Root ``X``, its shares, gap and slope ``dg/dt`` by Newton in ``t = X^2`` from ``X = start``:
+    a start above the root steps to or below it (``g`` is convex, ``t < 0`` clamps to 0), then climbs."""
     settings = settings or DEFAULT_SETTINGS
     tol = max(settings.abs_tol, instance.m * sys.float_info.epsilon * mass)
     x = start
@@ -345,7 +345,7 @@ def _newton(instance: ContestInstance, settings: SolverSettings | None,
         t = x * x
         probs, gap, slope = _shares_and_slope(instance, t, mass)
         if abs(gap) <= tol:
-            return x, probs, gap
+            return x, probs, gap, slope
         x, last = math.sqrt(t_next if (t_next := t - gap / slope) > 0.0 else 0.0), x
         if x == last:
             message = "Newton stalled at floating point resolution"
@@ -391,7 +391,7 @@ def solve_contest(instance: ContestInstance,
             continuation_values={aid: instance.delta[0]},
             residual=0.0,
         )
-    x, probs, gap = _newton(instance, settings)
+    x, probs, gap, _ = _newton(instance, settings)
     efforts = [p * x / w for p, w in zip(probs, instance.weight)]
     values = [p * d - 0.5 * k * e * e
               for p, d, k, e in zip(probs, instance.delta, instance._k, efforts)]

@@ -60,7 +60,7 @@ INTERIOR = "interior"
 ALWAYS_CONTINUE = "always_continue"
 ALWAYS_WITHDRAW = "always_withdraw"
 
-# Largest field searched for stable sets by default; the pruned search
+# Largest field searched for stable sets; the pruned search
 # solves all 2^n - 1 candidate subsets in the worst case.
 _ENUM_MAX_N = 12
 
@@ -198,10 +198,10 @@ def subset_equilibrium(scenario: Scenario, members: Iterable[str]) -> ContestEqu
 
 def continuation_value(scenario: Scenario, members: Iterable[str], athlete_id: str) -> float:
     """Expected contest payoff of ``athlete_id`` inside the field ``members``."""
-    values = subset_equilibrium(scenario, members).continuation_values
-    if athlete_id not in values:
-        raise ValueError(f"athlete {athlete_id!r} is not in the member set")
-    return values[athlete_id]
+    fields = _Fields(scenario)
+    mask = fields.mask(members)
+    fields.member_index(mask, athlete_id)
+    return fields.solve(mask)[1].continuation_values[athlete_id]
 
 
 def net_benefit(scenario: Scenario, members: Iterable[str], athlete_id: str) -> NetBenefit:
@@ -279,10 +279,10 @@ def is_equilibrium_set(scenario: Scenario, members: Iterable[str]) -> bool:
     return fields.stable(fields.mask(members))
 
 
-def _check_enumerable(fields: _Fields, max_n: int, way_out: str) -> None:
-    """Refuse to enumerate more than ``max_n`` athletes, naming the caller's way out."""
+def _check_enumerable(fields: _Fields, way_out: str) -> None:
+    """Refuse to enumerate more than ``_ENUM_MAX_N`` athletes, naming the caller's way out."""
     n = len(fields.ids)
-    if n > max_n:
+    if n > _ENUM_MAX_N:
         raise ValueError(f"enumeration over {n} athletes needs 2^{n} subset "
                          f"solves; {way_out}")
 
@@ -321,16 +321,16 @@ def _stable_sets(fields: _Fields) -> list[Members]:
     return sorted(found)
 
 
-def enumerate_equilibrium_sets(scenario: Scenario, max_n: int = _ENUM_MAX_N) -> list[Members]:
+def enumerate_equilibrium_sets(scenario: Scenario) -> list[Members]:
     """All stable continuation sets, in lexicographic order of sorted ids.
 
     A pruned search that solves all ``2^n - 1`` nonempty subsets in the
-    worst case, so the field size is capped at ``max_n``; larger fields
+    worst case, so the field size is capped at 12 athletes; larger fields
     should use the iterative operator.  Each field is solved at most once,
     keyed by bitmask.
     """
     fields = _Fields(scenario)
-    _check_enumerable(fields, max_n, "raise max_n or use iterate_continuation_operator")
+    _check_enumerable(fields, "use iterate_continuation_operator")
     return _stable_sets(fields)
 
 
@@ -341,33 +341,24 @@ def _singleton_fallback(fields: _Fields) -> Members:
     return (fields.ids[best],)
 
 
-def iterate_continuation_operator(scenario: Scenario,
-                                  start: Iterable[str] | None = None,
-                                  max_rounds: int | None = None) -> EntryIteration:
+def iterate_continuation_operator(scenario: Scenario) -> EntryIteration:
     """Iterate the best-reply set operator until it settles.
 
-    Starting from ``start`` (default: the full field) each round keeps the
-    athletes whose net benefit against the current set is nonnegative.  A
-    fixed point is returned directly.  An empty round falls back to the
-    best singleton.  A revisited set or an exhausted round budget signals a
-    cycle; small fields then fall back to enumeration, larger ones raise
+    Starting from the full field, each round keeps the athletes whose net
+    benefit against the current set is nonnegative.  A fixed point is
+    returned directly.  An empty round falls back to the best singleton.
+    A revisited set, or ``2 n`` rounds without settling, signals a cycle;
+    small fields then fall back to enumeration, larger ones raise
     :class:`EntryIterationError` with the visited trace.
     """
-    fields = _Fields(scenario)
-    mask = fields.everyone if start is None else fields.mask(start)
-    return _iterate(fields, mask, max_rounds)
+    return _iterate(_Fields(scenario))
 
 
-def _iterate(fields: _Fields, current: int, max_rounds: int | None) -> EntryIteration:
+def _iterate(fields: _Fields) -> EntryIteration:
     n = len(fields.ids)
-    if max_rounds is None:
-        max_rounds = 2 * n
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be positive, got {max_rounds}")
+    current = fields.everyone
     trace: list[Members] = [fields.members(current)]
-    visited = {current}
-    cycled = False
-    for _ in range(max_rounds):
+    for _ in range(2 * n):
         nxt = sum(1 << i for i in range(n) if fields.net(current, i) >= 0.0)
         trace.append(fields.members(nxt))
         if nxt == current:
@@ -375,10 +366,8 @@ def _iterate(fields: _Fields, current: int, max_rounds: int | None) -> EntryIter
         if not nxt:
             return EntryIteration(_singleton_fallback(fields), tuple(trace),
                                   "singleton_fallback")
-        if nxt in visited:
-            cycled = True
+        if trace[-1] in trace[:-1]:
             break
-        visited.add(nxt)
         current = nxt
     if n <= _ENUM_MAX_N:
         sets = _stable_sets(fields)
@@ -386,7 +375,7 @@ def _iterate(fields: _Fields, current: int, max_rounds: int | None) -> EntryIter
             return EntryIteration(sets[0], tuple(trace), "enumeration")
         return EntryIteration(_singleton_fallback(fields), tuple(trace),
                               "singleton_fallback")
-    reason = "cycled" if cycled else "exhausted its round budget"
+    reason = "cycled" if trace[-1] in trace[:-1] else "exhausted its round budget"
     raise EntryIterationError(f"the set operator {reason} over {n} "
                               f"athletes and the field is too large to "
                               f"enumerate", tuple(trace))
@@ -407,11 +396,11 @@ def assemble_spe(scenario: Scenario, mode: str = "first") -> list[SpeResult]:
         raise ValueError(f"mode must be 'first', 'all', or 'iterative', got {mode!r}")
     fields = _Fields(scenario)
     if mode == "iterative":
-        outcome = _iterate(fields, fields.everyone, None)
+        outcome = _iterate(fields)
         method = "iteration" if outcome.method == "fixed_point" else outcome.method
         chosen = [(outcome.members, method)]
     else:
-        _check_enumerable(fields, _ENUM_MAX_N, "use mode 'iterative'")
+        _check_enumerable(fields, "use mode 'iterative'")
         sets = _stable_sets(fields)
         if sets:
             if mode == "first":

@@ -177,7 +177,11 @@ class Scenario:
     settings: "SolverSettings | None" = None
 
     def __post_init__(self) -> None:
-        graph = frozenset((str(a), str(b)) for a, b in self.graph)
+        edges = tuple(self.graph)  # read once: the caller may pass an iterator
+        for edge in edges:
+            _require(isinstance(edge, (tuple, list)) and len(edge) == 2, "graph",
+                     f"drafting edge {edge!r} is not a (from, to) pair of ids")
+        graph = frozenset((str(a), str(b)) for a, b in edges)
         for a, b in graph:
             _require(a != b, "graph", f"drafting edge ({a!r}, {b!r}) is a self-loop")
         object.__setattr__(self, "graph", graph)

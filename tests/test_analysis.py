@@ -144,7 +144,7 @@ def test_warm_started_differences_match_cold_re_solves():
         aid = instance.ids[0]
         for target in (("total", None), ("prob", aid), ("effort", aid)):
             for kind in ("psi", "delta", "cost"):
-                report = sensitivity_report(instance, target, (kind, aid), step)
+                report = sensitivity_report(instance, target, (kind, aid))
                 base = getattr(instance, kind)[0]
                 values = []
                 for value in (base + step, base - step):
@@ -170,11 +170,9 @@ def test_sensitivity_input_validation():
     pair = unit_pair()
     with pytest.raises(ValueError):
         sensitivity_report(pair, ("odds", None), ("psi", "ada"))
-    with pytest.raises(ValueError):
-        sensitivity_report(pair, ("total", None), ("psi", "ada"), step=0.0)
     with pytest.raises(DomainError):
         # The centred stencil would step out of the positive domain.
-        sensitivity_report(pair, ("total", None), ("psi", "ada"), step=2.0)
+        sensitivity_report(pair.with_psi("ada", 1e-5), ("total", None), ("psi", "ada"))
     lone = ContestInstance(ids=("a",), delta=(1.0,), cost=(1.0,),
                            psi=(1.0,), weight=(1.0,))
     with pytest.raises(ValueError):
@@ -401,8 +399,7 @@ def test_prediction_report_flags_empty_contests():
 def test_prediction_report_traces_the_size_tradeoff():
     """A multiplier that improves with the field can bend effort upward."""
     table = {2: 1.0, 3: 1.9, 4: 1.99, 5: 1.999}
-    report = prediction_report(pair_scenario(), size_grid=[2, 3, 4, 5],
-                               psi_by_size=table)
+    report = prediction_report(pair_scenario(), psi_by_size=table)
     section = report.section("size_tradeoff")
     assert section.status == "reported"
     assert "non-monotone" in section.detail

@@ -353,6 +353,21 @@ def test_two_player_closed_form_values():
     assert eq.probs["ada"] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason="Newton stops on an absolute share residual, "
+                                       "so a share below abs_tol is noise")
+def test_a_tiny_share_matches_the_two_player_closed_form():
+    """A rival with prize 1e-30 holds a share of 1e-15; Newton stops at 9.1e-13.
+
+    The total effort reads 1.05e-9 against 3.16e-8, and ``verify_nash``
+    passes the solved profile all the same.
+    """
+    tiny = ContestInstance(ids=("ada", "bea"), delta=(1.0, 1e-30), cost=(1.0, 1.0),
+                           psi=(1.0, 1.0), weight=(1.0, 1.0))
+    solved, exact = solve_contest(tiny), two_player_equilibrium(tiny)
+    assert solved.probs["bea"] == pytest.approx(exact.probs["bea"], rel=1e-9)
+    assert solved.total_effort == pytest.approx(exact.total_effort, rel=1e-9)
+
+
 def test_two_player_closed_form_needs_two_members():
     with pytest.raises(ValueError):
         two_player_equilibrium(mixed_triple())

@@ -383,15 +383,12 @@ def test_enumerate_two_singletons_in_order():
 
 
 def test_enumerate_respects_size_cap():
-    rng = np.random.default_rng(3)
-    scenario = random_scenario(rng, n=4)
-    with pytest.raises(ValueError):
-        enumerate_equilibrium_sets(scenario, max_n=3)
-    # Past the default cap each caller names an option that caller takes.
+    # Past the cap each caller names an option that caller takes.
     scenario = random_scenario(np.random.default_rng(0), n=13)
     with pytest.raises(ValueError) as err:
         enumerate_equilibrium_sets(scenario)
-    assert str(err.value).endswith("raise max_n or use iterate_continuation_operator")
+    assert str(err.value) == ("enumeration over 13 athletes needs 2^13 subset "
+                              "solves; use iterate_continuation_operator")
     for mode in ("first", "all"):
         with pytest.raises(ValueError) as err:
             assemble_spe(scenario, mode=mode)
@@ -478,17 +475,17 @@ def test_iterate_singleton_fallback_prefers_best_prize():
     assert outcome.members == ("bea",)
 
 
-def test_iterate_budget_exhaustion_falls_back_to_enumeration():
-    outcome = iterate_continuation_operator(pair_with_outside(0.0, 10.0),
-                                            max_rounds=1)
+def test_iterate_cycle_falls_back_to_enumeration():
+    """The full field drives out everyone but the forced ``ada``, who alone invites both back."""
+    scenario = Scenario(athletes=(
+        athlete_with_outside("ada", 1, -0.25),
+        athlete_with_outside("bea", 2, 0.3),
+        athlete_with_outside("cal", 3, 0.3),
+    ), globals=exact_globals())
+    outcome = iterate_continuation_operator(scenario)
+    assert outcome.trace == (("ada", "bea", "cal"), ("ada",), ("ada", "bea", "cal"))
     assert outcome.method == "enumeration"
-    assert outcome.members == ("ada",)
-
-
-def test_iterate_rejects_bad_round_budget():
-    with pytest.raises(ValueError):
-        iterate_continuation_operator(pair_with_outside(0.0, 0.0),
-                                      max_rounds=0)
+    assert outcome.members == ("ada", "bea") == enumerate_equilibrium_sets(scenario)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -651,16 +648,18 @@ def test_search_matches_the_bitmask_sweep():
     are dropped for an outsider who wants in.
     """
     rng = np.random.default_rng(2024)
+    cycled = []
     for k in range(200):
         outside = (0.01, 0.1) if k % 4 == 3 else (-0.3, 0.9)
         scenario = random_scenario(rng, n=int(rng.integers(2, 13)), outside=outside)
         stable = sweep_stable_sets(scenario)
         assert enumerate_equilibrium_sets(scenario) == stable
         fallback = entry._singleton_fallback(entry._Fields(scenario))
-        outcome = iterate_continuation_operator(scenario, max_rounds=1)
+        outcome = iterate_continuation_operator(scenario)
         if outcome.method != "fixed_point" and outcome.trace[-1]:
             assert (outcome.members, outcome.method) == \
                 ((stable[0], "enumeration") if stable else (fallback, "singleton_fallback"))
+            cycled.append(outcome.method)
         results = assemble_spe(scenario, mode="all")
         if stable:
             assert [(r.members, r.method) for r in results] == \
@@ -672,6 +671,8 @@ def test_search_matches_the_bitmask_sweep():
         for spe in results:
             assert spe.equilibrium == solve_contest(
                 ContestInstance.from_scenario(scenario, spe.members))
+    # The operator cycles on some draws and falls back to a stable set.
+    assert "enumeration" in cycled
 
 
 @settings(max_examples=50, deadline=None)

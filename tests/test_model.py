@@ -250,6 +250,16 @@ def test_drafting_graph_rejects_self_loop():
     assert str(err.value) == "drafting edge ('a', 'a') is a self-loop"
 
 
+@pytest.mark.parametrize("edge", ["ab", ("a", "b", "c"), 7])
+def test_drafting_graph_rejects_entries_that_are_not_id_pairs(edge):
+    params = GlobalParams(alpha=0.001, beta=0.01, eta=0.5)
+    with pytest.raises(DomainError) as err:
+        Scenario(athletes=(make_athlete(id="a"), make_athlete(id="b")), globals=params,
+                 graph=[edge])
+    assert err.value.field == "graph"
+    assert str(err.value) == f"drafting edge {edge!r} is not a (from, to) pair of ids"
+
+
 def test_scenario_validation():
     params = GlobalParams(alpha=0.001, beta=0.01, eta=0.5)
     ada = make_athlete(id="ada")
@@ -267,6 +277,8 @@ def test_scenario_validation():
     assert two.graph == frozenset()
     drafted = Scenario(athletes=(ada, bea), globals=params, graph=[["ada", "bea"]])
     assert drafted.graph == frozenset({("ada", "bea")})
+    assert Scenario(athletes=(ada, bea), globals=params,
+                    graph=iter([("ada", "bea")])).graph == drafted.graph
     assert two.record("bea").r_swim == 2
     with pytest.raises(ValueError):
         two.record("zed")

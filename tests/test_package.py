@@ -5,12 +5,16 @@ exactly the public names ``__init__`` imports, every submodule ``__all__``
 entry must be defined, and no module may import a name it never uses
 (imports under ``if TYPE_CHECKING:`` are for annotations and do not count).
 Read with ``inspect``: a public function that takes a scenario solves with
-that scenario's settings and takes no ``settings`` of its own.
+that scenario's settings and takes no ``settings`` of its own, and the entry
+and what-if functions take no tuning knobs.  Loaded from its file: every
+package name the benchmark's tracer wraps exists.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -128,3 +132,25 @@ def test_scenario_functions_take_no_settings():
             "cutoff_psi", "is_equilibrium_set", "enumerate_equilibrium_sets",
             "iterate_continuation_operator", "assemble_spe", "welfare_report", "sweep",
             "prediction_report"} <= set(takes_scenario)
+
+
+def test_entry_and_what_if_functions_take_no_tuning_knobs():
+    knobs = {"start", "max_rounds", "max_n", "step", "draft_grid", "size_grid"}
+    for function in (tricontest.iterate_continuation_operator,
+                     tricontest.enumerate_equilibrium_sets,
+                     tricontest.sensitivity_report, tricontest.prediction_report):
+        assert not knobs & set(inspect.signature(function).parameters), function.__name__
+
+
+def test_every_traced_name_exists():
+    """A renamed function would leave its per-layer counter reading 0 silently."""
+    path = PACKAGE.parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.FUNCTIONS and tracing.METHODS
+    for _, module, attr, _ in tracing.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    for _, module, cls, attr in tracing.METHODS:
+        assert callable(getattr(getattr(importlib.import_module(module), cls), attr)), \
+            (module, cls, attr)
