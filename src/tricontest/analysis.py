@@ -20,7 +20,7 @@ from .contest import (
     solve_contest,
 )
 from .entry import CONTINUE, Members, _Fields, assemble_spe
-from .model import AthleteRecord, DomainError, GlobalParams, Scenario
+from .model import AthleteRecord, DomainError, GlobalParams, Scenario, _finite
 
 __all__ = [
     "PARAM_KINDS",
@@ -284,6 +284,7 @@ def _point_scenario(scenario: Scenario, param: str, value: float,
 
     parts = param.split(".")
     try:
+        _finite(value, "value", "the grid value")
         if parts[0] == "m" and len(parts) == 1:
             size = round(value)
             if abs(value - size) > 1e-9:
@@ -387,9 +388,9 @@ def prediction_report(scenario: Scenario, athlete_id: str | None = None,
     drafting share over 0, 0.25, 0.5 and 0.75 (asserted), symmetric effort
     falling in the field size over 2 to 10 (asserted), and the continuation
     action across the drafting sweep (reported, flagged when the field never
-    reaches two members).  A ``psi_by_size`` table adds a descriptive section
-    tracing symmetric effort over its sizes in 2 to 10 when the multiplier
-    grows with the field.
+    reaches two members).  A ``psi_by_size`` table, keyed by sizes in 2 to
+    10, adds a descriptive section tracing symmetric effort over its sizes
+    when the multiplier grows with the field.
     """
     if athlete_id is None:
         athlete_id = scenario.athletes[0].id
@@ -397,6 +398,9 @@ def prediction_report(scenario: Scenario, athlete_id: str | None = None,
         scenario.record(athlete_id)
     draft_grid = (0.0, 0.25, 0.5, 0.75)
     size_grid = range(2, 11)
+    for m in psi_by_size or ():
+        if m not in size_grid:
+            raise ValueError(f"psi_by_size key {m!r} is not a field size in 2 to 10")
     sections: list[PredictionSection] = []
 
     # Drafting share up: own odds and effort up.

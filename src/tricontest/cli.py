@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -157,6 +158,8 @@ def _parse_grid(raw: str) -> list[float]:
     except ValueError:
         raise ValueError(f"malformed --grid value {raw!r}: expected A:B:N "
                          f"with numeric A, B and integer N") from None
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"malformed --grid value {raw!r}: A, B and B - A must be finite")
     if count < 1:
         raise ValueError(f"malformed --grid value {raw!r}: N must be at least 1")
     if count == 1:

@@ -5,7 +5,7 @@ option.  The module evaluates those net benefits for arbitrary candidate
 fields, gives in closed form the drafting-multiplier cutoff that makes an
 athlete indifferent, and assembles self-consistent continuation sets either
 by a pruned search over the candidate fields (all ``2^n - 1`` of them at
-worst) or by iterating the best-reply set operator.
+worst) or by iterating the best-reply set operator, which ends at a stable field.
 
 Each public call keys its scenario's candidate fields by bitmask (bit ``i``
 is the ``i``-th athlete) and builds and solves every field at most once.
@@ -34,7 +34,6 @@ __all__ = [
     "CutoffResult",
     "EntryIteration",
     "SpeResult",
-    "EntryIterationError",
     "CONTINUE",
     "WITHDRAW",
     "INTERIOR",
@@ -65,14 +64,6 @@ ALWAYS_WITHDRAW = "always_withdraw"
 _ENUM_MAX_N = 12
 
 
-class EntryIterationError(RuntimeError):
-    """The set operator failed to settle and no fallback applies."""
-
-    def __init__(self, message: str, trace: tuple[Members, ...]) -> None:
-        super().__init__(message)
-        self.trace = trace
-
-
 @dataclass(frozen=True)
 class NetBenefit:
     """Stay-versus-leave comparison for one athlete in one candidate field.
@@ -100,7 +91,7 @@ class CutoffResult:
 
 @dataclass(frozen=True)
 class EntryIteration:
-    """Outcome of the set-operator iteration, with the visited trace."""
+    """Outcome of the set-operator iteration, with the visited trace and how it ended."""
 
     members: Members
     trace: tuple[Members, ...]
@@ -229,6 +220,12 @@ def net_benefit_curve(scenario: Scenario, members: Iterable[str],
             .continuation_values[athlete_id] - leave for psi in psi_grid]
 
 
+def _needed_share(leave: float, delta: float) -> float:
+    """Win share ``(sqrt(1 + 8 r) - 1) / 2`` paying ``leave = r delta``, without small-r cancellation."""
+    ratio = leave / delta
+    return 4.0 * ratio / (1.0 + math.sqrt(1.0 + 8.0 * ratio))
+
+
 def cutoff_psi(scenario: Scenario, members: Iterable[str], athlete_id: str) -> CutoffResult:
     """Indifference multiplier of one athlete, holding everyone else fixed.
 
@@ -249,9 +246,7 @@ def cutoff_psi(scenario: Scenario, members: Iterable[str], athlete_id: str) -> C
     elif leave >= delta:
         psi_star = math.inf
     else:
-        # p* in a form without the cancellation of (sqrt(1 + 8 r) - 1) / 2 at small r.
-        ratio = leave / delta
-        p_star = 4.0 * ratio / (1.0 + math.sqrt(1.0 + 8.0 * ratio))
+        p_star = _needed_share(leave, delta)
         field = fields.instance(mask)  # only this field's effective prizes are checked
         delta_eff = field._delta_eff[field.index(athlete_id)]
         x = _newton(fields.instance(mask & ~(1 << i)), fields.settings, 1.0 - p_star)[0]
@@ -341,15 +336,41 @@ def _singleton_fallback(fields: _Fields) -> Members:
     return (fields.ids[best],)
 
 
+def _greedy(fields: _Fields) -> int:
+    """A stable field, built by adding athletes in falling order of their own thresholds.
+
+    Member ``i`` stays iff the field's ``t = X^2`` is at most ``tau_i = de_i (1 - p*_i)
+    / (k_i p*_i)``: infinite for ``o_i <= 0`` or an underflowed ``k_i p*_i``, ``-inf``
+    for ``o_i > delta_i``.  Ties go in scenario order; an athlete joins if the field
+    stays content, so only they can refuse, and one who refused a subset of the final
+    field refuses it too.  At most ``n`` fields are solved.
+    """
+    k, de = fields.full._effective
+
+    def tau(i: int) -> float:
+        leave, delta = fields.outside[i], fields.full.delta[i]
+        if leave > delta:
+            return -math.inf
+        p = _needed_share(leave, delta) if leave > 0.0 else 0.0
+        return de[i] * (1.0 - p) / (k[i] * p) if k[i] * p else math.inf
+
+    mask = 0
+    for i in sorted(range(len(fields.ids)), key=tau, reverse=True):
+        if fields.content(mask | 1 << i):
+            mask |= 1 << i
+    return mask
+
+
 def iterate_continuation_operator(scenario: Scenario) -> EntryIteration:
     """Iterate the best-reply set operator until it settles.
 
     Starting from the full field, each round keeps the athletes whose net
     benefit against the current set is nonnegative.  A fixed point is
-    returned directly.  An empty round falls back to the best singleton.
-    A revisited set, or ``2 n`` rounds without settling, signals a cycle;
-    small fields then fall back to enumeration, larger ones raise
-    :class:`EntryIterationError` with the visited trace.
+    returned directly.  An empty round, a revisited set or ``2 n`` rounds
+    without settling end the iteration at the stable field that athletes
+    joining in falling order of their thresholds build (method ``greedy``).
+    That field is empty only when every outside option exceeds its prize;
+    the best singleton is then returned, flagged ``singleton_fallback``.
     """
     return _iterate(_Fields(scenario))
 
@@ -363,22 +384,13 @@ def _iterate(fields: _Fields) -> EntryIteration:
         trace.append(fields.members(nxt))
         if nxt == current:
             return EntryIteration(trace[-1], tuple(trace), "fixed_point")
-        if not nxt:
-            return EntryIteration(_singleton_fallback(fields), tuple(trace),
-                                  "singleton_fallback")
-        if trace[-1] in trace[:-1]:
+        if not nxt or trace[-1] in trace[:-1]:
             break
         current = nxt
-    if n <= _ENUM_MAX_N:
-        sets = _stable_sets(fields)
-        if sets:
-            return EntryIteration(sets[0], tuple(trace), "enumeration")
-        return EntryIteration(_singleton_fallback(fields), tuple(trace),
-                              "singleton_fallback")
-    reason = "cycled" if trace[-1] in trace[:-1] else "exhausted its round budget"
-    raise EntryIterationError(f"the set operator {reason} over {n} "
-                              f"athletes and the field is too large to "
-                              f"enumerate", tuple(trace))
+    greedy = _greedy(fields)
+    if greedy:
+        return EntryIteration(fields.members(greedy), tuple(trace), "greedy")
+    return EntryIteration(_singleton_fallback(fields), tuple(trace), "singleton_fallback")
 
 
 def assemble_spe(scenario: Scenario, mode: str = "first") -> list[SpeResult]:
@@ -386,11 +398,11 @@ def assemble_spe(scenario: Scenario, mode: str = "first") -> list[SpeResult]:
 
     ``mode`` selects the stable set: ``"first"`` takes the lexicographically
     first enumerated set, ``"all"`` keeps every enumerated set, and
-    ``"iterative"`` runs the set operator.  When no stable set exists the
-    best singleton is returned, flagged ``singleton_fallback``.  Every
-    non-fallback result is re-verified against both stability conditions
-    and the best-response oracle.  One call solves each field at most once,
-    keyed by bitmask.
+    ``"iterative"`` runs the set operator (method ``iteration``, or ``greedy``
+    where it does not settle).  When no stable set exists the best singleton
+    is returned, flagged ``singleton_fallback``.  Every non-fallback result
+    is re-verified against both stability conditions and the best-response
+    oracle.  One call solves each field at most once, keyed by bitmask.
     """
     if mode not in ("first", "all", "iterative"):
         raise ValueError(f"mode must be 'first', 'all', or 'iterative', got {mode!r}")

@@ -9,6 +9,9 @@ not tautology.
 The reference entry stage further down solves every candidate field afresh
 with ``solve_contest(ContestInstance.from_scenario(...))`` and loops over
 id tuples, so it shares none of the entry module's bookkeeping.
+``reference_iteration`` orders its fallback by ``reference_threshold``,
+which takes the textbook ``p*`` and the scenario's records, not the entry
+module's form or columns.
 ``sweep_stable_sets`` is the fast reference for larger fields: it tests
 every bitmask of one field table instead of searching.  ``reference_cutoff``
 bisects the solved net benefit in the own multiplier, so it shares nothing
@@ -20,6 +23,7 @@ it shares nothing with the closed form in ``verify_nash``.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from mpmath import mp
@@ -30,6 +34,7 @@ from tricontest import (
     ContestInstance,
     GlobalParams,
     Scenario,
+    drafting_multiplier,
     outside_option,
     solve_contest,
 )
@@ -221,8 +226,34 @@ def reference_singleton(scenario: Scenario) -> tuple[str, ...]:
                 key=lambda aid: reference_net_benefit(scenario, (aid,), aid)),)
 
 
+def reference_threshold(scenario: Scenario, athlete_id: str) -> float:
+    """Largest ``t = X^2`` at which the athlete still stays: ``de (1 - p*) / (k p*)``.
+
+    ``p* = (sqrt(1 + 8 o / delta) - 1) / 2`` is the textbook win share at which
+    the contest pays the outside option ``o``.  It is ``inf`` when ``o <= 0``
+    or ``p*`` rounds to zero, and ``-inf`` when ``o > delta``.
+    """
+    record = scenario.record(athlete_id)
+    leave = outside_option(record, scenario.globals)
+    delta = float(record.prize_diff)
+    if leave > delta:
+        return -float("inf")
+    if leave <= 0.0:
+        return float("inf")
+    p_star = (math.sqrt(1.0 + 8.0 * leave / delta) - 1.0) / 2.0
+    k = record.base_cost / drafting_multiplier(record.draft_share, scenario.globals.eta)
+    de = delta * record.weight * record.weight
+    return de * (1.0 - p_star) / (k * p_star) if k * p_star > 0.0 else float("inf")
+
+
 def reference_iteration(scenario: Scenario):
-    """``(members, trace, method)`` of the best-reply set operator from the full field."""
+    """``(members, trace, method)`` of the best-reply set operator from the full field.
+
+    An empty round, a revisit or ``2 n`` rounds without a fixed point end the
+    loop.  Athletes then join in falling threshold order, ties in scenario
+    order, while every member of the grown field weakly prefers staying
+    (method ``"greedy"``); an empty result falls back to the best singleton.
+    """
     ids = sorted(scenario.ids)
     current = tuple(ids)
     trace = [current]
@@ -233,15 +264,18 @@ def reference_iteration(scenario: Scenario):
         trace.append(nxt)
         if nxt == current:
             return current, tuple(trace), "fixed_point"
-        if not nxt:
-            return reference_singleton(scenario), tuple(trace), "singleton_fallback"
-        if nxt in visited:
+        if not nxt or nxt in visited:
             break
         visited.add(nxt)
         current = nxt
-    stable = reference_stable_sets(scenario)
-    if stable:
-        return stable[0], tuple(trace), "enumeration"
+    field: list[str] = []
+    for aid in sorted(scenario.ids, key=lambda aid: reference_threshold(scenario, aid),
+                      reverse=True):
+        if all(reference_net_benefit(scenario, field + [aid], member) >= 0.0
+               for member in field + [aid]):
+            field.append(aid)
+    if field:
+        return tuple(sorted(field)), tuple(trace), "greedy"
     return reference_singleton(scenario), tuple(trace), "singleton_fallback"
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -333,6 +334,13 @@ def test_sweep_errors_name_the_grid_point():
     with pytest.raises(DomainError) as err:
         sweep(scenario, "athletes.ada.draft_share", [0.5, 1.5])
     assert err.value.field == "grid"
+    for param in ("m", "athletes.ada.r_swim", "athletes.ada.draft_share"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError) as err:
+                sweep(scenario, param, [0.0 if "draft" in param else 2.0, bad])
+            assert err.value.field == "grid"
+            assert str(err.value) == (f"grid point 1 ({bad!r}) for parameter {param!r}: "
+                                      f"the grid value must be finite, got {bad!r}")
 
 
 def test_field_size_sweep_refuses_oversized_fields_before_building_them():
@@ -403,6 +411,13 @@ def test_prediction_report_traces_the_size_tradeoff():
     section = report.section("size_tradeoff")
     assert section.status == "reported"
     assert "non-monotone" in section.detail
+
+
+def test_prediction_report_refuses_sizes_outside_its_grid():
+    for key in (11, 1, "3"):
+        with pytest.raises(ValueError) as err:
+            prediction_report(pair_scenario(), psi_by_size={2: 1.1, 3: 1.2, key: 1.3})
+        assert str(err.value) == f"psi_by_size key {key!r} is not a field size in 2 to 10"
 
 
 def test_prediction_report_rejects_unknown_athlete():

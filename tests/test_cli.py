@@ -397,6 +397,11 @@ def test_malformed_grid_is_a_usage_error(capsys):
         code, _, err = run_cli(base[:3] + ["--grid", grid] + base[3:], capsys)
         assert code == 2, grid
         assert "error:" in err
+    for grid in ("2:inf:2", "nan:6:3", "2:-inf:1", "-1e308:1e308:3"):
+        code, _, err = run_cli(base[:3] + [f"--grid={grid}"] + base[3:], capsys)
+        assert code == 2, grid
+        assert err == (f"error: malformed --grid value {grid!r}: "
+                       f"A, B and B - A must be finite\n")
 
 
 def test_spe_past_the_enumeration_cap_points_at_the_iterative_mode(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from helpers import (
     random_scenario,
     reference_cutoff,
     reference_equilibrium,
+    reference_is_stable,
     reference_iteration,
     reference_net_benefit,
     reference_singleton,
@@ -475,8 +477,13 @@ def test_iterate_singleton_fallback_prefers_best_prize():
     assert outcome.members == ("bea",)
 
 
-def test_iterate_cycle_falls_back_to_enumeration():
-    """The full field drives out everyone but the forced ``ada``, who alone invites both back."""
+def test_iterate_cycle_falls_back_to_the_greedy_field():
+    """The full field drives out everyone but the forced ``ada``, who alone invites both back.
+
+    ``ada`` joins first (a negative outside option never leaves), then
+    ``cal``, whose outside option rounds to just below ``bea``'s 0.3;
+    ``bea`` would make the field of three, which drives both out again.
+    """
     scenario = Scenario(athletes=(
         athlete_with_outside("ada", 1, -0.25),
         athlete_with_outside("bea", 2, 0.3),
@@ -484,8 +491,55 @@ def test_iterate_cycle_falls_back_to_enumeration():
     ), globals=exact_globals())
     outcome = iterate_continuation_operator(scenario)
     assert outcome.trace == (("ada", "bea", "cal"), ("ada",), ("ada", "bea", "cal"))
-    assert outcome.method == "enumeration"
-    assert outcome.members == ("ada", "bea") == enumerate_equilibrium_sets(scenario)[0]
+    assert outcome.method == "greedy"
+    assert outcome.members == ("ada", "cal")
+    assert enumerate_equilibrium_sets(scenario) == [("ada", "bea"), ("ada", "cal")]
+
+
+def test_iterate_ends_at_a_stable_field_after_an_empty_round():
+    """Everyone leaves the full field, yet a pair is stable: the greedy field, not a lone athlete."""
+    scenario = random_scenario(np.random.default_rng(32), n=3)
+    outcome = iterate_continuation_operator(scenario)
+    assert outcome.trace == (("a00", "a01", "a02"), ())
+    assert (outcome.members, outcome.method) == (("a00", "a02"), "greedy")
+    assert enumerate_equilibrium_sets(scenario) == [("a00", "a02")]
+    spe, = assemble_spe(scenario, mode="iterative")
+    assert (spe.members, spe.method) == (("a00", "a02"), "greedy")
+    assert is_equilibrium_set(scenario, spe.members)
+
+
+@pytest.mark.parametrize("outsides, prizes, members", [
+    # o <= 0 never leaves: both join first, in scenario order, then cal fits too.
+    ((-0.25, 0.0, 0.1), (1.0, 1.0, 1.0), ("ada", "bea", "cal")),
+    # A lone o == delta is content at a net benefit of exactly 0.
+    ((1.0, 1.5), (1.0, 1.0), ("ada",)),
+    # o > delta never joins a field, however small.
+    ((0.1, 1.5, 0.2), (1.0, 1.0, 1.0), ("ada", "cal")),
+])
+def test_greedy_field_at_the_threshold_edges(outsides, prizes, members):
+    scenario = Scenario(athletes=tuple(
+        athlete_with_outside(aid, rank, outside, prize=prize)
+        for rank, (aid, outside, prize) in enumerate(zip(("ada", "bea", "cal"), outsides,
+                                                         prizes), start=1)),
+        globals=exact_globals())
+    fields = entry._Fields(scenario)
+    assert fields.members(entry._greedy(fields)) == members
+    assert reference_is_stable(scenario, members)
+
+
+def test_greedy_threshold_of_a_subnormal_outside_ratio():
+    """``o / delta`` is subnormal and ``k p*`` underflows to 0: the threshold is infinite."""
+    params = GlobalParams(alpha=1e-301, beta=1e-301, eta=0.5)
+    scenario = Scenario(athletes=(
+        AthleteRecord(id="ada", t_swim=2.0, r_swim=1, draft_share=0.0, base_cost=1e-20,
+                      prize_diff=1e10, theta=4e-301),
+        AthleteRecord(id="bea", t_swim=2.0, r_swim=2, draft_share=0.0, base_cost=1.0,
+                      prize_diff=1.0, theta=0.5),
+    ), globals=params)
+    fields = entry._Fields(scenario)
+    assert 0.0 < fields.outside[0] / 1e10 < sys.float_info.min
+    assert fields.members(entry._greedy(fields)) == ("ada",)
+    assert enumerate_equilibrium_sets(scenario) == [("ada",)]
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +599,7 @@ def test_iterate_lands_inside_the_enumerated_sets():
         scenario = random_scenario(rng, n=int(rng.integers(2, 7)))
         outcome = iterate_continuation_operator(scenario)
         stable = enumerate_equilibrium_sets(scenario)
-        if outcome.method == "fixed_point":
+        if outcome.method != "singleton_fallback":
             assert outcome.members in stable
         for members in stable:
             # Independent re-check of both stability conditions.
@@ -641,7 +695,7 @@ def test_assemble_builds_each_contest_instance_once(monkeypatch):
 
 
 def test_search_matches_the_bitmask_sweep():
-    """Stable sets, the operator's enumeration fallback and the assembled outcomes.
+    """Stable sets, the operator's greedy fallback and the assembled outcomes.
 
     Every fourth field has small positive outside options only: no athlete
     is forced and most fields are content, which is where whole branches
@@ -656,9 +710,11 @@ def test_search_matches_the_bitmask_sweep():
         assert enumerate_equilibrium_sets(scenario) == stable
         fallback = entry._singleton_fallback(entry._Fields(scenario))
         outcome = iterate_continuation_operator(scenario)
-        if outcome.method != "fixed_point" and outcome.trace[-1]:
-            assert (outcome.members, outcome.method) == \
-                ((stable[0], "enumeration") if stable else (fallback, "singleton_fallback"))
+        if outcome.method != "fixed_point":
+            if stable:
+                assert outcome.method == "greedy" and outcome.members in stable
+            else:
+                assert (outcome.members, outcome.method) == (fallback, "singleton_fallback")
             cycled.append(outcome.method)
         results = assemble_spe(scenario, mode="all")
         if stable:
@@ -671,8 +727,8 @@ def test_search_matches_the_bitmask_sweep():
         for spe in results:
             assert spe.equilibrium == solve_contest(
                 ContestInstance.from_scenario(scenario, spe.members))
-    # The operator cycles on some draws and falls back to a stable set.
-    assert "enumeration" in cycled
+    # The operator fails to settle on some draws and falls back to a stable set.
+    assert "greedy" in cycled
 
 
 @settings(max_examples=50, deadline=None)
@@ -710,3 +766,37 @@ def test_stable_sets_away_from_ties_do_not_depend_on_the_tolerance():
         assert found[0] == found[1] == found[2]
         checked += 1
     assert checked >= 40
+
+
+def test_iterative_outcome_is_stable_whenever_a_stable_field_exists():
+    """On 1200 fields of 2 to 10 athletes the operator's outcome passes the reference check.
+
+    A third of the fields draw outside options in ``(0.3, 1.05)``: crowded
+    fields shed everyone, and some athletes never stay.  Only when no
+    stable field exists is the lone best athlete returned.
+    """
+    rng = np.random.default_rng(4242)
+    methods = []
+    for k in range(1200):
+        outside = [(-0.3, 0.9), (0.01, 0.1), (0.3, 1.05)][k % 3]
+        scenario = random_scenario(rng, n=int(rng.integers(2, 11)), outside=outside)
+        outcome = iterate_continuation_operator(scenario)
+        if outcome.method == "singleton_fallback":
+            assert not reference_stable_sets(scenario)
+        else:
+            assert reference_is_stable(scenario, outcome.members)
+        methods.append(outcome.method)
+    assert methods.count("greedy") >= 100
+
+
+def test_iterate_ends_at_a_stable_field_past_the_enumeration_cap():
+    """Fields of 13 to 40 athletes, where the operator cycles on some draws."""
+    methods = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        scenario = random_scenario(rng, n=int(rng.integers(13, 41)))
+        outcome = iterate_continuation_operator(scenario)
+        assert outcome.method != "singleton_fallback"
+        assert reference_is_stable(scenario, outcome.members)
+        methods.append(outcome.method)
+    assert "greedy" in methods

@@ -7,15 +7,18 @@ entry must be defined, and no module may import a name it never uses
 Read with ``inspect``: a public function that takes a scenario solves with
 that scenario's settings and takes no ``settings`` of its own, and the entry
 and what-if functions take no tuning knobs.  Loaded from its file: every
-package name the benchmark's tracer wraps exists.
+package name the benchmark's tracer wraps exists.  Read from the README: the
+errors it names as worth catching are exactly the package's exported errors.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -154,3 +157,14 @@ def test_every_traced_name_exists():
     for _, module, cls, attr in tracing.METHODS:
         assert callable(getattr(getattr(importlib.import_module(module), cls), attr)), \
             (module, cls, attr)
+
+
+def test_readme_names_every_exported_error():
+    """The README's "Errors worth catching" paragraph and the exported error classes agree."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    paragraph = readme[readme.index("Errors worth catching:"):].split("\n\n")[0]
+    named = {name for name in re.findall(r"`(\w+Error)`", paragraph)
+             if not hasattr(builtins, name)}
+    exported = {name for name in tricontest.__all__ if name.endswith("Error")}
+    assert all(issubclass(getattr(tricontest, name), Exception) for name in exported)
+    assert named == exported
