@@ -530,11 +530,12 @@ def test_module_entry_point_runs():
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
+    """Each demo prints its checked-in transcript byte for byte."""
     result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                             capture_output=True, text=True, cwd=ROOT,
                             env=src_env(), timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
+    assert result.stdout == (GOLDEN / f"demo_{demo[:-3]}.txt").read_text()
 
 
 def test_readme_quick_start_prints_what_it_says():
