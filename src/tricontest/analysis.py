@@ -18,9 +18,11 @@ from .contest import (
     SolverSettings,
     _newton,
     solve_contest,
+    symmetric_equilibrium,
 )
 from .entry import CONTINUE, Members, _Fields, assemble_spe
-from .model import AthleteRecord, DomainError, GlobalParams, Scenario, _finite
+from .model import (AthleteRecord, DomainError, GlobalParams, Scenario, _finite,
+                    drafting_multiplier)
 
 __all__ = [
     "PARAM_KINDS",
@@ -127,7 +129,10 @@ def _check_param(instance: ContestInstance,
     kind, aid = param
     if kind not in PARAM_KINDS:
         raise ValueError(f"parameter kind must be one of {PARAM_KINDS}, got {kind!r}")
-    return kind, instance.index(aid)
+    idx = instance.index(aid)
+    if instance.m < 2:
+        raise ValueError("comparative statics need a contested field (m >= 2)")
+    return kind, idx
 
 
 def _gap_param_partial(instance: ContestInstance, x: float, kind: str,
@@ -166,8 +171,6 @@ def total_effort_derivative(instance: ContestInstance, param: tuple[str, str],
     aggregate up; raising a cost pushes it down.
     """
     kind, idx = _check_param(instance, param)
-    if instance.m < 2:
-        raise ValueError("comparative statics need a contested field (m >= 2)")
     return _aggregate_response(instance, kind, idx, settings)[2]
 
 
@@ -207,8 +210,6 @@ def sensitivity_report(instance: ContestInstance,
     if t_kind not in TARGET_KINDS:
         raise ValueError(f"target kind must be one of {TARGET_KINDS}, got {t_kind!r}")
     p_kind, p_idx = _check_param(instance, param)
-    if instance.m < 2:
-        raise ValueError("comparative statics need a contested field (m >= 2)")
     settings = settings or DEFAULT_SETTINGS
 
     t_idx = None if t_kind == "total" else instance.index(target[1])
@@ -370,10 +371,7 @@ def sweep(scenario: Scenario, param: str, grid: Sequence[float],
 
 
 def _strictly(values: Sequence[float], increasing: bool) -> bool:
-    pairs = zip(values, values[1:])
-    if increasing:
-        return all(b > a for a, b in pairs)
-    return all(b < a for a, b in pairs)
+    return all(b > a if increasing else b < a for a, b in zip(values, values[1:]))
 
 
 def _series(values: Sequence[float]) -> str:
@@ -390,7 +388,8 @@ def prediction_report(scenario: Scenario, athlete_id: str | None = None,
     action across the drafting sweep (reported, flagged when the field never
     reaches two members).  A ``psi_by_size`` table, keyed by sizes in 2 to
     10, adds a descriptive section tracing symmetric effort over its sizes
-    when the multiplier grows with the field.
+    when the multiplier grows with the field.  Both size sections replicate
+    the first athlete and read ``symmetric_equilibrium``'s closed form.
     """
     if athlete_id is None:
         athlete_id = scenario.athletes[0].id
@@ -415,12 +414,17 @@ def prediction_report(scenario: Scenario, athlete_id: str | None = None,
                f"e({athlete_id}): {_series(efforts)}"))
 
     # Field size up: symmetric effort down.
-    records = sweep(scenario, "m", size_grid, stage="contest")
-    per_head = [next(iter(r.efforts.values())) for r in records]
-    ok = _strictly(per_head, False)
+    template = scenario.athletes[0]
+
+    def per_head(m: int, psi: float) -> float:
+        return symmetric_equilibrium(m, template.prize_diff, template.base_cost, psi).effort
+
+    psi = drafting_multiplier(template.draft_share, scenario.globals.eta)
+    efforts = [per_head(m, psi) for m in size_grid]
+    ok = _strictly(efforts, False)
     sections.append(PredictionSection(
         name="field_size", status="pass" if ok else "fail",
-        detail=f"e*: {_series(per_head)}"))
+        detail=f"e*: {_series(efforts)}"))
 
     # Drafting share up with the continuation stage in the loop.
     records = sweep(scenario, param, draft_grid, stage="full")
@@ -440,20 +444,7 @@ def prediction_report(scenario: Scenario, athlete_id: str | None = None,
 
     # Optional: multiplier growing with the field size.
     if psi_by_size is not None:
-        template = scenario.athletes[0]
-        trail: list[tuple[int, float]] = []
-        for m in size_grid:
-            if m not in psi_by_size:
-                continue
-            instance = ContestInstance(
-                ids=tuple(f"{template.id}{i}" for i in range(1, m + 1)),
-                delta=(template.prize_diff,) * m,
-                cost=(template.base_cost,) * m,
-                psi=(float(psi_by_size[m]),) * m,
-                weight=(1.0,) * m)
-            solved = solve_contest(instance, scenario.settings)
-            trail.append((m, next(iter(solved.efforts.values()))))
-        efforts = [e for _, e in trail]
+        efforts = [per_head(m, float(psi_by_size[m])) for m in size_grid if m in psi_by_size]
         shape = ("strictly decreasing" if _strictly(efforts, False)
                  else "strictly increasing" if _strictly(efforts, True)
                  else "non-monotone")

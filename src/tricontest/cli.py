@@ -9,7 +9,7 @@ fixed 12-significant-digit scientific notation, the tree's numbers are
 those printed values, and repeated runs produce byte-identical output.
 
 Exit status: 0 on success, 1 on solver failure, 2 on usage or validation
-errors.
+errors, an output file that cannot be written among them.
 """
 
 from __future__ import annotations
@@ -135,17 +135,10 @@ def _head(ns: argparse.Namespace, scenario: Scenario, **keys: Any) -> dict[str, 
 def _parse_set(raw: str | None, scenario: Scenario) -> tuple[str, ...]:
     if raw is None:
         return scenario.ids
-    tokens = [token.strip() for token in raw.split(",")]
-    known = set(scenario.ids)
-    members: list[str] = []
-    for token in tokens:
-        if not token:
-            raise ValueError(f"malformed --set value {raw!r}: empty member id")
-        if token not in known:
-            raise ValueError(f"unknown athlete id {token!r} in --set")
-        if token not in members:
-            members.append(token)
-    return tuple(members)
+    members = tuple(dict.fromkeys(token.strip() for token in raw.split(",")))
+    if "" in members:
+        raise ValueError(f"malformed --set value {raw!r}: empty member id")
+    return members
 
 
 def _parse_grid(raw: str) -> list[float]:
@@ -164,9 +157,6 @@ def _parse_grid(raw: str) -> list[float]:
         raise ValueError(f"malformed --grid value {raw!r}: N must be at least 1")
     if count == 1:
         return [lo]
-    if hi <= lo:
-        raise ValueError(f"malformed --grid value {raw!r}: grid must be "
-                         f"strictly increasing")
     div, delta = count - 1, hi - lo
     step = delta / div  # numpy.linspace's arithmetic, its zero-step branch included
     return [(i * step if step else i / div * delta) + lo for i in range(div)] + [hi]
@@ -354,8 +344,12 @@ def main(argv: list[str] | None = None) -> int:
         outdir = os.environ.get(_OUTDIR_VAR)
         if outdir and not target.is_absolute():
             target = Path(outdir) / target
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text)
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(text)
+        except OSError as err:
+            print(f"error: cannot write {target}: {err.strerror}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -47,8 +47,8 @@ __all__ = [
 class SolverSettings:
     """Tolerances and budgets for the aggregate root search.
 
-    Newton stops at ``|g| <= max(abs_tol, m * eps * mass)`` for any ``abs_tol``;
-    ``m * eps * mass`` bounds the rounding of ``m`` shares summing to ``mass``.
+    Newton stops at ``|g| <= max(abs_tol, m * eps) * mass`` for any ``abs_tol``, relative
+    to the target share mass (one for a contest); ``m * eps * mass`` bounds its rounding.
     """
 
     abs_tol: float = 1e-12
@@ -337,9 +337,10 @@ def aggregate_equation(total: float, instance: ContestInstance) -> float:
 def _newton(instance: ContestInstance, settings: SolverSettings | None,
             mass: float = 1.0, start: float = 0.0) -> tuple[float, list[float], float, float]:
     """Root ``X``, its shares, gap and slope ``dg/dt`` by Newton in ``t = X^2`` from ``X = start``:
-    a start above the root steps to or below it (``g`` is convex, ``t < 0`` clamps to 0), then climbs."""
+    a start above the root steps to or below it (``g`` is convex, ``t < 0`` clamps to 0), then
+    climbs until ``|g| <= max(abs_tol, m eps) mass``, so a small target mass keeps its digits."""
     settings = settings or DEFAULT_SETTINGS
-    tol = max(settings.abs_tol, instance.m * sys.float_info.epsilon * mass)
+    tol = max(settings.abs_tol, instance.m * sys.float_info.epsilon) * mass
     x = start
     for _ in range(settings.max_iter):
         t = x * x

@@ -163,8 +163,10 @@ class _Fields:
         return self._solved[mask]
 
     def net(self, mask: int, i: int) -> float:
-        """Net benefit of athlete ``i`` in the field ``mask`` extended by them."""
-        stay = self.solve(mask | 1 << i)[1].continuation_values[self.ids[i]]
+        """Net benefit of athlete ``i`` in the field ``mask`` extended by them; alone, the prize."""
+        grown = mask | 1 << i
+        stay = (self.full.delta[i] if grown == 1 << i
+                else self.solve(grown)[1].continuation_values[self.ids[i]])
         return stay - self.outside[i]
 
     def content(self, mask: int) -> bool:
@@ -220,10 +222,12 @@ def net_benefit_curve(scenario: Scenario, members: Iterable[str],
             .continuation_values[athlete_id] - leave for psi in psi_grid]
 
 
-def _needed_share(leave: float, delta: float) -> float:
-    """Win share ``(sqrt(1 + 8 r) - 1) / 2`` paying ``leave = r delta``, without small-r cancellation."""
+def _needed_share(leave: float, delta: float) -> tuple[float, float]:
+    """Win share ``p* = (s - 1) / 2``, ``s = sqrt(1 + 8 r)``, paying ``leave = r delta``, and
+    ``1 - p*``, as ``4 r / (1 + s)`` and ``4 (1 - r) / (3 + s)``: neither cancels near 0 or 1."""
     ratio = leave / delta
-    return 4.0 * ratio / (1.0 + math.sqrt(1.0 + 8.0 * ratio))
+    root = math.sqrt(1.0 + 8.0 * ratio)
+    return 4.0 * ratio / (1.0 + root), 4.0 * ((delta - leave) / delta) / (3.0 + root)
 
 
 def cutoff_psi(scenario: Scenario, members: Iterable[str], athlete_id: str) -> CutoffResult:
@@ -231,8 +235,9 @@ def cutoff_psi(scenario: Scenario, members: Iterable[str], athlete_id: str) -> C
 
     An equilibrium win share ``p`` pays ``delta p (1 + p) / 2``, so with outside
     option ``o`` the athlete stays iff ``p >= p* = (sqrt(1 + 8 o / delta) - 1) / 2``.
-    The others' shares then sum to ``1 - p*``; one root solve over them gives
-    ``t = X^2`` and ``psi* = cost p* t / (delta w^2 (1 - p*))``.  ``psi*`` is 0 when
+    The others' shares then sum to ``1 - p*`` (exact as ``o`` nears ``delta``); one root
+    solve over them to that relative mass gives ``t = X^2`` and
+    ``psi* = cost p* t / (delta w^2 (1 - p*))``.  ``psi*`` is 0 when
     ``o <= 0`` or a lone member has ``o <= delta``, else infinite when ``o >= delta``.
     The verdict is ``always_continue`` for ``psi* <= lo``, ``always_withdraw`` for
     ``psi* > hi`` and ``interior`` between, where ``(lo, hi) = psi_bounds``.
@@ -246,11 +251,11 @@ def cutoff_psi(scenario: Scenario, members: Iterable[str], athlete_id: str) -> C
     elif leave >= delta:
         psi_star = math.inf
     else:
-        p_star = _needed_share(leave, delta)
+        p_star, rest = _needed_share(leave, delta)
         field = fields.instance(mask)  # only this field's effective prizes are checked
         delta_eff = field._delta_eff[field.index(athlete_id)]
-        x = _newton(fields.instance(mask & ~(1 << i)), fields.settings, 1.0 - p_star)[0]
-        psi_star = fields.full.cost[i] * p_star * x * x / (delta_eff * (1.0 - p_star))
+        x = _newton(fields.instance(mask & ~(1 << i)), fields.settings, rest)[0]
+        psi_star = fields.full.cost[i] * p_star * x * x / (delta_eff * rest)
     key, (lo, hi) = fields.members(mask), scenario.globals.psi_bounds
     if psi_star <= lo:
         return CutoffResult(athlete_id, key, ALWAYS_CONTINUE, None)
@@ -274,14 +279,6 @@ def is_equilibrium_set(scenario: Scenario, members: Iterable[str]) -> bool:
     return fields.stable(fields.mask(members))
 
 
-def _check_enumerable(fields: _Fields, way_out: str) -> None:
-    """Refuse to enumerate more than ``_ENUM_MAX_N`` athletes, naming the caller's way out."""
-    n = len(fields.ids)
-    if n > _ENUM_MAX_N:
-        raise ValueError(f"enumeration over {n} athletes needs 2^{n} subset "
-                         f"solves; {way_out}")
-
-
 def _stable_sets(fields: _Fields) -> list[Members]:
     """Stable fields, sorted, by a depth-first search over the content fields.
 
@@ -298,9 +295,12 @@ def _stable_sets(fields: _Fields) -> list[Members]:
     fields lies inside the node joined by all of them.  An outsider the
     branch never adds who wants into that union wants into each of its
     fields, and the branch is dropped.  The search solves all ``2^n - 1``
-    fields at worst, each at most once.
+    fields at worst, each at most once, so it refuses past ``_ENUM_MAX_N`` athletes.
     """
     n = len(fields.ids)
+    if n > _ENUM_MAX_N:
+        raise ValueError(f"enumeration over {n} athletes needs 2^{n} subset solves; "
+                         f"use mode 'iterative' or iterate_continuation_operator")
     forced = sum(1 << i for i, leave in enumerate(fields.outside) if leave < 0.0)
     stack, found = [(forced, 0)], []
     while stack:
@@ -320,13 +320,11 @@ def enumerate_equilibrium_sets(scenario: Scenario) -> list[Members]:
     """All stable continuation sets, in lexicographic order of sorted ids.
 
     A pruned search that solves all ``2^n - 1`` nonempty subsets in the
-    worst case, so the field size is capped at 12 athletes; larger fields
+    worst case, so it raises ``ValueError`` past 12 athletes; larger fields
     should use the iterative operator.  Each field is solved at most once,
     keyed by bitmask.
     """
-    fields = _Fields(scenario)
-    _check_enumerable(fields, "use iterate_continuation_operator")
-    return _stable_sets(fields)
+    return _stable_sets(_Fields(scenario))
 
 
 def _singleton_fallback(fields: _Fields) -> Members:
@@ -351,8 +349,8 @@ def _greedy(fields: _Fields) -> int:
         leave, delta = fields.outside[i], fields.full.delta[i]
         if leave > delta:
             return -math.inf
-        p = _needed_share(leave, delta) if leave > 0.0 else 0.0
-        return de[i] * (1.0 - p) / (k[i] * p) if k[i] * p else math.inf
+        p, rest = _needed_share(leave, delta) if leave > 0.0 else (0.0, 1.0)
+        return de[i] * rest / (k[i] * p) if k[i] * p else math.inf
 
     mask = 0
     for i in sorted(range(len(fields.ids)), key=tau, reverse=True):
@@ -412,7 +410,6 @@ def assemble_spe(scenario: Scenario, mode: str = "first") -> list[SpeResult]:
         method = "iteration" if outcome.method == "fixed_point" else outcome.method
         chosen = [(outcome.members, method)]
     else:
-        _check_enumerable(fields, "use mode 'iterative'")
         sets = _stable_sets(fields)
         if sets:
             if mode == "first":

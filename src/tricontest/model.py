@@ -224,9 +224,6 @@ class EffortProfile:
             frozen[str(aid)] = effort
         object.__setattr__(self, "efforts", frozen)
 
-    def __getitem__(self, athlete_id: str) -> float:
-        return self.efforts[athlete_id]
-
 
 # ---------------------------------------------------------------------------
 # Payoff primitives

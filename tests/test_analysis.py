@@ -17,6 +17,7 @@ from tricontest import (
     assemble_spe,
     continuation_value,
     cutoff_psi,
+    drafting_multiplier,
     enumerate_equilibrium_sets,
     is_equilibrium_set,
     iterate_continuation_operator,
@@ -411,6 +412,26 @@ def test_prediction_report_traces_the_size_tradeoff():
     section = report.section("size_tradeoff")
     assert section.status == "reported"
     assert "non-monotone" in section.detail
+
+
+def test_prediction_report_size_sections_read_the_symmetric_closed_form():
+    """Both size sections print ``symmetric_equilibrium``'s efforts for the first athlete.
+
+    The solver's ``m`` sweep, weights and all, agrees with that closed form.
+    """
+    scenario = pair_scenario(draft=(0.4, 0.0), delta=(1.7, 1.0), cost=(0.6, 1.0))
+    first = dataclasses.replace(scenario.athletes[0], weight=1.8)
+    scenario = dataclasses.replace(scenario, athletes=(first, scenario.athletes[1]))
+    table = {3: 1.2, 5: 1.5, 9: 1.1}
+    report = prediction_report(scenario, psi_by_size=table)
+    psi = drafting_multiplier(0.4, 0.5)
+    closed = [symmetric_equilibrium(m, 1.7, 0.6, psi).effort for m in range(2, 11)]
+    assert report.section("field_size").detail == f"e*: {analysis._series(closed)}"
+    solved = [next(iter(r.efforts.values())) for r in sweep(scenario, "m", range(2, 11))]
+    assert solved == pytest.approx(closed, rel=1e-12)
+    traced = [symmetric_equilibrium(m, 1.7, 0.6, table[m]).effort for m in sorted(table)]
+    assert report.section("size_tradeoff").detail == (
+        f"e* with size-dependent multiplier is strictly decreasing: {analysis._series(traced)}")
 
 
 def test_prediction_report_refuses_sizes_outside_its_grid():

@@ -385,10 +385,22 @@ def test_missing_file_is_a_usage_error(capsys):
 
 
 def test_unknown_set_member_is_a_usage_error(capsys):
-    code, _, err = run_cli(["solve", "--set", "ada,zzz",
-                            str(SCENARIOS / "symmetric_pair.json")], capsys)
-    assert code == 2
-    assert "zzz" in err
+    for command in (["solve"], ["cutoff", "--athlete", "ada"], ["welfare"]):
+        code, out, err = run_cli([*command, "--set", "ada,zzz",
+                                  str(SCENARIOS / "symmetric_pair.json")], capsys)
+        assert (code, out, err) == (2, "", "error: unknown athlete id 'zzz'\n"), command
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    """An ``--out`` that is a directory, or lies below a file, fails with one line."""
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("")
+    for target in (tmp_path, blocker / "x"):
+        code, out, err = run_cli(["solve", str(SCENARIOS / "symmetric_pair.json"),
+                                  "--out", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_malformed_grid_is_a_usage_error(capsys):
@@ -397,6 +409,9 @@ def test_malformed_grid_is_a_usage_error(capsys):
         code, _, err = run_cli(base[:3] + ["--grid", grid] + base[3:], capsys)
         assert code == 2, grid
         assert "error:" in err
+    for grid in ("6:2:4", "2:2:3"):
+        code, _, err = run_cli(base[:3] + ["--grid", grid] + base[3:], capsys)
+        assert (code, err) == (2, "error: the sweep grid must be strictly increasing\n")
     for grid in ("2:inf:2", "nan:6:3", "2:-inf:1", "-1e308:1e308:3"):
         code, _, err = run_cli(base[:3] + [f"--grid={grid}"] + base[3:], capsys)
         assert code == 2, grid
@@ -409,7 +424,8 @@ def test_spe_past_the_enumeration_cap_points_at_the_iterative_mode(tmp_path, cap
     save_scenario(random_scenario(np.random.default_rng(0), n=13), path)
     code, _, err = run_cli(["spe", str(path)], capsys)
     assert code == 2
-    assert err.endswith("use mode 'iterative'\n")
+    assert err == ("error: enumeration over 13 athletes needs 2^13 subset solves; "
+                   "use mode 'iterative' or iterate_continuation_operator\n")
     code, _, _ = run_cli(["spe", "--mode", "iterative", str(path)], capsys)
     assert code == 0
 

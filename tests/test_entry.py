@@ -335,6 +335,21 @@ def test_cutoff_matches_a_50_digit_root():
     assert max(errors) <= 1e-11
 
 
+@pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_cutoff_keeps_its_digits_as_the_outside_option_nears_the_prize(gap):
+    """In the unit pair ``psi* = (p* / (1 - p*))^2``; ``1 - p*`` is about ``2 gap / 3`` here."""
+    base = edge_scenario(1.0 - gap)
+    scenario = dataclasses.replace(base, globals=dataclasses.replace(
+        base.globals, psi_bounds=(1e-6, 1e40)))
+    leave = outside_option(scenario.athletes[0], scenario.globals)
+    with mp.workdps(50):
+        p_star = (mp.sqrt(1 + 8 * mp.mpf(leave)) - 1) / 2
+        exact = (p_star / (1 - p_star)) ** 2
+        result = cutoff_psi(scenario, scenario.ids, "ada")
+        assert result.verdict == entry.INTERIOR
+        assert float(abs(result.psi_star - exact) / exact) <= 1e-12
+
+
 def test_net_benefit_curve_nondecreasing():
     """The stay-versus-leave margin never falls as drafting improves."""
     rng = np.random.default_rng(89)
@@ -385,17 +400,17 @@ def test_enumerate_two_singletons_in_order():
 
 
 def test_enumerate_respects_size_cap():
-    # Past the cap each caller names an option that caller takes.
+    # Past the cap every enumerating call names both ways out, in one message.
     scenario = random_scenario(np.random.default_rng(0), n=13)
+    message = ("enumeration over 13 athletes needs 2^13 subset solves; "
+               "use mode 'iterative' or iterate_continuation_operator")
     with pytest.raises(ValueError) as err:
         enumerate_equilibrium_sets(scenario)
-    assert str(err.value) == ("enumeration over 13 athletes needs 2^13 subset "
-                              "solves; use iterate_continuation_operator")
+    assert str(err.value) == message
     for mode in ("first", "all"):
         with pytest.raises(ValueError) as err:
             assemble_spe(scenario, mode=mode)
-        assert str(err.value) == ("enumeration over 13 athletes needs 2^13 subset "
-                                  "solves; use mode 'iterative'")
+        assert str(err.value) == message
     assert assemble_spe(scenario, mode="iterative")[0].method == "iteration"
 
 
@@ -635,6 +650,18 @@ def count_solves(monkeypatch) -> list[tuple[str, ...]]:
 
     monkeypatch.setattr(entry, "solve_contest", counted)
     return fields
+
+
+def test_lone_fields_are_valued_at_their_prize_without_a_solve(monkeypatch):
+    """With every outside option above its prize no field is stable; only the fallback is solved."""
+    scenario = Scenario(athletes=tuple(
+        athlete_with_outside(f"a{i}", i + 1, 2.0 + i, prize=1.0 + 0.25 * i) for i in range(5)),
+        globals=exact_globals())
+    for mode in ("first", "all"):
+        fields = count_solves(monkeypatch)
+        results = assemble_spe(scenario, mode=mode)
+        assert [(r.members, r.method) for r in results] == [(("a0",), "singleton_fallback")]
+        assert fields == [("a0",)]
 
 
 def test_assemble_solves_each_field_at_most_once(monkeypatch):
