@@ -163,7 +163,7 @@ class _Fields:
         return self._solved[mask]
 
     def net(self, mask: int, i: int) -> float:
-        """Net benefit of athlete ``i`` in the field ``mask`` extended by them; alone, the prize."""
+        """Net benefit of athlete ``i`` in the field ``mask`` plus them; alone, ``delta - o``."""
         grown = mask | 1 << i
         stay = (self.full.delta[i] if grown == 1 << i
                 else self.solve(grown)[1].continuation_values[self.ids[i]])
