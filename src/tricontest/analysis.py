@@ -112,12 +112,6 @@ class PredictionReport:
     def passed(self) -> bool:
         return all(section.status != "fail" for section in self.sections)
 
-    def section(self, name: str) -> PredictionSection:
-        for section in self.sections:
-            if section.name == name:
-                return section
-        raise KeyError(name)
-
 
 # ---------------------------------------------------------------------------
 # Implicit derivatives

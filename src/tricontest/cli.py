@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -26,8 +27,8 @@ from pathlib import Path
 from typing import Any
 
 from .analysis import sweep, welfare_report
-from .contest import DEFAULT_SETTINGS, ContestInstance, solve_contest, verify_nash
-from .entry import assemble_spe, cutoff_psi
+from .contest import DEFAULT_SETTINGS, verify_nash
+from .entry import _Fields, assemble_spe, cutoff_psi
 from .model import Scenario
 from .scenario_io import load_scenario
 
@@ -169,8 +170,8 @@ def _parse_grid(raw: str) -> list[float]:
 
 def _cmd_solve(ns: argparse.Namespace, scenario: Scenario) -> Record:
     members = _parse_set(ns.set, scenario)
-    instance = ContestInstance.from_scenario(scenario, members)
-    equilibrium = solve_contest(instance, scenario.settings)
+    fields = _Fields(scenario)
+    instance, equilibrium = fields.solve(fields.mask(members))
     check = verify_nash(instance, equilibrium)
     athletes = [{"id": aid, "psi": psi, "k": k,
                  "e_star": equilibrium.efforts[aid],
@@ -347,8 +348,9 @@ def main(argv: list[str] | None = None) -> int:
         try:
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(text)
-        except OSError as err:
-            print(f"error: cannot write {target}: {err.strerror}", file=sys.stderr)
+        except OSError as err:  # mkdir reports a file in a parent's place as "File exists"
+            reason = os.strerror(errno.ENOTDIR) if isinstance(err, FileExistsError) else err.strerror
+            print(f"error: cannot write {target}: {reason}", file=sys.stderr)
             return EXIT_USAGE
     else:
         sys.stdout.write(text)

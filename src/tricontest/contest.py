@@ -88,27 +88,18 @@ _Column = tuple[float, ...]
 _Effective = tuple[_Column, _Column]  # slopes cost/psi and prizes delta*weight^2
 
 
-def _slopes(cost: _Column, psi: _Column) -> _Column:
-    """Effective cost slopes ``cost / psi``, unchecked."""
-    return tuple(map(truediv, cost, psi))
-
-
-def _prizes(delta: _Column, weight: _Column) -> _Column:
-    """Effective prizes ``delta * weight^2``, unchecked."""
-    return tuple(map(mul, map(mul, delta, weight), weight))
-
-
 @dataclass(frozen=True)
 class ContestInstance:
     """Parameters of one effort lottery over an ordered field of athletes.
 
     ``delta`` holds prize differentials, ``cost`` the baseline quadratic
     cost slopes, ``psi`` the drafting multipliers, and ``weight`` the
-    lottery weights.  The effective cost slope is ``cost / psi`` and the
+    lottery weights.  The effective cost slope is ``k = cost / psi`` and the
     effective prize is ``delta * weight^2``.  Public input is checked once,
-    here; fields and variants derived from an instance or a scenario reuse
-    those checked columns.  Every instance computes its effective columns
-    when built and refuses any that are not normal floats when first solved.
+    here; a scenario's full field, its candidate fields and the ``with_*``
+    variants reuse checked columns.  Every construction ends in ``_store``,
+    the one place that computes the effective columns; an instance refuses
+    any that are not normal floats when first solved.
     """
 
     ids: tuple[str, ...]
@@ -138,11 +129,14 @@ class ContestInstance:
 
     def _store(self, ids: tuple[str, ...], delta: _Column, cost: _Column, psi: _Column,
                weight: _Column, effective: _Effective | None = None) -> None:
-        """Set the checked columns and their unchecked ``_effective`` slopes and prizes;
-        every construction ends here.  Those serve as ``_k`` and ``_delta_eff`` where they
-        are normal throughout; elsewhere that property refuses them when first solved."""
+        """Set the checked columns and the unchecked ``_effective`` slopes ``cost / psi`` and
+        prizes ``delta * weight^2``, computed here only; a candidate field passes its slices
+        of the full field's as ``effective``.  Every construction ends here.  They serve as
+        ``_k`` and ``_delta_eff`` where normal throughout; elsewhere that property refuses
+        them when first solved."""
         if effective is None:
-            effective = _slopes(cost, psi), _prizes(delta, weight)
+            effective = (tuple(map(truediv, cost, psi)),
+                         tuple(map(mul, map(mul, delta, weight), weight)))
         columns = self.__dict__
         columns.update(ids=ids, delta=delta, cost=cost, psi=psi, weight=weight,
                        _effective=effective)
@@ -193,13 +187,9 @@ class ContestInstance:
                                     f"(athlete {self.ids[idx]!r})")
         columns = {"delta": self.delta, "cost": self.cost, "psi": self.psi,
                    "weight": self.weight}
-        columns[name] = _put(columns[name], idx, value)
-        delta, cost, psi, weight = columns.values()
-        k, delta_eff = self._effective
-        one = slice(idx, idx + 1)
-        return self._derived(self.ids, delta, cost, psi, weight,
-                             (_put(k, idx, *_slopes(cost[one], psi[one])),
-                              _put(delta_eff, idx, *_prizes(delta[one], weight[one]))))
+        column = columns[name]
+        columns[name] = column[:idx] + (value,) + column[idx + 1:]
+        return self._derived(self.ids, **columns)
 
     def with_psi(self, athlete_id: str, value: float) -> "ContestInstance":
         return self._with_field("psi", athlete_id, value)
@@ -211,42 +201,23 @@ class ContestInstance:
         return self._with_field("cost", athlete_id, value)
 
     @classmethod
-    def from_scenario(cls, scenario: Scenario,
-                      members: Iterable[str] | None = None) -> "ContestInstance":
-        """Build the contest among ``members`` (defaults to the full field).
+    def from_scenario(cls, scenario: Scenario) -> "ContestInstance":
+        """The contest among all of the scenario's athletes, in its order.
 
-        Members keep the scenario's athlete order regardless of the order
-        they are passed in.
+        The records are checked already, so the public checks are skipped.
+        The entry stage takes every smaller field as a slice of this one.
         """
-        if members is None:
-            chosen = scenario.athletes
-        else:
-            wanted = set()
-            known = set(scenario.ids)
-            for aid in members:
-                if aid not in known:
-                    raise ValueError(f"unknown athlete id {aid!r}")
-                if aid in wanted:
-                    raise ValueError(f"duplicate member id {aid!r}")
-                wanted.add(aid)
-            if not wanted:
-                raise ValueError("the member set must not be empty")
-            chosen = [rec for rec in scenario.athletes if rec.id in wanted]
         eta = scenario.globals.eta
         ids, delta, cost, psi, weight = zip(*[
             (rec.id, float(rec.prize_diff), float(rec.base_cost),
-             drafting_multiplier(rec.draft_share, eta), float(rec.weight)) for rec in chosen])
+             drafting_multiplier(rec.draft_share, eta), float(rec.weight))
+            for rec in scenario.athletes])
         return cls._derived(ids, delta, cost, psi, weight)
 
 
 def _all_normal(values: _Column) -> bool:
     """``_TINY <= value < inf`` throughout; never NaN, as every column is positive and finite."""
     return _TINY <= min(values) and max(values) < math.inf
-
-
-def _put(column: _Column, idx: int, value: float) -> _Column:
-    """``column`` with entry ``idx`` replaced by ``value``."""
-    return column[:idx] + (value,) + column[idx + 1:]
 
 
 @dataclass(frozen=True)
@@ -338,21 +309,26 @@ def _newton(instance: ContestInstance, settings: SolverSettings | None,
             mass: float = 1.0, start: float = 0.0) -> tuple[float, list[float], float, float]:
     """Root ``X``, its shares, gap and slope ``dg/dt`` by Newton in ``t = X^2`` from ``X = start``:
     a start above the root steps to or below it (``g`` is convex, ``t < 0`` clamps to 0), then
-    climbs until ``|g| <= max(abs_tol, m eps) mass``, so a small target mass keeps its digits."""
+    climbs until ``|g| <= max(abs_tol, m eps) mass``, so a small target mass keeps its digits.
+    Raises :class:`ConvergenceError` when the budget runs out, a step stalls, or ``dg/dt``
+    underflows to zero, as it does for a root beyond float range (``de/k`` past about 1e308)."""
     settings = settings or DEFAULT_SETTINGS
     tol = max(settings.abs_tol, instance.m * sys.float_info.epsilon) * mass
     x = start
-    for _ in range(settings.max_iter):
-        t = x * x
-        probs, gap, slope = _shares_and_slope(instance, t, mass)
-        if abs(gap) <= tol:
-            return x, probs, gap, slope
-        x, last = math.sqrt(t_next if (t_next := t - gap / slope) > 0.0 else 0.0), x
-        if x == last:
-            message = "Newton stalled at floating point resolution"
-            break
-    else:
-        message = "Newton exhausted its iteration budget"
+    try:
+        for _ in range(settings.max_iter):
+            t = x * x
+            probs, gap, slope = _shares_and_slope(instance, t, mass)
+            if abs(gap) <= tol:
+                return x, probs, gap, slope
+            x, last = math.sqrt(t_next if (t_next := t - gap / slope) > 0.0 else 0.0), x
+            if x == last:
+                message = "Newton stalled at floating point resolution"
+                break
+        else:
+            message = "Newton exhausted its iteration budget"
+    except ZeroDivisionError:  # every p k / (k t + de) underflowed: a root beyond float range
+        message, last = "Newton's slope underflowed to zero", x
     # Every share lies below de_i / (k_i t), so the root has t < sum de_i / k_i / mass.
     bound = math.fsum(de / k for de, k in zip(instance._delta_eff, instance._k)) / mass
     raise ConvergenceError(message, (last if gap > 0.0 else 0.0, math.sqrt(bound)), gap)
@@ -367,7 +343,8 @@ def solve_total_effort(instance: ContestInstance,
     bracket.  Iteration stops once the absolute residual is at most
     ``max(settings.abs_tol, m * eps)`` for any ``abs_tol``, ``m * eps`` being
     the rounding of ``m`` shares.  Raises :class:`ConvergenceError` when
-    ``settings.max_iter`` evaluations do not get there or a step stalls.
+    ``settings.max_iter`` evaluations do not get there, a step stalls, or the
+    root lies beyond float range.
     """
     if instance.m < 2:
         raise ValueError("the aggregate root search needs at least two members; "

@@ -40,7 +40,6 @@ __all__ = [
     "ALWAYS_CONTINUE",
     "ALWAYS_WITHDRAW",
     "subset_equilibrium",
-    "continuation_value",
     "net_benefit",
     "net_benefit_curve",
     "cutoff_psi",
@@ -113,8 +112,8 @@ class _Fields:
     """The candidate fields of one scenario, keyed by bitmask, each built and solved once.
 
     Bit ``i`` is the scenario's ``i``-th athlete.  A field's contest takes
-    the full field's columns at its set bits, in scenario order, so it is
-    the instance ``ContestInstance.from_scenario`` builds for those members.
+    the full field's columns, effective ones included, at its set bits, in
+    scenario order: the instance the public constructor builds for those members.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -187,14 +186,6 @@ def subset_equilibrium(scenario: Scenario, members: Iterable[str]) -> ContestEqu
     """
     fields = _Fields(scenario)
     return fields.solve(fields.mask(members))[1]
-
-
-def continuation_value(scenario: Scenario, members: Iterable[str], athlete_id: str) -> float:
-    """Expected contest payoff of ``athlete_id`` inside the field ``members``."""
-    fields = _Fields(scenario)
-    mask = fields.mask(members)
-    fields.member_index(mask, athlete_id)
-    return fields.solve(mask)[1].continuation_values[athlete_id]
 
 
 def net_benefit(scenario: Scenario, members: Iterable[str], athlete_id: str) -> NetBenefit:

@@ -26,7 +26,6 @@ __all__ = [
     "Scenario",
     "EffortProfile",
     "drafting_multiplier",
-    "effective_cost",
     "outside_option",
 ]
 
@@ -73,17 +72,6 @@ def drafting_multiplier(draft_share: float, eta: float) -> float:
     _require(0.0 <= draft_share <= 1.0, "draft_share",
              f"draft_share must lie in [0, 1], got {draft_share}")
     raise DomainError("eta", f"eta must lie in (0,1), got {eta}")
-
-
-def effective_cost(base_cost: float, draft_share: float, eta: float) -> float:
-    """Quadratic-cost slope after the drafting discount: ``base_cost / drafting_multiplier(draft_share, eta)``.
-
-    Equals ``base_cost * (1 - eta * draft_share)`` up to rounding, and is
-    bit for bit the slope ``k`` the contest solver uses.
-    """
-    base_cost = _finite(base_cost, "base_cost", "base_cost")
-    _require(base_cost > 0.0, "base_cost", f"base_cost must be positive, got {base_cost}")
-    return base_cost / drafting_multiplier(draft_share, eta)
 
 
 # ---------------------------------------------------------------------------

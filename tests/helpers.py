@@ -6,9 +6,11 @@ first-order conditions and solves it with its own bisection loop
 code path with the package solver.  Agreement between the two is evidence,
 not tautology.
 
-The reference entry stage further down solves every candidate field afresh
-with ``solve_contest(ContestInstance.from_scenario(...))`` and loops over
-id tuples, so it shares none of the entry module's bookkeeping.
+``reference_instance`` builds a candidate field from the scenario's
+records through the public ``ContestInstance`` constructor, so it shares
+nothing with the entry module's field slices.  The reference entry stage
+further down solves every candidate field afresh with it and loops over id
+tuples, so it shares none of the entry module's bookkeeping.
 ``reference_iteration`` orders its fallback by ``reference_threshold``,
 which takes the textbook ``p*`` and the scenario's records, not the entry
 module's form or columns.
@@ -183,10 +185,23 @@ def _ratio_scenario(rng: np.random.Generator, ranges, eta: float) -> Scenario:
                     globals=GlobalParams(alpha=alpha, beta=beta, eta=eta))
 
 
+def reference_instance(scenario: Scenario, members) -> ContestInstance:
+    """The contest among ``members``, in scenario order, built by the public constructor."""
+    wanted = set(members)
+    assert wanted <= set(scenario.ids), wanted - set(scenario.ids)
+    chosen = [rec for rec in scenario.athletes if rec.id in wanted]
+    eta = scenario.globals.eta
+    return ContestInstance(ids=[rec.id for rec in chosen],
+                           delta=[rec.prize_diff for rec in chosen],
+                           cost=[rec.base_cost for rec in chosen],
+                           psi=[drafting_multiplier(rec.draft_share, eta) for rec in chosen],
+                           weight=[rec.weight for rec in chosen])
+
+
 def reference_net_benefit(scenario: Scenario, members, athlete_id: str) -> float:
     """Net benefit of ``athlete_id`` in ``members`` extended by them, solved afresh."""
     field = set(members) | {athlete_id}
-    equilibrium = solve_contest(ContestInstance.from_scenario(scenario, field))
+    equilibrium = solve_contest(reference_instance(scenario, field))
     leave = outside_option(scenario.record(athlete_id), scenario.globals)
     return equilibrium.continuation_values[athlete_id] - leave
 
@@ -288,7 +303,7 @@ def reference_cutoff(scenario: Scenario, members, athlete_id: str,
     upper bound that they always withdraw, and otherwise up to 200 halvings
     find the interior root, each one a fresh contest solve.
     """
-    base = ContestInstance.from_scenario(scenario, members)
+    base = reference_instance(scenario, members)
     leave = outside_option(scenario.record(athlete_id), scenario.globals)
 
     def value(psi: float) -> float:

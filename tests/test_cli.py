@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import os
@@ -391,16 +392,29 @@ def test_unknown_set_member_is_a_usage_error(capsys):
         assert (code, out, err) == (2, "", "error: unknown athlete id 'zzz'\n"), command
 
 
+def test_a_root_beyond_float_range_is_a_solver_error(tmp_path, capsys):
+    """Valid prizes and costs whose ratio passes 1e308 end in one line and exit 1."""
+    payload = minimal_payload()
+    for athlete in payload["athletes"]:
+        athlete.update(prize_diff=1e300, base_cost=1e-300)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    for command in ("solve", "spe", "welfare"):
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert (code, out) == (1, ""), command
+        assert err.startswith("error: Newton's slope underflowed to zero ")
+        assert err.count("\n") == 1
+
+
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     """An ``--out`` that is a directory, or lies below a file, fails with one line."""
     blocker = tmp_path / "file.txt"
     blocker.write_text("")
-    for target in (tmp_path, blocker / "x"):
+    for target, reason in ((tmp_path, errno.EISDIR), (blocker / "x", errno.ENOTDIR)):
         code, out, err = run_cli(["solve", str(SCENARIOS / "symmetric_pair.json"),
                                   "--out", str(target)], capsys)
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: cannot write {target}: ")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == f"error: cannot write {target}: {os.strerror(reason)}\n"
 
 
 def test_malformed_grid_is_a_usage_error(capsys):

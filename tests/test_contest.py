@@ -204,6 +204,16 @@ def test_convergence_error_carries_bracket():
     assert isinstance(err.value, RuntimeError)
 
 
+@pytest.mark.parametrize("prize, cost", [(1e300, 1e-300), (1e155, 1e-155)])
+def test_a_root_beyond_float_range_is_a_convergence_error(prize, cost):
+    """Every input is a normal float, but with ``de/k`` past 1e308 ``dg/dt`` underflows to 0."""
+    instance = ContestInstance(ids=("ada", "bea", "cal"), delta=(prize,) * 3, cost=(cost,) * 3,
+                               psi=(1.0,) * 3, weight=(1.0,) * 3)
+    with pytest.raises(ConvergenceError, match="^Newton's slope underflowed to zero ") as err:
+        solve_contest(instance)
+    assert err.value.bracket == (0.0, math.inf)
+
+
 def test_warm_starts_reach_the_cold_root():
     """From below, at, above and far above the root Newton lands on the cold root.
 
@@ -300,11 +310,6 @@ def test_instance_from_scenario_applies_drafting_discount():
     assert instance.psi[1] == 1.0
     # Effective slope k = cost / psi.
     assert instance.cost[0] / instance.psi[0] == pytest.approx(1.5, rel=1e-15)
-
-    sub = ContestInstance.from_scenario(scenario, members=("bea",))
-    assert sub.ids == ("bea",)
-    with pytest.raises(ValueError):
-        ContestInstance.from_scenario(scenario, members=("zed",))
 
 
 def test_instance_field_overrides():

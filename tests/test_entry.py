@@ -21,7 +21,6 @@ from tricontest import (
     Scenario,
     SolverSettings,
     assemble_spe,
-    continuation_value,
     cutoff_psi,
     enumerate_equilibrium_sets,
     is_equilibrium_set,
@@ -40,6 +39,7 @@ from helpers import (
     reference_cutoff,
     reference_equilibrium,
     reference_is_stable,
+    reference_instance,
     reference_iteration,
     reference_net_benefit,
     reference_singleton,
@@ -95,18 +95,18 @@ def cutoff_scenario(u_ada: float) -> Scenario:
 
 def test_pair_continuation_value():
     scenario = pair_with_outside(0.0, 0.0)
-    assert continuation_value(scenario, ("ada", "bea"), "ada") == \
+    assert subset_equilibrium(scenario, ("ada", "bea")).continuation_values["ada"] == \
         pytest.approx(0.375, abs=1e-12)
 
 
 def test_singleton_continuation_value_is_the_prize():
     scenario = pair_with_outside(0.0, 0.0)
-    assert continuation_value(scenario, ("ada",), "ada") == 1.0
+    assert subset_equilibrium(scenario, ("ada",)).continuation_values["ada"] == 1.0
 
 
 def test_triple_continuation_value_matches_reference():
     scenario = triple_scenario()
-    value = continuation_value(scenario, scenario.ids, "bea")
+    value = subset_equilibrium(scenario, scenario.ids).continuation_values["bea"]
     assert value == pytest.approx(0.7236, abs=1e-3)
 
     total, efforts, probs = reference_equilibrium(
@@ -753,7 +753,7 @@ def test_search_matches_the_bitmask_sweep():
                 [(fallback, "singleton_fallback")]
         for spe in results:
             assert spe.equilibrium == solve_contest(
-                ContestInstance.from_scenario(scenario, spe.members))
+                reference_instance(scenario, spe.members))
     # The operator fails to settle on some draws and falls back to a stable set.
     assert "greedy" in cycled
 
@@ -773,7 +773,7 @@ def test_entry_stage_matches_the_reference_enumeration(seed, n):
     assert fallback == reference_singleton(scenario)
     for spe in assemble_spe(scenario, mode="all"):
         assert spe.equilibrium == solve_contest(
-            ContestInstance.from_scenario(scenario, spe.members))
+            reference_instance(scenario, spe.members))
 
 
 def test_stable_sets_away_from_ties_do_not_depend_on_the_tolerance():

@@ -5,6 +5,8 @@
 once.  Each derived instance must be the instance the public constructor
 builds from the same columns, down to the bits of its effective columns,
 and must refuse what the public constructor refuses, with the same error.
+A field slice must also be the instance ``helpers.reference_instance``
+builds from the scenario's records for its members.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from tricontest import (
     subset_equilibrium,
 )
 
-from helpers import random_scenario
+from helpers import random_scenario, reference_instance
 
 COLUMNS = ("ids", "delta", "cost", "psi", "weight")
 
@@ -74,16 +76,14 @@ def test_derived_instances_match_the_public_constructor():
         scenario = odd_scenario(rng)
         full = ContestInstance.from_scenario(scenario)
         assert_matches_public(full)
+        assert full == reference_instance(scenario, scenario.ids)
         ids = scenario.ids
         members = [aid for aid in ids if rng.uniform() < 0.6] or [ids[-1]]
         shuffled = [members[i] for i in rng.permutation(len(members))]
-        subset = ContestInstance.from_scenario(scenario, shuffled)
-        assert subset.ids == tuple(members)
-        assert_matches_public(subset)
         fields = entry._Fields(scenario)
-        mask = int(rng.integers(1, fields.everyone + 1))
-        field = fields.instance(mask)
-        assert field == ContestInstance.from_scenario(scenario, fields.members(mask))
+        field = fields.instance(fields.mask(shuffled))
+        assert field.ids == tuple(members)
+        assert field == reference_instance(scenario, shuffled)
         assert_matches_public(field)
         for instance in (full, field):
             aid = instance.ids[int(rng.integers(0, instance.m))]
@@ -149,15 +149,16 @@ def subnormal_scenario() -> Scenario:
 def test_fields_without_a_subnormal_athlete_solve():
     scenario = subnormal_scenario()
     solved = subset_equilibrium(scenario, ["bea", "ada"])
-    assert solved == solve_contest(public(ContestInstance.from_scenario(scenario, ["ada", "bea"])))
+    assert solved == solve_contest(reference_instance(scenario, ["ada", "bea"]))
     fields = entry._Fields(scenario)
-    assert fields.instance(0b011) == ContestInstance.from_scenario(scenario, ["ada", "bea"])
+    assert fields.instance(0b011) == reference_instance(scenario, ["ada", "bea"])
 
 
 @pytest.mark.parametrize("members", [["ada", "cal"], ["cal", "bea"], ["ada", "bea", "cal"]])
 def test_fields_with_a_subnormal_athlete_refuse_at_solve_time(members):
     scenario = subnormal_scenario()
-    instance = ContestInstance.from_scenario(scenario, members)  # builds without complaint
+    fields = entry._Fields(scenario)
+    instance = fields.instance(fields.mask(members))  # builds without complaint
     for call in (lambda: subset_equilibrium(scenario, members),
                  lambda: solve_contest(instance),
                  lambda: solve_contest(public(instance))):
@@ -189,8 +190,10 @@ def test_every_member_subset_of_a_field_is_its_slice():
     for size in range(1, 6):
         for members in itertools.combinations(scenario.ids, size):
             sliced = fields.instance(fields.mask(members))
-            assert sliced == ContestInstance.from_scenario(scenario, members)
-            assert bits(sliced._k) == bits(ContestInstance.from_scenario(scenario, members)._k)
+            built = reference_instance(scenario, members)
+            assert sliced == built
+            assert bits(sliced._k) == bits(built._k)
+            assert bits(sliced._delta_eff) == bits(built._delta_eff)
 
 
 def test_the_normal_check_runs_only_where_it_refuses(monkeypatch):
@@ -210,7 +213,7 @@ def test_the_normal_check_runs_only_where_it_refuses(monkeypatch):
         fields = entry._Fields(scenario)
         field = fields.instance(int(rng.integers(1, fields.everyone + 1)))
         aid = full.ids[-1]
-        for instance in (public(full), full, ContestInstance.from_scenario(scenario, [aid]),
+        for instance in (public(full), full, fields.instance(fields.mask([aid])),
                          field, full.with_psi(aid, 1.5), full.with_delta(aid, 2.0),
                          field.with_cost(field.ids[0], 0.5)):
             solve_contest(instance)

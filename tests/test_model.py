@@ -17,7 +17,6 @@ from tricontest import (
     GlobalParams,
     Scenario,
     drafting_multiplier,
-    effective_cost,
     outside_option,
     payoff_curvature,
     verify_nash,
@@ -46,10 +45,18 @@ def test_drafting_multiplier_values():
     assert drafting_multiplier(1.0, 0.5) == 2.0
 
 
+def solver_slope(cost, share, eta) -> float:
+    """The effective cost slope ``k`` the contest solver uses for an athlete."""
+    scenario = Scenario(
+        athletes=(make_athlete(base_cost=cost, draft_share=share), make_athlete(id="bea")),
+        globals=GlobalParams(alpha=0.001, beta=0.01, eta=eta))
+    return ContestInstance.from_scenario(scenario)._k[0]
+
+
 def test_effective_cost_values():
-    assert effective_cost(2.0, 0.5, 0.5) == 1.5
-    assert effective_cost(1.0, 0.0, 0.9) == 1.0
-    assert effective_cost(3.0, 1.0, 0.5) == 1.5
+    assert solver_slope(2.0, 0.5, 0.5) == 1.5
+    assert solver_slope(1.0, 0.0, 0.9) == 1.0
+    assert solver_slope(3.0, 1.0, 0.5) == 1.5
 
 
 def test_outside_option_values():
@@ -91,10 +98,6 @@ def test_domain_errors_name_the_field():
         drafting_multiplier(0.5, 1.0)
     assert err.value.field == "eta"
 
-    with pytest.raises(DomainError) as err:
-        effective_cost(-1.0, 0.5, 0.5)
-    assert err.value.field == "base_cost"
-
 
 # Outcomes of the element-by-element checks the one-comparison checks replaced:
 # a number accepted, or the (field, message) of the DomainError raised.
@@ -134,16 +137,6 @@ MULTIPLIER_CASES = [
     (NAN, "x", ("draft_share", "draft_share must be finite, got nan")),
     (1.5, "x", ("ValueError", "could not convert string to float: 'x'")),
     (0.5, "x", ("ValueError", "could not convert string to float: 'x'")),
-]
-BASE_COST_CASES = [
-    (NAN, ("base_cost", "base_cost must be finite, got nan")),
-    (INF, ("base_cost", "base_cost must be finite, got inf")),
-    (-INF, ("base_cost", "base_cost must be finite, got -inf")),
-    (0.0, ("base_cost", "base_cost must be positive, got 0.0")),
-    (-0.0, ("base_cost", "base_cost must be positive, got -0.0")),
-    (-1, ("base_cost", "base_cost must be positive, got -1.0")),
-    ("2.5", 1.875),
-    ("1e400", ("base_cost", "base_cost must be finite, got inf")),
 ]
 
 
@@ -187,14 +180,6 @@ def test_instance_validation_names_the_first_bad_athlete(column, shown, athlete)
 @pytest.mark.parametrize("share, eta, expected", MULTIPLIER_CASES)
 def test_drafting_multiplier_validation_table(share, eta, expected):
     assert outcome(lambda: drafting_multiplier(share, eta)) == expected
-
-
-@pytest.mark.parametrize("base_cost, expected", BASE_COST_CASES)
-def test_effective_cost_validation_table(base_cost, expected):
-    assert outcome(lambda: effective_cost(base_cost, 0.5, 0.5)) == expected
-    if not isinstance(expected, float):
-        # A bad base cost is named before a bad share or eta.
-        assert outcome(lambda: effective_cost(base_cost, NAN, 1.0)) == expected
 
 
 def test_domain_error_is_a_value_error():
@@ -312,19 +297,15 @@ def test_multiplier_increasing_in_drag_when_drafting(share, eta):
 
 @given(cost=slopes, share=shares, eta=drags)
 def test_cost_times_multiplier_recovers_base(cost, share, eta):
-    """effective_cost * multiplier == base_cost to 1e-12 relative."""
-    product = effective_cost(cost, share, eta) * drafting_multiplier(share, eta)
+    """The solver's slope times the multiplier is the base cost to 1e-12 relative."""
+    product = solver_slope(cost, share, eta) * drafting_multiplier(share, eta)
     assert product == pytest.approx(cost, rel=1e-12)
 
 
 @given(cost=slopes, share=shares, eta=drags)
 def test_effective_cost_is_the_solver_slope(cost, share, eta):
-    """The model's effective cost is bit for bit the solver's ``k = cost / psi``."""
-    scenario = Scenario(
-        athletes=(make_athlete(base_cost=cost, draft_share=share),
-                  make_athlete(id="bea")),
-        globals=GlobalParams(alpha=0.001, beta=0.01, eta=eta))
-    assert effective_cost(cost, share, eta) == ContestInstance.from_scenario(scenario)._k[0]
+    """The solver's slope is bit for bit ``base_cost / drafting_multiplier(share, eta)``."""
+    assert solver_slope(cost, share, eta) == cost / drafting_multiplier(share, eta)
 
 
 @settings(max_examples=20)

@@ -9,6 +9,7 @@ that scenario's settings and takes no ``settings`` of its own, and the entry
 and what-if functions take no tuning knobs.  Loaded from its file: every
 package name the benchmark's tracer wraps exists.  Read from the README: the
 errors it names as worth catching are exactly the package's exported errors.
+Every exported name but an allowlisted one has a caller outside the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import pytest
 
 import tricontest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tricontest"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tricontest"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -131,7 +133,7 @@ def test_scenario_functions_take_no_settings():
         if first is not None and first.annotation in ("Scenario", tricontest.Scenario):
             takes_scenario.append(name)
             assert "settings" not in parameters, name
-    assert {"subset_equilibrium", "continuation_value", "net_benefit", "net_benefit_curve",
+    assert {"subset_equilibrium", "net_benefit", "net_benefit_curve",
             "cutoff_psi", "is_equilibrium_set", "enumerate_equilibrium_sets",
             "iterate_continuation_operator", "assemble_spe", "welfare_report", "sweep",
             "prediction_report"} <= set(takes_scenario)
@@ -145,12 +147,17 @@ def test_entry_and_what_if_functions_take_no_tuning_knobs():
         assert not knobs & set(inspect.signature(function).parameters), function.__name__
 
 
-def test_every_traced_name_exists():
-    """A renamed function would leave its per-layer counter reading 0 silently."""
-    path = PACKAGE.parent.parent / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+def load_tracing():
+    """The benchmark's tracer module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_exists():
+    """A renamed function would leave its per-layer counter reading 0 silently."""
+    tracing = load_tracing()
     assert tracing.FUNCTIONS and tracing.METHODS
     for _, module, attr, _ in tracing.FUNCTIONS:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
@@ -161,10 +168,37 @@ def test_every_traced_name_exists():
 
 def test_readme_names_every_exported_error():
     """The README's "Errors worth catching" paragraph and the exported error classes agree."""
-    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     paragraph = readme[readme.index("Errors worth catching:"):].split("\n\n")[0]
     named = {name for name in re.findall(r"`(\w+Error)`", paragraph)
              if not hasattr(builtins, name)}
     exported = {name for name in tricontest.__all__ if name.endswith("Error")}
     assert all(issubclass(getattr(tricontest, name), Exception) for name in exported)
     assert named == exported
+
+
+# Exports used only where the acceptance criteria call them.
+CALLED_BY_TESTS_ONLY = {"net_benefit_curve"}
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Names and attributes the code reads; strings and definitions do not count."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(parse(path)) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_export_has_a_caller_outside_tests():
+    """A public name that only tests call is a hook to delete, not a feature.
+
+    A name counts as called where package code other than ``__init__``, a
+    demo or a benchmark script reads it, where the benchmark's tracer wraps
+    it, or where the README names it.
+    """
+    sources = [path for path in MODULES if path.name != "__init__.py"]
+    sources += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    called = set().union(*map(referenced_names, sources))
+    tracing = load_tracing()
+    called |= {entry[2] for entry in tracing.FUNCTIONS + tracing.METHODS}
+    called |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    uncalled = set(tricontest.__all__) - called
+    assert uncalled == CALLED_BY_TESTS_ONLY
