@@ -343,6 +343,24 @@ def test_sweep_errors_name_the_grid_point():
             assert err.value.field == "grid"
             assert str(err.value) == (f"grid point 1 ({bad!r}) for parameter {param!r}: "
                                       f"the grid value must be finite, got {bad!r}")
+    # One bad value per athlete field, on both stages.
+    reasons = {
+        "t_swim": (-1.0, "t_swim must be nonnegative, got -1.0 (athlete 'bea')"),
+        "r_swim": (0.0, "r_swim must be a positive rank, got 0 (athlete 'bea')"),
+        "draft_share": (1.5, "draft_share must lie in [0, 1], got 1.5 (athlete 'bea')"),
+        "base_cost": (0.0, "base_cost must be positive, got 0.0 (athlete 'bea')"),
+        "prize_diff": (-2.0, "prize_diff must be positive, got -2.0 (athlete 'bea')"),
+        "weight": (0.0, "weight must be positive, got 0.0 (athlete 'bea')"),
+        "theta": (math.inf, "the grid value must be finite, got inf"),
+    }
+    assert set(reasons) == set(analysis._ATHLETE_FIELDS)
+    for field, (bad, reason) in reasons.items():
+        param = f"athletes.bea.{field}"
+        for stage in ("contest", "full"):
+            with pytest.raises(DomainError) as err:
+                sweep(scenario, param, [bad], stage=stage)
+            assert err.value.field == "grid"
+            assert str(err.value) == f"grid point 0 ({bad!r}) for parameter {param!r}: {reason}"
 
 
 def test_field_size_sweep_refuses_oversized_fields_before_building_them():
