@@ -21,8 +21,8 @@ from .contest import (
     symmetric_equilibrium,
 )
 from .entry import CONTINUE, Members, _Fields, assemble_spe
-from .model import (AthleteRecord, DomainError, GlobalParams, Scenario, _finite,
-                    drafting_multiplier)
+from .model import (AthleteRecord, DomainError, GlobalParams, Scenario, _athlete_value,
+                    _finite, drafting_multiplier)
 
 __all__ = [
     "PARAM_KINDS",
@@ -144,13 +144,25 @@ def _gap_param_partial(instance: ContestInstance, x: float, kind: str,
     return -de * x * x * (k / instance.cost[idx]) / (den * den)
 
 
+def _solves(instance: ContestInstance, settings: SolverSettings) -> dict:
+    """The instance's solves under ``settings``, kept in its ``__dict__`` like ``_k``: key
+    ``None`` holds the root ``x``, ``dg/dt`` there and the settings tightened for finite
+    differences; ``(kind, index, sign)`` the re-solved variant and its root."""
+    memos = instance.__dict__.setdefault("_solves", {})
+    if settings not in memos:
+        x, _, _, slope = _newton(instance, settings)
+        tight = replace(settings, abs_tol=min(settings.abs_tol, _FD_ABS_TOL))
+        memos[settings] = {None: (x, slope, tight)}
+    return memos[settings]
+
+
 def _aggregate_response(instance: ContestInstance, kind: str, idx: int,
                         settings: SolverSettings | None) -> tuple[float, float, float]:
     """Root ``x``, the equation's partial ``g_p`` in the parameter, and ``dx/dp``.
 
     Implicit function theorem on ``g(x^2) = 0``, with ``dg/dx = 2 x dg/dt``.
     """
-    x, _, _, slope = _newton(instance, settings)
+    x, slope, _ = _solves(instance, settings or DEFAULT_SETTINGS)[None]
     g_x = 2.0 * x * slope
     g_p = _gap_param_partial(instance, x, kind, idx)
     return x, g_p, -g_p / g_x
@@ -199,6 +211,7 @@ def sensitivity_report(instance: ContestInstance,
     ``("effort", id)``.  The finite difference re-solves the contest at the
     parameter plus and minus ``1e-5``, so the parameter must exceed ``1e-5``.
     Each re-solve starts Newton from the unperturbed root, with the same stop rule.
+    That root and the re-solves are kept on the instance, keyed by settings.
     """
     t_kind = target[0]
     if t_kind not in TARGET_KINDS:
@@ -218,14 +231,18 @@ def sensitivity_report(instance: ContestInstance,
     if base - _FD_STEP <= 0.0:
         raise DomainError("step", f"step {_FD_STEP} drives {p_kind} of athlete "
                                   f"{param[1]!r} out of its positive domain")
-    tight = replace(settings, abs_tol=min(settings.abs_tol, _FD_ABS_TOL))
-    mutate = getattr(instance, f"with_{p_kind}")
+    memo = _solves(instance, settings)
+    tight = memo[None][2]
 
-    def resolved(value: float) -> float:
-        solved = mutate(param[1], value)
-        return _target_at(solved, t_kind, t_idx, _newton(solved, tight, start=x)[0])[0]
+    def resolved(sign: float) -> float:
+        key = p_kind, p_idx, sign
+        if key not in memo:
+            solved = getattr(instance, f"with_{p_kind}")(param[1], base + sign * _FD_STEP)
+            memo[key] = solved, _newton(solved, tight, start=x)[0]
+        solved, root = memo[key]
+        return _target_at(solved, t_kind, t_idx, root)[0]
 
-    finite = (resolved(base + _FD_STEP) - resolved(base - _FD_STEP)) / (2.0 * _FD_STEP)
+    finite = (resolved(1.0) - resolved(-1.0)) / (2.0 * _FD_STEP)
     rel_err = abs(analytic - finite) / max(abs(analytic), 1e-12)
     return SensitivityReport(target=target, parameter=param, analytic=analytic,
                              finite_diff=finite, rel_err=rel_err)
@@ -244,9 +261,7 @@ def welfare_report(scenario: Scenario, members: Sequence[str]) -> WelfareReport:
     """
     fields = _Fields(scenario)
     instance, equilibrium = fields.solve(fields.mask(members))
-    cost = 0.0
-    intake = 0.0
-    welfare = 0.0
+    cost = intake = welfare = 0.0
     for aid, k, delta in zip(instance.ids, instance._k, instance.delta):
         effort = equilibrium.efforts[aid]
         cost += 0.5 * k * effort * effort
@@ -266,13 +281,18 @@ def welfare_report(scenario: Scenario, members: Sequence[str]) -> WelfareReport:
 _ATHLETE_FIELDS = {f.name: f.type for f in fields(AthleteRecord) if f.name != "id"}
 _GLOBAL_FIELDS = {f.name: f.type for f in fields(GlobalParams) if f.name != "psi_bounds"}
 
+# The contest column each athlete field sets; the swim time, rank and taste set none.
+_CONTEST_COLUMNS = {"draft_share": "psi", "prize_diff": "delta", "base_cost": "cost",
+                    "weight": "weight"}
+
 # Largest field a sweep of ``m`` builds; checked before any clone is made.
 _SWEEP_MAX_M = 100_000
 
 
-def _point_scenario(scenario: Scenario, param: str, value: float,
-                    point: int) -> Scenario:
-    """Scenario with one swept field replaced; errors name the grid point."""
+def _grid_point(scenario: Scenario, param: str, value: float, point: int,
+                base: ContestInstance | None) -> Scenario | ContestInstance:
+    """The scenario with one swept field replaced, or for an athlete field the contest
+    ``base``, if given, with that field's column swapped; errors name the grid point."""
     def fail(reason: str) -> DomainError:
         return DomainError("grid", f"grid point {point} ({value!r}) for "
                                    f"parameter {param!r}: {reason}")
@@ -310,10 +330,16 @@ def _point_scenario(scenario: Scenario, param: str, value: float,
                 # A new eta moves the reduced-drag range, so the bounds follow it.
                 reset = {"psi_bounds": None} if field == "eta" else {}
                 return replace(scenario, globals=replace(record, **reset, **{field: new}))
-            new_record = replace(record, **{field: new})
-            athletes = tuple(new_record if rec is record else rec
-                             for rec in scenario.athletes)
-            return replace(scenario, athletes=athletes)
+            _athlete_value(field, new, record.id)
+            if base is None:
+                new_record = replace(record, **{field: new})
+                return replace(scenario, athletes=tuple(new_record if rec is record else rec
+                                                        for rec in scenario.athletes))
+            if field not in _CONTEST_COLUMNS:
+                return base
+            if field == "draft_share":
+                new = drafting_multiplier(new, scenario.globals.eta)
+            return base._with_field(_CONTEST_COLUMNS[field], record.id, new)
     except DomainError as err:
         if err.field == "grid":
             raise
@@ -330,7 +356,8 @@ def sweep(scenario: Scenario, param: str, grid: Sequence[float],
     (``"athletes.<id>.<field>"``), a global field (``"globals.<field>"``),
     or the symmetric field size ``"m"``, which replicates the first athlete.
     With ``stage="contest"`` everybody plays; with ``stage="full"`` the
-    continuation stage picks the field at every grid point.
+    continuation stage picks the field at every grid point.  A contest-stage sweep
+    of an athlete field swaps that field's column of the scenario's contest per point.
     """
     if stage not in ("contest", "full"):
         raise ValueError(f"stage must be 'contest' or 'full', got {stage!r}")
@@ -339,13 +366,16 @@ def sweep(scenario: Scenario, param: str, grid: Sequence[float],
         raise ValueError("the sweep grid must not be empty")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("the sweep grid must be strictly increasing")
+    base = (ContestInstance.from_scenario(scenario)
+            if stage == "contest" and param.startswith("athletes.") else None)
     records: list[SweepRecord] = []
     for point, value in enumerate(values):
-        local = _point_scenario(scenario, param, value, point)
+        local = _grid_point(scenario, param, value, point, base)
         if stage == "contest":
-            equilibrium = solve_contest(ContestInstance.from_scenario(local), local.settings)
-            members = None
-            actions = None
+            if isinstance(local, Scenario):
+                local = ContestInstance.from_scenario(local)
+            equilibrium = solve_contest(local, scenario.settings)
+            members = actions = None
         else:
             result = assemble_spe(local, mode="iterative")[0]
             equilibrium = result.equilibrium
@@ -353,8 +383,8 @@ def sweep(scenario: Scenario, param: str, grid: Sequence[float],
             actions = result.actions
         records.append(SweepRecord(
             param=param, value=value, total_effort=equilibrium.total_effort,
-            efforts=dict(equilibrium.efforts), probs=dict(equilibrium.probs),
-            continuation_values=dict(equilibrium.continuation_values),
+            efforts=equilibrium.efforts, probs=equilibrium.probs,
+            continuation_values=equilibrium.continuation_values,
             members=members, actions=actions))
     return records
 

@@ -23,7 +23,6 @@ from .model import (
     DomainError,
     EffortProfile,
     Scenario,
-    drafting_multiplier,
 )
 
 __all__ = [
@@ -202,17 +201,10 @@ class ContestInstance:
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "ContestInstance":
-        """The contest among all of the scenario's athletes, in its order.
-
-        The records are checked already, so the public checks are skipped.
-        The entry stage takes every smaller field as a slice of this one.
-        """
-        eta = scenario.globals.eta
-        ids, delta, cost, psi, weight = zip(*[
-            (rec.id, float(rec.prize_diff), float(rec.base_cost),
-             drafting_multiplier(rec.draft_share, eta), float(rec.weight))
-            for rec in scenario.athletes])
-        return cls._derived(ids, delta, cost, psi, weight)
+        """A fresh contest among all of the scenario's athletes, in its order, over the
+        input columns the scenario builds from its checked records once; solves live on
+        the new instance only.  The entry stage takes every smaller field as a slice of it."""
+        return cls._derived(*scenario._columns[:5])
 
 
 def _all_normal(values: _Column) -> bool:

@@ -26,7 +26,7 @@ from .contest import (
     solve_contest,
     verify_nash,
 )
-from .model import Scenario, outside_option
+from .model import Scenario
 
 __all__ = [
     "Members",
@@ -120,8 +120,7 @@ class _Fields:
         self.full = ContestInstance.from_scenario(scenario)
         self.ids = self.full.ids
         self.everyone = (1 << len(self.ids)) - 1
-        self.outside = [outside_option(rec, scenario.globals)
-                        for rec in scenario.athletes]
+        self.outside = scenario._columns[5]
         self.settings = scenario.settings or DEFAULT_SETTINGS
         self._bit = {aid: 1 << i for i, aid in enumerate(self.ids)}
         self._solved: dict[int, tuple[ContestInstance, ContestEquilibrium]] = {}
@@ -182,7 +181,8 @@ def subset_equilibrium(scenario: Scenario, members: Iterable[str]) -> ContestEqu
     """Solve the contest among ``members``, given in any order.
 
     Like every public call of this module, it solves each field at most
-    once, keyed by bitmask, and keeps nothing between calls.
+    once, keyed by bitmask.  Input columns are cached per ``Scenario``;
+    solves never outlive a call.
     """
     fields = _Fields(scenario)
     return fields.solve(fields.mask(members))[1]

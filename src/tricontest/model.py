@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - only used for annotations
@@ -53,7 +54,8 @@ def _require(condition: bool, field: str, message: str) -> None:
 
 def _finite(value: float, field: str, label: str) -> float:
     value = float(value)
-    _require(math.isfinite(value), field, f"{label} must be finite, got {value}")
+    if not math.isfinite(value):
+        raise DomainError(field, f"{label} must be finite, got {value}")
     return value
 
 
@@ -95,23 +97,39 @@ class AthleteRecord:
     def __post_init__(self) -> None:
         _require(isinstance(self.id, str) and len(self.id) > 0, "id",
                  "athlete id must be a nonempty string")
-        _finite(self.t_swim, "t_swim", "t_swim")
-        _require(self.t_swim >= 0.0, "t_swim",
-                 f"t_swim must be nonnegative, got {self.t_swim} (athlete {self.id!r})")
-        _require(isinstance(self.r_swim, int) and not isinstance(self.r_swim, bool),
-                 "r_swim", f"r_swim must be an integer, got {self.r_swim!r} (athlete {self.id!r})")
-        _require(self.r_swim >= 1, "r_swim",
-                 f"r_swim must be a positive rank, got {self.r_swim} (athlete {self.id!r})")
-        _finite(self.draft_share, "draft_share", "draft_share")
-        _require(0.0 <= self.draft_share <= 1.0, "draft_share",
-                 f"draft_share must lie in [0, 1], got {self.draft_share} (athlete {self.id!r})")
-        for name, value in (("base_cost", self.base_cost),
-                            ("prize_diff", self.prize_diff),
-                            ("weight", self.weight)):
-            _finite(value, name, name)
-            _require(value > 0.0, name,
-                     f"{name} must be positive, got {value} (athlete {self.id!r})")
-        _finite(self.theta, "theta", "theta")
+        for name in ("t_swim", "r_swim", "draft_share", "base_cost", "prize_diff", "weight",
+                     "theta"):
+            _athlete_value(name, getattr(self, name), self.id)
+
+
+# The domain of each float field of an athlete: a test on its value, and what it says.
+_ATHLETE_DOMAINS = {
+    "t_swim": (lambda v: v >= 0.0, "be nonnegative"), "theta": (math.isfinite, "be finite"),
+    "draft_share": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    **dict.fromkeys(("base_cost", "prize_diff", "weight"), (lambda v: v > 0.0, "be positive"))}
+
+
+def _athlete_value(name: str, value: object, athlete_id: str) -> float:
+    """Check one numeric field of athlete ``athlete_id`` by its own rule; the value, as a
+    float (``r_swim``, an integer rank, as it is).  Records and sweep points share it."""
+    if name == "r_swim":
+        integer = isinstance(value, int) and not isinstance(value, bool)
+        if integer and value >= 1:
+            return value
+        reason = f"be a positive rank, got {value}" if integer else f"be an integer, got {value!r}"
+    else:
+        try:
+            number = None if isinstance(value, (str, bytes)) else float(value)
+        except (TypeError, ValueError):
+            number = None
+        if number is None:
+            reason = f"be a number, got {value!r}"
+        else:
+            holds, meaning = _ATHLETE_DOMAINS[name]
+            if holds(_finite(number, name, name)):
+                return number
+            reason = f"{meaning}, got {value}"
+    raise DomainError(name, f"{name} must {reason} (athlete {athlete_id!r})")
 
 
 @dataclass(frozen=True)
@@ -189,6 +207,14 @@ class Scenario:
     @property
     def ids(self) -> tuple[str, ...]:
         return tuple(record.id for record in self.athletes)
+
+    @cached_property
+    def _columns(self) -> tuple[tuple, ...]:
+        """Athletes' ids, prizes, costs, multipliers, weights and outside options; built once."""
+        eta = self.globals.eta
+        return tuple(zip(*[(rec.id, float(rec.prize_diff), float(rec.base_cost),
+                            drafting_multiplier(rec.draft_share, eta), float(rec.weight),
+                            outside_option(rec, self.globals)) for rec in self.athletes]))
 
     def record(self, athlete_id: str) -> AthleteRecord:
         for record in self.athletes:

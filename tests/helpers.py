@@ -18,12 +18,15 @@ module's form or columns.
 every bitmask of one field table instead of searching.  ``reference_cutoff``
 bisects the solved net benefit in the own multiplier, so it shares nothing
 with the closed-form cutoff but the contest solver.
+``reference_sweep`` rebuilds the scenario at every grid point with
+``dataclasses.replace``, so it shares nothing with the sweep's column swap.
 ``reference_best_response`` bisects the best-response cubic in mpmath, so
 it shares nothing with the closed form in ``verify_nash``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -36,6 +39,7 @@ from tricontest import (
     ContestInstance,
     GlobalParams,
     Scenario,
+    SweepRecord,
     drafting_multiplier,
     outside_option,
     solve_contest,
@@ -327,3 +331,21 @@ def reference_cutoff(scenario: Scenario, members, athlete_id: str,
         else:
             hi = mid
     return entry.INTERIOR, 0.5 * (lo + hi)
+
+
+def reference_sweep(scenario: Scenario, param: str, grid) -> list[SweepRecord]:
+    """Contest-stage sweep of one athlete field ``athletes.<id>.<field>``: each point
+    replaces the record and the scenario and solves the full field's contest afresh."""
+    _, athlete_id, field = param.split(".")
+    records = []
+    for value in grid:
+        new = int(round(value)) if field == "r_swim" else float(value)
+        athletes = tuple(dataclasses.replace(rec, **{field: new}) if rec.id == athlete_id
+                         else rec for rec in scenario.athletes)
+        local = dataclasses.replace(scenario, athletes=athletes)
+        solved = solve_contest(ContestInstance.from_scenario(local), local.settings)
+        records.append(SweepRecord(
+            param=param, value=float(value), total_effort=solved.total_effort,
+            efforts=dict(solved.efforts), probs=dict(solved.probs),
+            continuation_values=dict(solved.continuation_values)))
+    return records

@@ -205,6 +205,17 @@ def test_athlete_record_validation():
         make_athlete(t_swim=-1.0)
 
 
+def test_athlete_record_refuses_non_numbers_naming_the_field_and_athlete():
+    for name, bad in (("base_cost", "2.5"), ("t_swim", "1"), ("weight", "2"),
+                      ("draft_share", "0.5"), ("prize_diff", None), ("theta", "1"),
+                      ("weight", b"2"), ("r_swim", "1")):
+        with pytest.raises(DomainError) as err:
+            make_athlete(**{name: bad})
+        assert err.value.field == name
+        kind = "an integer" if name == "r_swim" else "a number"
+        assert str(err.value) == f"{name} must be {kind}, got {bad!r} (athlete 'ada')"
+
+
 def test_global_params_validation():
     with pytest.raises(DomainError) as err:
         GlobalParams(alpha=0.001, beta=0.01, eta=1.2)

@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from pathlib import Path
 
+import numpy as np
+
 from tricontest import (
     AthleteRecord,
+    ContestInstance,
     GlobalParams,
     Scenario,
+    SolverSettings,
     cutoff_psi,
     sensitivity_report,
     sweep,
     total_effort_derivative,
     welfare_report,
-    ContestInstance,
 )
+
+from helpers import random_scenario, reference_sweep
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -85,3 +91,73 @@ def transcript() -> str:
 def test_whatif_outputs_match_the_golden_transcript():
     """Every cutoff, sweep record, sensitivity report and welfare report, byte for byte."""
     assert transcript() == (GOLDEN / "whatif_n8.txt").read_text()
+
+
+# ---------------------------------------------------------------------------
+# Sweep points
+# ---------------------------------------------------------------------------
+
+
+def test_contest_sweeps_match_a_rebuilt_scenario_for_every_athlete_field():
+    """Each point of a contest-stage sweep equals a scenario rebuilt with that value."""
+    rng = np.random.default_rng(1717)
+    scenarios = [study_scenario(8, False), study_scenario(9, True),
+                 dataclasses.replace(random_scenario(rng, n=5),
+                                     settings=SolverSettings(abs_tol=1e-10, max_iter=60))]
+    scenarios += [random_scenario(rng) for _ in range(6)]
+    for scenario in scenarios:
+        for aid in (scenario.ids[0], scenario.ids[-1]):
+            for field, grid in ATHLETE_GRIDS.items():
+                param = f"athletes.{aid}.{field}"
+                assert sweep(scenario, param, grid) == reference_sweep(scenario, param, grid), \
+                    param
+
+
+# ---------------------------------------------------------------------------
+# Per-instance memos and per-call solves
+# ---------------------------------------------------------------------------
+
+
+def test_sensitivity_reports_on_one_instance_equal_reports_on_fresh_instances():
+    """Shuffled, repeated and under two settings, the memo never changes a report."""
+    scenario = study_scenario(9, True)
+    ids = scenario.ids
+    instance = ContestInstance.from_scenario(scenario)
+    loose = SolverSettings(abs_tol=1e-9, max_iter=80)
+    cases = [(target, (kind, aid), settings)
+             for target in (("total", None), ("prob", ids[1]), ("effort", ids[0]))
+             for kind in PARAMS for aid in ids[:3] for settings in (None, loose)]
+    order = cases * 2
+    random.Random(4).shuffle(order)
+    for target, param, settings in order:
+        fresh = ContestInstance.from_scenario(scenario)
+        assert (sensitivity_report(instance, target, param, settings)
+                == sensitivity_report(fresh, target, param, settings)), (target, param)
+        assert (total_effort_derivative(instance, param, settings)
+                == total_effort_derivative(ContestInstance.from_scenario(scenario), param,
+                                           settings))
+    # One root per settings plus at most one re-solve per kind, member and side.
+    memo = vars(instance)["_solves"]
+    assert set(memo) == {SolverSettings(), loose}
+    assert all(len(solves) <= 1 + 6 * instance.m for solves in memo.values())
+
+
+def test_scenario_keeps_input_columns_only_and_instances_are_fresh():
+    scenario = study_scenario(8, False)
+    ids = scenario.ids
+    first = ContestInstance.from_scenario(scenario)
+    assert first is not ContestInstance.from_scenario(scenario)
+    sensitivity_report(first, ("total", None), ("psi", ids[0]))
+    assert "_solves" not in vars(ContestInstance.from_scenario(scenario))
+    for aid in ids:
+        cutoff_psi(scenario, ids, aid)
+    sweep(scenario, f"athletes.{ids[0]}.draft_share", ATHLETE_GRIDS["draft_share"])
+    welfare_report(scenario, ids)
+    welfare_report(scenario, ids[:3])
+    fields = {f.name for f in dataclasses.fields(Scenario)}
+    assert set(vars(scenario)) == fields | {"_columns"}
+    columns = vars(scenario)["_columns"]
+    assert len(columns) == 6
+    assert all(isinstance(column, tuple) and len(column) == len(ids) for column in columns)
+    assert columns[0] == ids
+    assert all(type(value) is float for column in columns[1:] for value in column)
