@@ -20,9 +20,9 @@ from .contest import (
     solve_contest,
     symmetric_equilibrium,
 )
-from .entry import CONTINUE, Members, _Fields, assemble_spe
+from .entry import CONTINUE, Members, _assemble, _Fields
 from .model import (AthleteRecord, DomainError, GlobalParams, Scenario, _athlete_value,
-                    _finite, drafting_multiplier)
+                    _finite, _float, drafting_multiplier, outside_option)
 
 __all__ = [
     "PARAM_KINDS",
@@ -259,7 +259,7 @@ def welfare_report(scenario: Scenario, members: Sequence[str]) -> WelfareReport:
     ``rent_ratio`` is aggregate effort cost over aggregate expected prize
     intake; for a symmetric field of size ``m`` it equals ``(m-1)/(2m)``.
     """
-    fields = _Fields(scenario)
+    fields = _Fields(scenario._columns, scenario.settings)
     instance, equilibrium = fields.solve(fields.mask(members))
     cost = intake = welfare = 0.0
     for aid, k, delta in zip(instance.ids, instance._k, instance.delta):
@@ -281,18 +281,19 @@ def welfare_report(scenario: Scenario, members: Sequence[str]) -> WelfareReport:
 _ATHLETE_FIELDS = {f.name: f.type for f in fields(AthleteRecord) if f.name != "id"}
 _GLOBAL_FIELDS = {f.name: f.type for f in fields(GlobalParams) if f.name != "psi_bounds"}
 
-# The contest column each athlete field sets; the swim time, rank and taste set none.
-_CONTEST_COLUMNS = {"draft_share": "psi", "prize_diff": "delta", "base_cost": "cost",
-                    "weight": "weight"}
+# The input column (in ``Scenario._columns``) each athlete field sets: its prize, cost,
+# multiplier or weight; the swim time, rank and taste set the outside option.
+_COLUMN = {"prize_diff": 1, "base_cost": 2, "draft_share": 3, "weight": 4,
+           "t_swim": 5, "r_swim": 5, "theta": 5}
 
-# Largest field a sweep of ``m`` builds; checked before any clone is made.
+# Largest field a sweep of ``m`` builds; checked before its columns are made.
 _SWEEP_MAX_M = 100_000
 
 
-def _grid_point(scenario: Scenario, param: str, value: float, point: int,
-                base: ContestInstance | None) -> Scenario | ContestInstance:
-    """The scenario with one swept field replaced, or for an athlete field the contest
-    ``base``, if given, with that field's column swapped; errors name the grid point."""
+def _grid_point(scenario: Scenario, param: str, value: float, point: int) -> tuple[tuple, ...]:
+    """The input columns (``Scenario._columns``) at one grid point: an athlete field replaces
+    its entry of one column, ``m`` repeats the first athlete's with ids ``<id>1 .. <id>m``, and
+    a global field reads the scenario's with the new globals.  Errors name the grid point."""
     def fail(reason: str) -> DomainError:
         return DomainError("grid", f"grid point {point} ({value!r}) for "
                                    f"parameter {param!r}: {reason}")
@@ -308,11 +309,9 @@ def _grid_point(scenario: Scenario, param: str, value: float, point: int,
                 raise fail("field size must be at least 2")
             if size > _SWEEP_MAX_M:
                 raise fail(f"field size must be at most {_SWEEP_MAX_M}")
-            template = scenario.athletes[0]
-            clones = tuple(replace(template, id=f"{template.id}{i}")
-                           for i in range(1, size + 1))
-            return Scenario(athletes=clones, globals=scenario.globals,
-                            settings=scenario.settings)
+            aid, *entries = (column[0] for column in scenario._columns)
+            return (tuple(f"{aid}{i}" for i in range(1, size + 1)),
+                    *((entry,) * size for entry in entries))
         if (parts[0], len(parts)) in (("globals", 2), ("athletes", 3)):
             block, field = parts[0], parts[-1]
             types = _GLOBAL_FIELDS if block == "globals" else _ATHLETE_FIELDS
@@ -329,17 +328,16 @@ def _grid_point(scenario: Scenario, param: str, value: float, point: int,
             if block == "globals":
                 # A new eta moves the reduced-drag range, so the bounds follow it.
                 reset = {"psi_bounds": None} if field == "eta" else {}
-                return replace(scenario, globals=replace(record, **reset, **{field: new}))
-            _athlete_value(field, new, record.id)
-            if base is None:
-                new_record = replace(record, **{field: new})
-                return replace(scenario, athletes=tuple(new_record if rec is record else rec
-                                                        for rec in scenario.athletes))
-            if field not in _CONTEST_COLUMNS:
-                return base
+                return replace(scenario, globals=replace(record, **reset, **{field: new}))._columns
+            new = _athlete_value(field, new, record.id)
             if field == "draft_share":
                 new = drafting_multiplier(new, scenario.globals.eta)
-            return base._with_field(_CONTEST_COLUMNS[field], record.id, new)
+            elif _COLUMN[field] == 5:
+                new = outside_option(replace(record, **{field: new}), scenario.globals)
+            columns = list(scenario._columns)
+            at, column = columns[0].index(record.id), columns[_COLUMN[field]]
+            columns[_COLUMN[field]] = column[:at] + (new,) + column[at + 1:]
+            return tuple(columns)
     except DomainError as err:
         if err.field == "grid":
             raise
@@ -356,31 +354,25 @@ def sweep(scenario: Scenario, param: str, grid: Sequence[float],
     (``"athletes.<id>.<field>"``), a global field (``"globals.<field>"``),
     or the symmetric field size ``"m"``, which replicates the first athlete.
     With ``stage="contest"`` everybody plays; with ``stage="full"`` the
-    continuation stage picks the field at every grid point.  A contest-stage sweep
-    of an athlete field swaps that field's column of the scenario's contest per point.
+    continuation stage picks the field at every grid point, by the iterative operator.
+    Each point is the scenario's input columns with the swept entries replaced.
     """
     if stage not in ("contest", "full"):
         raise ValueError(f"stage must be 'contest' or 'full', got {stage!r}")
-    values = [float(v) for v in grid]
+    values = [_float(v) for v in grid]
     if not values:
         raise ValueError("the sweep grid must not be empty")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("the sweep grid must be strictly increasing")
-    base = (ContestInstance.from_scenario(scenario)
-            if stage == "contest" and param.startswith("athletes.") else None)
     records: list[SweepRecord] = []
     for point, value in enumerate(values):
-        local = _grid_point(scenario, param, value, point, base)
+        columns = _grid_point(scenario, param, value, point)
+        members = actions = None
         if stage == "contest":
-            if isinstance(local, Scenario):
-                local = ContestInstance.from_scenario(local)
-            equilibrium = solve_contest(local, scenario.settings)
-            members = actions = None
+            equilibrium = solve_contest(ContestInstance._derived(*columns[:5]), scenario.settings)
         else:
-            result = assemble_spe(local, mode="iterative")[0]
-            equilibrium = result.equilibrium
-            members = result.members
-            actions = result.actions
+            result = _assemble(_Fields(columns, scenario.settings), "iterative")[0]
+            equilibrium, members, actions = result.equilibrium, result.members, result.actions
         records.append(SweepRecord(
             param=param, value=value, total_effort=equilibrium.total_effort,
             efforts=equilibrium.efforts, probs=equilibrium.probs,

@@ -170,7 +170,7 @@ def _parse_grid(raw: str) -> list[float]:
 
 def _cmd_solve(ns: argparse.Namespace, scenario: Scenario) -> Record:
     members = _parse_set(ns.set, scenario)
-    fields = _Fields(scenario)
+    fields = _Fields(scenario._columns, scenario.settings)
     instance, equilibrium = fields.solve(fields.mask(members))
     check = verify_nash(instance, equilibrium)
     athletes = [{"id": aid, "psi": psi, "k": k,

@@ -23,6 +23,7 @@ from .model import (
     DomainError,
     EffortProfile,
     Scenario,
+    _float,
 )
 
 __all__ = [
@@ -46,8 +47,8 @@ __all__ = [
 class SolverSettings:
     """Tolerances and budgets for the aggregate root search.
 
-    Newton stops at ``|g| <= max(abs_tol, m * eps) * mass`` for any ``abs_tol``, relative
-    to the target share mass (one for a contest); ``m * eps * mass`` bounds its rounding.
+    Newton stops at ``|g| <= max(abs_tol, m * eps) * mass``, relative to the target share
+    mass (one for a contest), with ``0 < abs_tol < 1``; ``m * eps * mass`` bounds its rounding.
     """
 
     abs_tol: float = 1e-12
@@ -58,8 +59,9 @@ class SolverSettings:
             raise DomainError("max_iter", f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise DomainError("max_iter", f"max_iter must be at least 1, got {self.max_iter}")
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise DomainError("abs_tol", f"abs_tol must be positive, got {self.abs_tol}")
+        if not 0.0 < self.abs_tol < 1.0:  # false for NaN; at 1, zero effort's gap could pass
+            bound = "below 1" if self.abs_tol > 0.0 else "positive"
+            raise DomainError("abs_tol", f"abs_tol must be {bound}, got {self.abs_tol}")
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -115,7 +117,7 @@ class ContestInstance:
             raise DomainError("ids", "contest member ids must be unique")
         columns = []
         for name in ("delta", "cost", "psi", "weight"):
-            values = tuple(map(float, getattr(self, name)))
+            values = tuple(map(_float, getattr(self, name)))
             if len(values) != len(ids):
                 raise DomainError(name, f"{name} needs one entry per member "
                                         f"({len(ids)}), got {len(values)}")
@@ -203,7 +205,7 @@ class ContestInstance:
     def from_scenario(cls, scenario: Scenario) -> "ContestInstance":
         """A fresh contest among all of the scenario's athletes, in its order, over the
         input columns the scenario builds from its checked records once; solves live on
-        the new instance only.  The entry stage takes every smaller field as a slice of it."""
+        the new instance only.  The entry stage and ``sweep`` build theirs the same way."""
         return cls._derived(*scenario._columns[:5])
 
 

@@ -22,6 +22,7 @@ from .contest import (
     DEFAULT_SETTINGS,
     ContestEquilibrium,
     ContestInstance,
+    SolverSettings,
     _newton,
     solve_contest,
     verify_nash,
@@ -109,19 +110,19 @@ class SpeResult:
 
 
 class _Fields:
-    """The candidate fields of one scenario, keyed by bitmask, each built and solved once.
+    """The candidate fields of one set of input columns, keyed by bitmask, each solved once.
 
-    Bit ``i`` is the scenario's ``i``-th athlete.  A field's contest takes
-    the full field's columns, effective ones included, at its set bits, in
-    scenario order: the instance the public constructor builds for those members.
+    ``columns`` is shaped like ``Scenario._columns``; ``settings`` ``None`` are the defaults.
+    Bit ``i`` is the ``i``-th athlete.  A field's contest takes the full field's columns,
+    effective ones included, at its set bits: what the public constructor builds for them.
     """
 
-    def __init__(self, scenario: Scenario) -> None:
-        self.full = ContestInstance.from_scenario(scenario)
+    def __init__(self, columns: tuple[tuple, ...], settings: SolverSettings | None) -> None:
+        self.full = ContestInstance._derived(*columns[:5])
         self.ids = self.full.ids
         self.everyone = (1 << len(self.ids)) - 1
-        self.outside = scenario._columns[5]
-        self.settings = scenario.settings or DEFAULT_SETTINGS
+        self.outside = columns[5]
+        self.settings = settings or DEFAULT_SETTINGS
         self._bit = {aid: 1 << i for i, aid in enumerate(self.ids)}
         self._solved: dict[int, tuple[ContestInstance, ContestEquilibrium]] = {}
 
@@ -184,7 +185,7 @@ def subset_equilibrium(scenario: Scenario, members: Iterable[str]) -> ContestEqu
     once, keyed by bitmask.  Input columns are cached per ``Scenario``;
     solves never outlive a call.
     """
-    fields = _Fields(scenario)
+    fields = _Fields(scenario._columns, scenario.settings)
     return fields.solve(fields.mask(members))[1]
 
 
@@ -194,7 +195,7 @@ def net_benefit(scenario: Scenario, members: Iterable[str], athlete_id: str) -> 
     An athlete outside ``members`` is judged on the field extended by them,
     which is the payoff relevant to their own entry decision.
     """
-    fields = _Fields(scenario)
+    fields = _Fields(scenario._columns, scenario.settings)
     mask = fields.mask(members) | fields.mask((athlete_id,))
     stay = fields.solve(mask)[1].continuation_values[athlete_id]
     leave = fields.outside[fields.ids.index(athlete_id)]
@@ -205,7 +206,7 @@ def net_benefit(scenario: Scenario, members: Iterable[str], athlete_id: str) -> 
 def net_benefit_curve(scenario: Scenario, members: Iterable[str],
                       athlete_id: str, psi_grid: Sequence[float]) -> list[float]:
     """Net benefit of ``athlete_id`` across a grid of own multipliers."""
-    fields = _Fields(scenario)
+    fields = _Fields(scenario._columns, scenario.settings)
     mask = fields.mask(members)
     leave = fields.outside[fields.member_index(mask, athlete_id)]
     base = fields.instance(mask)
@@ -233,7 +234,7 @@ def cutoff_psi(scenario: Scenario, members: Iterable[str], athlete_id: str) -> C
     The verdict is ``always_continue`` for ``psi* <= lo``, ``always_withdraw`` for
     ``psi* > hi`` and ``interior`` between, where ``(lo, hi) = psi_bounds``.
     """
-    fields = _Fields(scenario)
+    fields = _Fields(scenario._columns, scenario.settings)
     mask = fields.mask(members)
     i = fields.member_index(mask, athlete_id)
     leave, delta = fields.outside[i], fields.full.delta[i]
@@ -266,7 +267,7 @@ def is_equilibrium_set(scenario: Scenario, members: Iterable[str]) -> bool:
     Every member must weakly prefer staying, and every outsider must weakly
     prefer staying out of the field extended by themselves.
     """
-    fields = _Fields(scenario)
+    fields = _Fields(scenario._columns, scenario.settings)
     return fields.stable(fields.mask(members))
 
 
@@ -315,7 +316,7 @@ def enumerate_equilibrium_sets(scenario: Scenario) -> list[Members]:
     should use the iterative operator.  Each field is solved at most once,
     keyed by bitmask.
     """
-    return _stable_sets(_Fields(scenario))
+    return _stable_sets(_Fields(scenario._columns, scenario.settings))
 
 
 def _singleton_fallback(fields: _Fields) -> Members:
@@ -361,7 +362,7 @@ def iterate_continuation_operator(scenario: Scenario) -> EntryIteration:
     That field is empty only when every outside option exceeds its prize;
     the best singleton is then returned, flagged ``singleton_fallback``.
     """
-    return _iterate(_Fields(scenario))
+    return _iterate(_Fields(scenario._columns, scenario.settings))
 
 
 def _iterate(fields: _Fields) -> EntryIteration:
@@ -395,7 +396,10 @@ def assemble_spe(scenario: Scenario, mode: str = "first") -> list[SpeResult]:
     """
     if mode not in ("first", "all", "iterative"):
         raise ValueError(f"mode must be 'first', 'all', or 'iterative', got {mode!r}")
-    fields = _Fields(scenario)
+    return _assemble(_Fields(scenario._columns, scenario.settings), mode)
+
+
+def _assemble(fields: _Fields, mode: str) -> list[SpeResult]:
     if mode == "iterative":
         outcome = _iterate(fields)
         method = "iteration" if outcome.method == "fixed_point" else outcome.method

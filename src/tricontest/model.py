@@ -52,8 +52,16 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise DomainError(field, message)
 
 
+def _float(value: object) -> float:
+    """``float(value)``; an integer past float range is the infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _finite(value: float, field: str, label: str) -> float:
-    value = float(value)
+    value = _float(value)
     if not math.isfinite(value):
         raise DomainError(field, f"{label} must be finite, got {value}")
     return value
@@ -66,8 +74,8 @@ def _finite(value: float, field: str, label: str) -> float:
 
 def drafting_multiplier(draft_share: float, eta: float) -> float:
     """Cost-reduction multiplier earned by drafting: ``1 / (1 - eta * draft_share)``."""
-    share = float(draft_share)
-    if 0.0 <= share <= 1.0 and 0.0 < (rate := float(eta)) < 1.0:  # false for NaN
+    share = _float(draft_share)
+    if 0.0 <= share <= 1.0 and 0.0 < (rate := _float(eta)) < 1.0:  # false for NaN
         return 1.0 / (1.0 - rate * share)
     draft_share = _finite(draft_share, "draft_share", "draft_share")
     eta = _finite(eta, "eta", "eta")
@@ -115,11 +123,12 @@ def _athlete_value(name: str, value: object, athlete_id: str) -> float:
     if name == "r_swim":
         integer = isinstance(value, int) and not isinstance(value, bool)
         if integer and value >= 1:
+            _finite(value, name, name)  # a rank past float range
             return value
         reason = f"be a positive rank, got {value}" if integer else f"be an integer, got {value!r}"
     else:
         try:
-            number = None if isinstance(value, (str, bytes)) else float(value)
+            number = None if isinstance(value, (str, bytes)) else _float(value)
         except (TypeError, ValueError):
             number = None
         if number is None:
@@ -156,7 +165,7 @@ class GlobalParams:
         if self.psi_bounds is None:
             object.__setattr__(self, "psi_bounds", (1.0, top))
             return
-        bounds = tuple(float(b) for b in self.psi_bounds)
+        bounds = tuple(map(_float, self.psi_bounds))
         _require(len(bounds) == 2, "psi_bounds",
                  f"psi_bounds must be a (low, high) pair, got {self.psi_bounds!r}")
         lo, hi = bounds

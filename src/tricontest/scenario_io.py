@@ -23,6 +23,7 @@ from .model import (
     DomainError,
     GlobalParams,
     Scenario,
+    _float,
 )
 
 __all__ = ["SCHEMA_VERSION", "ScenarioError", "load_scenario", "parse_scenario",
@@ -61,7 +62,7 @@ def _scalar(kind: type, noun: str):
     def read(value: Any, path: str) -> Any:
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise ScenarioError(path, f"expected {noun}, got {value!r}")
-        return kind(value)
+        return _float(value) if kind is float else kind(value)
     return read
 
 
@@ -70,7 +71,7 @@ def _pair(value: Any, path: str) -> tuple[float, float]:
             or any(isinstance(b, bool) or not isinstance(b, (int, float))
                    for b in value)):
         raise ScenarioError(path, f"expected a [low, high] pair of numbers, got {value!r}")
-    return float(value[0]), float(value[1])
+    return _float(value[0]), _float(value[1])
 
 
 # The reader of each declared field type (the annotation's text).

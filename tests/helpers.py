@@ -18,8 +18,9 @@ module's form or columns.
 every bitmask of one field table instead of searching.  ``reference_cutoff``
 bisects the solved net benefit in the own multiplier, so it shares nothing
 with the closed-form cutoff but the contest solver.
-``reference_sweep`` rebuilds the scenario at every grid point with
-``dataclasses.replace``, so it shares nothing with the sweep's column swap.
+``reference_sweep`` rebuilds the records and the scenario at every grid
+point with ``dataclasses.replace`` and solves it through the public entry
+points, so it shares nothing with the sweep's input columns.
 ``reference_best_response`` bisects the best-response cubic in mpmath, so
 it shares nothing with the closed form in ``verify_nash``.
 """
@@ -234,7 +235,7 @@ def reference_stable_sets(scenario: Scenario) -> list[tuple[str, ...]]:
 
 def sweep_stable_sets(scenario: Scenario) -> list[tuple[str, ...]]:
     """Every stable field, by testing all ``2^n - 1`` bitmasks of one field table."""
-    fields = entry._Fields(scenario)
+    fields = entry._Fields(scenario._columns, scenario.settings)
     return sorted(fields.members(mask) for mask in range(1, fields.everyone + 1)
                   if fields.stable(mask))
 
@@ -333,19 +334,40 @@ def reference_cutoff(scenario: Scenario, members, athlete_id: str,
     return entry.INTERIOR, 0.5 * (lo + hi)
 
 
-def reference_sweep(scenario: Scenario, param: str, grid) -> list[SweepRecord]:
-    """Contest-stage sweep of one athlete field ``athletes.<id>.<field>``: each point
-    replaces the record and the scenario and solves the full field's contest afresh."""
-    _, athlete_id, field = param.split(".")
+def reference_sweep(scenario: Scenario, param: str, grid,
+                    stage: str = "contest") -> list[SweepRecord]:
+    """Each point replaces one athlete's record (``athletes.<id>.<field>``), the global
+    parameters (``globals.<field>``; a new ``eta`` resets the bounds) or every record by
+    ``round(value)`` clones of the first, with ids ``<id>1, <id>2, ...`` (``m``), rebuilds
+    the scenario, and solves its full field, or with ``stage="full"`` takes
+    ``assemble_spe(mode="iterative")``'s outcome."""
+    parts = param.split(".")
     records = []
     for value in grid:
-        new = int(round(value)) if field == "r_swim" else float(value)
-        athletes = tuple(dataclasses.replace(rec, **{field: new}) if rec.id == athlete_id
-                         else rec for rec in scenario.athletes)
-        local = dataclasses.replace(scenario, athletes=athletes)
-        solved = solve_contest(ContestInstance.from_scenario(local), local.settings)
+        if parts[0] == "m":
+            first = scenario.athletes[0]
+            clones = tuple(dataclasses.replace(first, id=f"{first.id}{i}")
+                           for i in range(1, round(value) + 1))
+            local = dataclasses.replace(scenario, athletes=clones, graph=())
+        elif parts[0] == "globals":
+            reset = {"psi_bounds": None} if parts[1] == "eta" else {}
+            local = dataclasses.replace(scenario, globals=dataclasses.replace(
+                scenario.globals, **reset, **{parts[1]: float(value)}))
+        else:
+            _, athlete_id, field = parts
+            new = int(round(value)) if field == "r_swim" else float(value)
+            athletes = tuple(dataclasses.replace(rec, **{field: new}) if rec.id == athlete_id
+                             else rec for rec in scenario.athletes)
+            local = dataclasses.replace(scenario, athletes=athletes)
+        members = actions = None
+        if stage == "contest":
+            solved = solve_contest(ContestInstance.from_scenario(local), local.settings)
+        else:
+            outcome = entry.assemble_spe(local, mode="iterative")[0]
+            solved, members, actions = outcome.equilibrium, outcome.members, outcome.actions
         records.append(SweepRecord(
             param=param, value=float(value), total_effort=solved.total_effort,
             efforts=dict(solved.efforts), probs=dict(solved.probs),
-            continuation_values=dict(solved.continuation_values)))
+            continuation_values=dict(solved.continuation_values),
+            members=members, actions=actions))
     return records

@@ -173,11 +173,25 @@ _FAULTS = [
     ("top", "graph", [["ada", "ada"]], "graph: drafting edge ('ada', 'ada') is a self-loop"),
     ("top", "graph", [["ada", "zed"]],
      "graph: drafting edge ('ada', 'zed') references an unknown athlete"),
+    # Integers past float range, and a stop tolerance no share mass of one can use.
+    ("athlete", "prize_diff", 10**400,
+     "athletes[0].prize_diff: prize_diff must be finite, got inf"),
+    ("athlete", "r_swim", 10**400, "athletes[0].r_swim: r_swim must be finite, got inf"),
+    ("globals", "alpha", 10**400, "globals.alpha: alpha must be finite, got inf"),
+    ("globals", "psi_bounds", [1, 10**400],
+     "globals.psi_bounds: psi_bounds high must be finite, got inf"),
+    ("solver", "abs_tol", 1.0, "solver.abs_tol: abs_tol must be below 1, got 1.0"),
 ]
 
 
-@pytest.mark.parametrize("block,key,value,message", _FAULTS,
-                         ids=[f"{block}.{key}" for block, key, _, _ in _FAULTS])
+def _fault_ids() -> list[str]:
+    """``block.key`` per fault; a path met again takes its count, so earlier ids stay put."""
+    names = [f"{block}.{key}" for block, key, _, _ in _FAULTS]
+    return [name + (f"-{names[:i].count(name) + 1}" if name in names[:i] else "")
+            for i, name in enumerate(names)]
+
+
+@pytest.mark.parametrize("block,key,value,message", _FAULTS, ids=_fault_ids())
 def test_parse_fault_messages(block, key, value, message):
     """Each single fault is reported with its exact path and text."""
     payload = minimal_payload()
@@ -453,6 +467,22 @@ def test_spe_solves_large_prize_scales(scale, tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, _, err = run_cli(["spe", str(path)], capsys)
     assert code == 0, err
+
+
+def test_out_of_range_file_values_are_usage_errors(tmp_path, capsys):
+    """A long integer literal, which JSON reads exactly, and a stop tolerance of 1, with
+    which ``welfare`` and ``sweep`` printed zero efforts and exit 0: exit 2, naming the path."""
+    text = json.dumps(minimal_payload())
+    path = tmp_path / "bad.json"
+    for bad, message in (
+            (text.replace('"prize_diff": 1.0', '"prize_diff": 1' + "0" * 400, 1),
+             "athletes[0].prize_diff: prize_diff must be finite, got inf"),
+            (text[:-1] + ', "solver": {"abs_tol": 1.0}}',
+             "solver.abs_tol: abs_tol must be below 1, got 1.0")):
+        path.write_text(bad)
+        for argv in (["welfare"], ["sweep", "--param", "m", "--grid", "2,3"]):
+            code, out, err = run_cli(argv + [str(path)], capsys)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 def test_degenerate_effective_prize_is_a_usage_error(tmp_path, capsys):

@@ -330,6 +330,16 @@ def test_solver_settings_validation():
         SolverSettings(abs_tol=0.0)
     with pytest.raises(DomainError):
         SolverSettings(max_iter=0)
+    # A share mass of one bounds every gap; at abs_tol >= 1 zero effort would pass.
+    for tol in (1.0, 2.0, math.inf, 10**400):
+        with pytest.raises(DomainError) as err:
+            SolverSettings(abs_tol=tol)
+        assert err.value.field == "abs_tol"
+        assert str(err.value) == f"abs_tol must be below 1, got {tol}"
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match=r"^abs_tol must be positive, got"):
+            SolverSettings(abs_tol=tol)
+    assert SolverSettings(abs_tol=0.5).abs_tol == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -537,7 +537,7 @@ def test_greedy_field_at_the_threshold_edges(outsides, prizes, members):
         for rank, (aid, outside, prize) in enumerate(zip(("ada", "bea", "cal"), outsides,
                                                          prizes), start=1)),
         globals=exact_globals())
-    fields = entry._Fields(scenario)
+    fields = entry._Fields(scenario._columns, scenario.settings)
     assert fields.members(entry._greedy(fields)) == members
     assert reference_is_stable(scenario, members)
 
@@ -551,7 +551,7 @@ def test_greedy_threshold_of_a_subnormal_outside_ratio():
         AthleteRecord(id="bea", t_swim=2.0, r_swim=2, draft_share=0.0, base_cost=1.0,
                       prize_diff=1.0, theta=0.5),
     ), globals=params)
-    fields = entry._Fields(scenario)
+    fields = entry._Fields(scenario._columns, scenario.settings)
     assert 0.0 < fields.outside[0] / 1e10 < sys.float_info.min
     assert fields.members(entry._greedy(fields)) == ("ada",)
     assert enumerate_equilibrium_sets(scenario) == [("ada",)]
@@ -735,7 +735,8 @@ def test_search_matches_the_bitmask_sweep():
         scenario = random_scenario(rng, n=int(rng.integers(2, 13)), outside=outside)
         stable = sweep_stable_sets(scenario)
         assert enumerate_equilibrium_sets(scenario) == stable
-        fallback = entry._singleton_fallback(entry._Fields(scenario))
+        fields = entry._Fields(scenario._columns, scenario.settings)
+        fallback = entry._singleton_fallback(fields)
         outcome = iterate_continuation_operator(scenario)
         if outcome.method != "fixed_point":
             if stable:
@@ -769,7 +770,7 @@ def test_entry_stage_matches_the_reference_enumeration(seed, n):
     outcome = iterate_continuation_operator(scenario)
     assert (outcome.members, outcome.trace, outcome.method) == \
         reference_iteration(scenario)
-    fallback = entry._singleton_fallback(entry._Fields(scenario))
+    fallback = entry._singleton_fallback(entry._Fields(scenario._columns, scenario.settings))
     assert fallback == reference_singleton(scenario)
     for spe in assemble_spe(scenario, mode="all"):
         assert spe.equilibrium == solve_contest(

@@ -80,7 +80,7 @@ def test_derived_instances_match_the_public_constructor():
         ids = scenario.ids
         members = [aid for aid in ids if rng.uniform() < 0.6] or [ids[-1]]
         shuffled = [members[i] for i in rng.permutation(len(members))]
-        fields = entry._Fields(scenario)
+        fields = entry._Fields(scenario._columns, scenario.settings)
         field = fields.instance(fields.mask(shuffled))
         assert field.ids == tuple(members)
         assert field == reference_instance(scenario, shuffled)
@@ -99,7 +99,7 @@ def test_derived_instances_solve_like_public_ones():
     rng = np.random.default_rng(1011)
     for _ in range(40):
         scenario = odd_scenario(rng)
-        fields = entry._Fields(scenario)
+        fields = entry._Fields(scenario._columns, scenario.settings)
         for mask in range(1, min(fields.everyone, 40) + 1):
             field = fields.instance(mask)
             assert solve_contest(field) == solve_contest(public(field))
@@ -150,14 +150,14 @@ def test_fields_without_a_subnormal_athlete_solve():
     scenario = subnormal_scenario()
     solved = subset_equilibrium(scenario, ["bea", "ada"])
     assert solved == solve_contest(reference_instance(scenario, ["ada", "bea"]))
-    fields = entry._Fields(scenario)
+    fields = entry._Fields(scenario._columns, scenario.settings)
     assert fields.instance(0b011) == reference_instance(scenario, ["ada", "bea"])
 
 
 @pytest.mark.parametrize("members", [["ada", "cal"], ["cal", "bea"], ["ada", "bea", "cal"]])
 def test_fields_with_a_subnormal_athlete_refuse_at_solve_time(members):
     scenario = subnormal_scenario()
-    fields = entry._Fields(scenario)
+    fields = entry._Fields(scenario._columns, scenario.settings)
     instance = fields.instance(fields.mask(members))  # builds without complaint
     for call in (lambda: subset_equilibrium(scenario, members),
                  lambda: solve_contest(instance),
@@ -186,7 +186,7 @@ def test_cutoffs_in_fields_without_a_subnormal_athlete():
 
 def test_every_member_subset_of_a_field_is_its_slice():
     scenario = random_scenario(np.random.default_rng(1012), n=5)
-    fields = entry._Fields(scenario)
+    fields = entry._Fields(scenario._columns, scenario.settings)
     for size in range(1, 6):
         for members in itertools.combinations(scenario.ids, size):
             sliced = fields.instance(fields.mask(members))
@@ -210,7 +210,7 @@ def test_the_normal_check_runs_only_where_it_refuses(monkeypatch):
     for _ in range(30):
         scenario = odd_scenario(rng)
         full = ContestInstance.from_scenario(scenario)
-        fields = entry._Fields(scenario)
+        fields = entry._Fields(scenario._columns, scenario.settings)
         field = fields.instance(int(rng.integers(1, fields.everyone + 1)))
         aid = full.ids[-1]
         for instance in (public(full), full, fields.instance(fields.mask([aid])),

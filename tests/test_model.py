@@ -216,6 +216,29 @@ def test_athlete_record_refuses_non_numbers_naming_the_field_and_athlete():
         assert str(err.value) == f"{name} must be {kind}, got {bad!r} (athlete 'ada')"
 
 
+# One call per field that takes an integer past float range, which ``float()`` refuses.
+PAST_FLOAT_RANGE = {
+    "prize_diff": lambda: make_athlete(prize_diff=10**400),
+    "t_swim": lambda: make_athlete(t_swim=-10**400),
+    "r_swim": lambda: make_athlete(r_swim=10**400),
+    "alpha": lambda: GlobalParams(alpha=10**400, beta=0.01, eta=0.5),
+    "psi_bounds": lambda: GlobalParams(alpha=0.001, beta=0.01, eta=0.5,
+                                       psi_bounds=(1, 10**400)),
+    "delta": lambda: ContestInstance(ids=("ada", "bea"), delta=(10**400, 1.0),
+                                     cost=(1.0, 1.0), psi=(1.0, 1.0), weight=(1.0, 1.0)),
+    "eta": lambda: drafting_multiplier(0.5, 10**400),
+}
+
+
+@pytest.mark.parametrize("field", PAST_FLOAT_RANGE)
+def test_integers_past_float_range_are_domain_errors_naming_the_field(field):
+    """Such a value counts as infinite, so its own check refuses it."""
+    with pytest.raises(DomainError) as err:
+        PAST_FLOAT_RANGE[field]()
+    assert err.value.field == field
+    assert "inf" in str(err.value)
+
+
 def test_global_params_validation():
     with pytest.raises(DomainError) as err:
         GlobalParams(alpha=0.001, beta=0.01, eta=1.2)

@@ -21,7 +21,7 @@ from tricontest import (
     welfare_report,
 )
 
-from helpers import random_scenario, reference_sweep
+from helpers import pair_scenario, random_scenario, reference_sweep
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -38,6 +38,14 @@ ATHLETE_GRIDS = {
     "weight": (0.5, 1.0, 2.0),
     "theta": (-1.0, 0.0, 0.75),
 }
+
+# A valid grid for every sweepable global field, and one for the field size.
+GLOBAL_GRIDS = {
+    "alpha": (0.0005, 0.001, 0.004),
+    "beta": (0.005, 0.01, 0.03),
+    "eta": (0.2, 0.5, 0.8),
+}
+SIZE_GRID = (2.0, 3.0, 5.0)
 
 
 def study_scenario(seed: int, weighted: bool, n: int = 8) -> Scenario:
@@ -111,6 +119,35 @@ def test_contest_sweeps_match_a_rebuilt_scenario_for_every_athlete_field():
                 param = f"athletes.{aid}.{field}"
                 assert sweep(scenario, param, grid) == reference_sweep(scenario, param, grid), \
                     param
+
+
+def test_sweeps_match_a_rebuilt_scenario_for_every_parameter_on_both_stages():
+    """Athlete fields, global fields and the field size, with and without the entry stage."""
+    rng = np.random.default_rng(1818)
+    for scenario in [pair_scenario()] + [random_scenario(rng) for _ in range(20)]:
+        aid = scenario.ids[-1]
+        grids = {f"athletes.{aid}.{field}": grid for field, grid in ATHLETE_GRIDS.items()}
+        grids.update((f"globals.{field}", grid) for field, grid in GLOBAL_GRIDS.items())
+        grids["m"] = SIZE_GRID
+        for param, grid in grids.items():
+            for stage in ("contest", "full"):
+                assert (sweep(scenario, param, grid, stage)
+                        == reference_sweep(scenario, param, grid, stage)), (param, stage)
+
+
+def test_a_field_size_point_builds_no_records(monkeypatch):
+    """A sweep of ``m`` repeats the first athlete's input columns; it makes no record."""
+    built = []
+    check = AthleteRecord.__post_init__
+    monkeypatch.setattr(AthleteRecord, "__post_init__",
+                        lambda record: (built.append(record.id), check(record)))
+    scenario = pair_scenario()
+    built.clear()
+    (record,) = sweep(scenario, "m", [100_000.0])
+    assert built == []
+    assert len(record.efforts) == 100_000
+    assert list(record.efforts)[::49_999] == ["ada1", "ada50000", "ada99999"]
+
 
 
 # ---------------------------------------------------------------------------
