@@ -112,7 +112,7 @@ class SpeResult:
 class _Fields:
     """The candidate fields of one set of input columns, keyed by bitmask, each solved once.
 
-    ``columns`` is shaped like ``Scenario._columns``; ``settings`` ``None`` are the defaults.
+    ``columns`` is shaped like ``Scenario._columns``; ``settings=None`` means the defaults.
     Bit ``i`` is the ``i``-th athlete.  A field's contest takes the full field's columns,
     effective ones included, at its set bits: what the public constructor builds for them.
     """

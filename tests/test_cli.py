@@ -173,7 +173,10 @@ _FAULTS = [
     ("top", "graph", [["ada", "ada"]], "graph: drafting edge ('ada', 'ada') is a self-loop"),
     ("top", "graph", [["ada", "zed"]],
      "graph: drafting edge ('ada', 'zed') references an unknown athlete"),
-    # Integers past float range, and a stop tolerance no share mass of one can use.
+]
+
+# Integers past float range, and a stop tolerance no share mass of one can use.
+_OUT_OF_RANGE = [
     ("athlete", "prize_diff", 10**400,
      "athletes[0].prize_diff: prize_diff must be finite, got inf"),
     ("athlete", "r_swim", 10**400, "athletes[0].r_swim: r_swim must be finite, got inf"),
@@ -184,14 +187,9 @@ _FAULTS = [
 ]
 
 
-def _fault_ids() -> list[str]:
-    """``block.key`` per fault; a path met again takes its count, so earlier ids stay put."""
-    names = [f"{block}.{key}" for block, key, _, _ in _FAULTS]
-    return [name + (f"-{names[:i].count(name) + 1}" if name in names[:i] else "")
-            for i, name in enumerate(names)]
-
-
-@pytest.mark.parametrize("block,key,value,message", _FAULTS, ids=_fault_ids())
+@pytest.mark.parametrize("block,key,value,message", _FAULTS + _OUT_OF_RANGE,
+                         ids=[f"{block}.{key}" for block, key, _, _ in _FAULTS]
+                         + [f"{block}.{key}-out-of-range" for block, key, _, _ in _OUT_OF_RANGE])
 def test_parse_fault_messages(block, key, value, message):
     """Each single fault is reported with its exact path and text."""
     payload = minimal_payload()

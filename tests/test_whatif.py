@@ -149,7 +149,6 @@ def test_a_field_size_point_builds_no_records(monkeypatch):
     assert list(record.efforts)[::49_999] == ["ada1", "ada50000", "ada99999"]
 
 
-
 # ---------------------------------------------------------------------------
 # Per-instance memos and per-call solves
 # ---------------------------------------------------------------------------
