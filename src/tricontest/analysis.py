@@ -13,9 +13,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 from .contest import (
-    DEFAULT_SETTINGS,
     ContestInstance,
-    SolverSettings,
     _newton,
     solve_contest,
     symmetric_equilibrium,
@@ -144,32 +142,31 @@ def _gap_param_partial(instance: ContestInstance, x: float, kind: str,
     return -de * x * x * (k / instance.cost[idx]) / (den * den)
 
 
-def _solves(instance: ContestInstance, settings: SolverSettings) -> dict:
-    """The instance's solves under ``settings``, kept in its ``__dict__`` like ``_k``: key
-    ``None`` holds the root ``x``, ``dg/dt`` there and the settings tightened for finite
-    differences; ``(kind, index, sign)`` the re-solved variant and its root."""
-    memos = instance.__dict__.setdefault("_solves", {})
-    if settings not in memos:
-        x, _, _, slope = _newton(instance, settings)
-        tight = replace(settings, abs_tol=min(settings.abs_tol, _FD_ABS_TOL))
-        memos[settings] = {None: (x, slope, tight)}
-    return memos[settings]
+def _solves(instance: ContestInstance) -> dict:
+    """The instance's solves, kept in its ``__dict__`` like ``_k``: key ``None`` holds the
+    root ``x``, ``dg/dt`` there and its settings tightened for finite differences;
+    ``(kind, index, sign)`` the re-solved variant and its root."""
+    memo = instance.__dict__.setdefault("_solves", {})
+    if not memo:
+        x, _, _, slope = _newton(instance)
+        settings = instance.settings
+        memo[None] = x, slope, replace(settings, abs_tol=min(settings.abs_tol, _FD_ABS_TOL))
+    return memo
 
 
-def _aggregate_response(instance: ContestInstance, kind: str, idx: int,
-                        settings: SolverSettings | None) -> tuple[float, float, float]:
+def _aggregate_response(instance: ContestInstance, kind: str,
+                        idx: int) -> tuple[float, float, float]:
     """Root ``x``, the equation's partial ``g_p`` in the parameter, and ``dx/dp``.
 
     Implicit function theorem on ``g(x^2) = 0``, with ``dg/dx = 2 x dg/dt``.
     """
-    x, slope, _ = _solves(instance, settings or DEFAULT_SETTINGS)[None]
+    x, slope, _ = _solves(instance)[None]
     g_x = 2.0 * x * slope
     g_p = _gap_param_partial(instance, x, kind, idx)
     return x, g_p, -g_p / g_x
 
 
-def total_effort_derivative(instance: ContestInstance, param: tuple[str, str],
-                            settings: SolverSettings | None = None) -> float:
+def total_effort_derivative(instance: ContestInstance, param: tuple[str, str]) -> float:
     """Derivative of the equilibrium aggregate effort in one parameter.
 
     ``param`` is a ``(kind, athlete_id)`` pair with kind ``"psi"``,
@@ -177,7 +174,7 @@ def total_effort_derivative(instance: ContestInstance, param: tuple[str, str],
     aggregate up; raising a cost pushes it down.
     """
     kind, idx = _check_param(instance, param)
-    return _aggregate_response(instance, kind, idx, settings)[2]
+    return _aggregate_response(instance, kind, idx)[2]
 
 
 def _target_at(instance: ContestInstance, kind: str, idx: int | None, x: float,
@@ -203,26 +200,24 @@ def _target_at(instance: ContestInstance, kind: str, idx: int | None, x: float,
 
 def sensitivity_report(instance: ContestInstance,
                        target: tuple[str, str | None],
-                       param: tuple[str, str],
-                       settings: SolverSettings | None = None) -> SensitivityReport:
+                       param: tuple[str, str]) -> SensitivityReport:
     """Analytic derivative of a solved quantity against a central difference.
 
     ``target`` is ``("total", None)``, ``("prob", id)``, or
     ``("effort", id)``.  The finite difference re-solves the contest at the
     parameter plus and minus ``1e-5``, so the parameter must exceed ``1e-5``.
     Each re-solve starts Newton from the unperturbed root, with the same stop rule.
-    That root and the re-solves are kept on the instance, keyed by settings.
+    That root and the re-solves are kept on the instance.
     """
     t_kind = target[0]
     if t_kind not in TARGET_KINDS:
         raise ValueError(f"target kind must be one of {TARGET_KINDS}, got {t_kind!r}")
     p_kind, p_idx = _check_param(instance, param)
-    settings = settings or DEFAULT_SETTINGS
 
     t_idx = None if t_kind == "total" else instance.index(target[1])
 
     # Analytic chain rule through the aggregate root.
-    x, g_p, dx = _aggregate_response(instance, p_kind, p_idx, settings)
+    x, g_p, dx = _aggregate_response(instance, p_kind, p_idx)
     direct = g_p if t_idx == p_idx else 0.0
     analytic = _target_at(instance, t_kind, t_idx, x, dx, direct)[1]
 
@@ -231,14 +226,14 @@ def sensitivity_report(instance: ContestInstance,
     if base - _FD_STEP <= 0.0:
         raise DomainError("step", f"step {_FD_STEP} drives {p_kind} of athlete "
                                   f"{param[1]!r} out of its positive domain")
-    memo = _solves(instance, settings)
+    memo = _solves(instance)
     tight = memo[None][2]
 
     def resolved(sign: float) -> float:
         key = p_kind, p_idx, sign
         if key not in memo:
             solved = getattr(instance, f"with_{p_kind}")(param[1], base + sign * _FD_STEP)
-            memo[key] = solved, _newton(solved, tight, start=x)[0]
+            memo[key] = solved, _newton(solved, start=x, settings=tight)[0]
         solved, root = memo[key]
         return _target_at(solved, t_kind, t_idx, root)[0]
 
@@ -369,7 +364,7 @@ def sweep(scenario: Scenario, param: str, grid: Sequence[float],
         columns = _grid_point(scenario, param, value, point)
         members = actions = None
         if stage == "contest":
-            equilibrium = solve_contest(ContestInstance._derived(*columns[:5]), scenario.settings)
+            equilibrium = solve_contest(ContestInstance._derived(*columns[:5], scenario.settings))
         else:
             result = _assemble(_Fields(columns, scenario.settings), "iterative")[0]
             equilibrium, members, actions = result.equilibrium, result.members, result.actions

@@ -94,11 +94,12 @@ class ContestInstance:
     """Parameters of one effort lottery over an ordered field of athletes.
 
     ``delta`` holds prize differentials, ``cost`` the baseline quadratic
-    cost slopes, ``psi`` the drafting multipliers, and ``weight`` the
-    lottery weights.  The effective cost slope is ``k = cost / psi`` and the
-    effective prize is ``delta * weight^2``.  Public input is checked once,
-    here; a scenario's full field, its candidate fields and the ``with_*``
-    variants reuse checked columns.  Every construction ends in ``_store``,
+    cost slopes, ``psi`` the drafting multipliers, ``weight`` the lottery
+    weights, and ``settings`` (``None``: the defaults) tune every solve.  The
+    effective cost slope is ``k = cost / psi`` and the effective prize is
+    ``delta * weight^2``.  Public input is checked once, here; a scenario's
+    full field, its candidate fields and the ``with_*`` variants reuse checked
+    columns and carry the settings on.  Every construction ends in ``_store``,
     the one place that computes the effective columns; an instance refuses
     any that are not normal floats when first solved.
     """
@@ -108,6 +109,7 @@ class ContestInstance:
     cost: tuple[float, ...]
     psi: tuple[float, ...]
     weight: tuple[float, ...]
+    settings: SolverSettings | None = None
 
     def __post_init__(self) -> None:
         ids = tuple(map(str, self.ids))
@@ -126,31 +128,35 @@ class ContestInstance:
                     raise DomainError(name, f"{name} must be positive and finite, got {value} "
                                             f"(athlete {ids[values.index(value)]!r})")
             columns.append(values)
-        self._store(ids, *columns)
+        if not isinstance(self.settings, (SolverSettings, type(None))):
+            raise DomainError("settings", f"settings must be SolverSettings, got {self.settings!r}")
+        self._store(ids, *columns, self.settings)
 
     def _store(self, ids: tuple[str, ...], delta: _Column, cost: _Column, psi: _Column,
-               weight: _Column, effective: _Effective | None = None) -> None:
-        """Set the checked columns and the unchecked ``_effective`` slopes ``cost / psi`` and
-        prizes ``delta * weight^2``, computed here only; a candidate field passes its slices
-        of the full field's as ``effective``.  Every construction ends here.  They serve as
-        ``_k`` and ``_delta_eff`` where normal throughout; elsewhere that property refuses
-        them when first solved."""
+               weight: _Column, settings: SolverSettings | None,
+               effective: _Effective | None = None) -> None:
+        """Set the checked columns, the settings (``None`` read as the defaults here only) and
+        the unchecked ``_effective`` slopes ``cost / psi`` and prizes ``delta * weight^2``,
+        computed here only; a candidate field passes its slices of the full field's as
+        ``effective``.  Every construction ends here.  They serve as ``_k`` and ``_delta_eff``
+        where normal throughout; elsewhere that property refuses them when first solved."""
         if effective is None:
             effective = (tuple(map(truediv, cost, psi)),
                          tuple(map(mul, map(mul, delta, weight), weight)))
         columns = self.__dict__
         columns.update(ids=ids, delta=delta, cost=cost, psi=psi, weight=weight,
-                       _effective=effective)
+                       settings=settings or DEFAULT_SETTINGS, _effective=effective)
         for name, values in zip(("_k", "_delta_eff"), effective):
             if _all_normal(values):
                 columns[name] = values
 
     @classmethod
     def _derived(cls, ids: tuple[str, ...], delta: _Column, cost: _Column, psi: _Column,
-                 weight: _Column, effective: _Effective | None = None) -> "ContestInstance":
+                 weight: _Column, settings: SolverSettings | None,
+                 effective: _Effective | None = None) -> "ContestInstance":
         """An instance over already-checked float columns, without the public checks."""
         self = object.__new__(cls)
-        self._store(ids, delta, cost, psi, weight, effective)
+        self._store(ids, delta, cost, psi, weight, settings, effective)
         return self
 
     @property
@@ -190,7 +196,7 @@ class ContestInstance:
                    "weight": self.weight}
         column = columns[name]
         columns[name] = column[:idx] + (value,) + column[idx + 1:]
-        return self._derived(self.ids, **columns)
+        return self._derived(self.ids, **columns, settings=self.settings)
 
     def with_psi(self, athlete_id: str, value: float) -> "ContestInstance":
         return self._with_field("psi", athlete_id, value)
@@ -203,10 +209,10 @@ class ContestInstance:
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "ContestInstance":
-        """A fresh contest among all of the scenario's athletes, in its order, over the
-        input columns the scenario builds from its checked records once; solves live on
-        the new instance only.  The entry stage and ``sweep`` build theirs the same way."""
-        return cls._derived(*scenario._columns[:5])
+        """A fresh contest among all of the scenario's athletes, in its order and under its
+        settings, over the input columns it builds from its checked records once; solves live
+        on the new instance only.  The entry stage and ``sweep`` build theirs the same way."""
+        return cls._derived(*scenario._columns[:5], scenario.settings)
 
 
 def _all_normal(values: _Column) -> bool:
@@ -299,14 +305,15 @@ def aggregate_equation(total: float, instance: ContestInstance) -> float:
     return _shares_and_slope(instance, total * total)[1]
 
 
-def _newton(instance: ContestInstance, settings: SolverSettings | None,
-            mass: float = 1.0, start: float = 0.0) -> tuple[float, list[float], float, float]:
+def _newton(instance: ContestInstance, mass: float = 1.0, start: float = 0.0,
+            settings: SolverSettings | None = None) -> tuple[float, list[float], float, float]:
     """Root ``X``, its shares, gap and slope ``dg/dt`` by Newton in ``t = X^2`` from ``X = start``:
     a start above the root steps to or below it (``g`` is convex, ``t < 0`` clamps to 0), then
     climbs until ``|g| <= max(abs_tol, m eps) mass``, so a small target mass keeps its digits.
+    ``settings`` overrides the instance's, for the tightened finite-difference re-solves.
     Raises :class:`ConvergenceError` when the budget runs out, a step stalls, or ``dg/dt``
     underflows to zero, as it does for a root beyond float range (``de/k`` past about 1e308)."""
-    settings = settings or DEFAULT_SETTINGS
+    settings = settings or instance.settings
     tol = max(settings.abs_tol, instance.m * sys.float_info.epsilon) * mass
     x = start
     try:
@@ -328,26 +335,24 @@ def _newton(instance: ContestInstance, settings: SolverSettings | None,
     raise ConvergenceError(message, (last if gap > 0.0 else 0.0, math.sqrt(bound)), gap)
 
 
-def solve_total_effort(instance: ContestInstance,
-                       settings: SolverSettings | None = None) -> float:
+def solve_total_effort(instance: ContestInstance) -> float:
     """Root of the aggregate equation by monotone Newton steps in ``t = X^2``.
 
     The excess mass ``g(t)`` is convex and strictly decreasing, so Newton's
     method started at ``t = 0`` climbs to the root from below without a
     bracket.  Iteration stops once the absolute residual is at most
-    ``max(settings.abs_tol, m * eps)`` for any ``abs_tol``, ``m * eps`` being
+    ``max(abs_tol, m * eps)`` for the instance's ``abs_tol``, ``m * eps`` being
     the rounding of ``m`` shares.  Raises :class:`ConvergenceError` when
-    ``settings.max_iter`` evaluations do not get there, a step stalls, or the
+    its ``max_iter`` evaluations do not get there, a step stalls, or the
     root lies beyond float range.
     """
     if instance.m < 2:
         raise ValueError("the aggregate root search needs at least two members; "
                          "singleton fields are handled by solve_contest")
-    return _newton(instance, settings)[0]
+    return _newton(instance)[0]
 
 
-def solve_contest(instance: ContestInstance,
-                  settings: SolverSettings | None = None) -> ContestEquilibrium:
+def solve_contest(instance: ContestInstance) -> ContestEquilibrium:
     """Equilibrium odds, efforts, and expected payoffs for the field.
 
     A singleton field wins outright at zero effort by convention.  For two
@@ -363,7 +368,7 @@ def solve_contest(instance: ContestInstance,
             continuation_values={aid: instance.delta[0]},
             residual=0.0,
         )
-    x, probs, gap, _ = _newton(instance, settings)
+    x, probs, gap, _ = _newton(instance)
     efforts = [p * x / w for p, w in zip(probs, instance.weight)]
     values = [p * d - 0.5 * k * e * e
               for p, d, k, e in zip(probs, instance.delta, instance._k, efforts)]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .contest import (
-    DEFAULT_SETTINGS,
     ContestEquilibrium,
     ContestInstance,
     SolverSettings,
@@ -112,17 +111,16 @@ class SpeResult:
 class _Fields:
     """The candidate fields of one set of input columns, keyed by bitmask, each solved once.
 
-    ``columns`` is shaped like ``Scenario._columns``; ``settings=None`` means the defaults.
-    Bit ``i`` is the ``i``-th athlete.  A field's contest takes the full field's columns,
-    effective ones included, at its set bits: what the public constructor builds for them.
+    ``columns`` is shaped like ``Scenario._columns``; every field's contest carries
+    ``settings``.  Bit ``i`` is the ``i``-th athlete.  A field's contest takes the full field's
+    columns, effective ones included, at its set bits: what the public constructor builds.
     """
 
     def __init__(self, columns: tuple[tuple, ...], settings: SolverSettings | None) -> None:
-        self.full = ContestInstance._derived(*columns[:5])
+        self.full = ContestInstance._derived(*columns[:5], settings)
         self.ids = self.full.ids
         self.everyone = (1 << len(self.ids)) - 1
         self.outside = columns[5]
-        self.settings = settings or DEFAULT_SETTINGS
         self._bit = {aid: 1 << i for i, aid in enumerate(self.ids)}
         self._solved: dict[int, tuple[ContestInstance, ContestEquilibrium]] = {}
 
@@ -152,13 +150,14 @@ class _Fields:
         ids, delta, cost, psi, weight, k, delta_eff = (
             tuple(itertools.compress(column, keep)) for column in
             (full.ids, full.delta, full.cost, full.psi, full.weight, *full._effective))
-        return ContestInstance._derived(ids, delta, cost, psi, weight, (k, delta_eff))
+        return ContestInstance._derived(ids, delta, cost, psi, weight, full.settings,
+                                        (k, delta_eff))
 
     def solve(self, mask: int) -> tuple[ContestInstance, ContestEquilibrium]:
         """The field's contest and its equilibrium."""
         if mask not in self._solved:
             instance = self.instance(mask)
-            self._solved[mask] = instance, solve_contest(instance, self.settings)
+            self._solved[mask] = instance, solve_contest(instance)
         return self._solved[mask]
 
     def net(self, mask: int, i: int) -> float:
@@ -210,7 +209,7 @@ def net_benefit_curve(scenario: Scenario, members: Iterable[str],
     mask = fields.mask(members)
     leave = fields.outside[fields.member_index(mask, athlete_id)]
     base = fields.instance(mask)
-    return [solve_contest(base.with_psi(athlete_id, float(psi)), fields.settings)
+    return [solve_contest(base.with_psi(athlete_id, float(psi)))
             .continuation_values[athlete_id] - leave for psi in psi_grid]
 
 
@@ -246,7 +245,7 @@ def cutoff_psi(scenario: Scenario, members: Iterable[str], athlete_id: str) -> C
         p_star, rest = _needed_share(leave, delta)
         field = fields.instance(mask)  # only this field's effective prizes are checked
         delta_eff = field._delta_eff[field.index(athlete_id)]
-        x = _newton(fields.instance(mask & ~(1 << i)), fields.settings, rest)[0]
+        x = _newton(fields.instance(mask & ~(1 << i)), rest)[0]
         psi_star = fields.full.cost[i] * p_star * x * x / (delta_eff * rest)
     key, (lo, hi) = fields.members(mask), scenario.globals.psi_bounds
     if psi_star <= lo:

@@ -200,7 +200,8 @@ def reference_instance(scenario: Scenario, members) -> ContestInstance:
                            delta=[rec.prize_diff for rec in chosen],
                            cost=[rec.base_cost for rec in chosen],
                            psi=[drafting_multiplier(rec.draft_share, eta) for rec in chosen],
-                           weight=[rec.weight for rec in chosen])
+                           weight=[rec.weight for rec in chosen],
+                           settings=scenario.settings)
 
 
 def reference_net_benefit(scenario: Scenario, members, athlete_id: str) -> float:
@@ -313,7 +314,7 @@ def reference_cutoff(scenario: Scenario, members, athlete_id: str,
 
     def value(psi: float) -> float:
         instance = base.with_psi(athlete_id, psi)
-        return solve_contest(instance, scenario.settings).continuation_values[athlete_id] - leave
+        return solve_contest(instance).continuation_values[athlete_id] - leave
 
     lo, hi = scenario.globals.psi_bounds
     if value(lo) >= 0.0:
@@ -361,7 +362,7 @@ def reference_sweep(scenario: Scenario, param: str, grid,
             local = dataclasses.replace(scenario, athletes=athletes)
         members = actions = None
         if stage == "contest":
-            solved = solve_contest(ContestInstance.from_scenario(local), local.settings)
+            solved = solve_contest(ContestInstance.from_scenario(local))
         else:
             outcome = entry.assemble_spe(local, mode="iterative")[0]
             solved, members, actions = outcome.equilibrium, outcome.members, outcome.actions

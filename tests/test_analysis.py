@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tricontest.analysis as analysis
+import tricontest.contest as contest
 import tricontest.entry as entry
 from tricontest import (
     ContestInstance,
+    ConvergenceError,
     DomainError,
     PredictionReport,
     PredictionSection,
@@ -22,12 +25,14 @@ from tricontest import (
     enumerate_equilibrium_sets,
     is_equilibrium_set,
     iterate_continuation_operator,
+    load_scenario,
     net_benefit,
     net_benefit_curve,
     outside_option,
     prediction_report,
     sensitivity_report,
     solve_contest,
+    solve_total_effort,
     subset_equilibrium,
     sweep,
     symmetric_equilibrium,
@@ -36,6 +41,8 @@ from tricontest import (
 )
 
 from helpers import pair_scenario, random_instance, random_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 ALPHA, BETA, T_SWIM = 0.001, 0.01, 1800.0
 
@@ -151,7 +158,8 @@ def test_warm_started_differences_match_cold_re_solves():
                 base = getattr(instance, kind)[0]
                 values = []
                 for value in (base + step, base - step):
-                    solved = solve_contest(getattr(instance, f"with_{kind}")(aid, value), tight)
+                    solved = solve_contest(dataclasses.replace(
+                        getattr(instance, f"with_{kind}")(aid, value), settings=tight))
                     values.append(solved.total_effort if target[1] is None else
                                   getattr(solved, target[0] + "s")[aid])
                 cold = (values[0] - values[1]) / (2.0 * step)
@@ -336,6 +344,11 @@ def test_sweep_errors_name_the_grid_point():
     with pytest.raises(DomainError) as err:
         sweep(scenario, "athletes.ada.draft_share", [0.5, 1.5])
     assert err.value.field == "grid"
+    for param, value, reason in (("m", 1.0, "field size must be at least 2"),
+                                 ("athletes.ada.r_swim", 1.5, "r_swim must be an integer")):
+        with pytest.raises(DomainError) as err:
+            sweep(scenario, param, [value])
+        assert str(err.value) == f"grid point 0 ({value!r}) for parameter {param!r}: {reason}"
     for param in ("m", "athletes.ada.r_swim", "athletes.ada.draft_share"):
         for bad in (math.inf, math.nan):
             with pytest.raises(DomainError) as err:
@@ -475,8 +488,11 @@ def test_prediction_report_rejects_unknown_athlete():
 
 
 def test_the_solver_block_reaches_every_solve(monkeypatch):
-    """Every root solve under a public scenario call uses the scenario's settings."""
+    """Every root solve under a public scenario call, and under the instance calls on
+    ``ContestInstance.from_scenario``, uses the scenario's settings; the finite-difference
+    re-solves use them with the tightened ``abs_tol``."""
     chosen = SolverSettings(abs_tol=1e-11, max_iter=77)
+    tight = dataclasses.replace(chosen, abs_tol=analysis._FD_ABS_TOL)
     rng = np.random.default_rng(77)
     while True:
         scenario = dataclasses.replace(random_scenario(rng, n=4), settings=chosen)
@@ -487,17 +503,25 @@ def test_the_solver_block_reaches_every_solve(monkeypatch):
         if inner:
             break
     seen = []
-    for module in (entry, analysis):
-        for name in ("solve_contest", "_newton"):
-            real = getattr(module, name)
+    real = contest._newton
 
-            def spy(instance, settings=None, *rest, _real=real, **keys):
-                seen.append(settings)
-                return _real(instance, settings, *rest, **keys)
+    def spy(instance, *rest, **keys):
+        seen.append(keys.get("settings") or instance.settings)
+        return real(instance, *rest, **keys)
 
-            monkeypatch.setattr(module, name, spy)
+    for module in (contest, entry, analysis):
+        monkeypatch.setattr(module, "_newton", spy)
     draft = f"athletes.{ids[0]}.draft_share"
+
+    def fresh() -> ContestInstance:
+        return ContestInstance.from_scenario(scenario)
+
     calls = {
+        "solve_contest": lambda: solve_contest(fresh()),
+        "solve_total_effort": lambda: solve_total_effort(fresh()),
+        "sensitivity_report": lambda: sensitivity_report(fresh(), ("total", None),
+                                                         ("psi", ids[0])),
+        "total_effort_derivative": lambda: total_effort_derivative(fresh(), ("psi", ids[0])),
         "subset_equilibrium": lambda: subset_equilibrium(scenario, ids[:2]),
         "net_benefit": lambda: net_benefit(scenario, ids[:2], ids[2]),
         "net_benefit_curve": lambda: net_benefit_curve(scenario, ids, ids[0], [1.0, 1.5]),
@@ -515,4 +539,27 @@ def test_the_solver_block_reaches_every_solve(monkeypatch):
         seen.clear()
         call()
         assert seen, name
-        assert all(settings is chosen for settings in seen), (name, seen)
+        assert all(settings is chosen or settings == tight for settings in seen), (name, seen)
+        assert (tight in seen) == (name == "sensitivity_report"), name
+
+
+def test_a_starved_scenario_fails_alike_at_every_level():
+    """Scenario calls and instance calls on ``from_scenario`` stop on one budget."""
+    scenario = dataclasses.replace(load_scenario(ROOT / "scenarios" / "heterogeneous_triple.json"),
+                                   settings=SolverSettings(max_iter=2))
+    ids = scenario.ids
+    with pytest.raises(ConvergenceError) as err:
+        subset_equilibrium(scenario, ids)
+    calls = [lambda: welfare_report(scenario, ids),
+             lambda: sweep(scenario, f"athletes.{ids[0]}.draft_share",
+                           [scenario.athletes[0].draft_share]),
+             lambda: solve_contest(ContestInstance.from_scenario(scenario)),
+             lambda: solve_total_effort(ContestInstance.from_scenario(scenario)),
+             lambda: sensitivity_report(ContestInstance.from_scenario(scenario),
+                                        ("total", None), ("psi", ids[0])),
+             lambda: total_effort_derivative(ContestInstance.from_scenario(scenario),
+                                             ("psi", ids[0]))]
+    for call in calls:
+        with pytest.raises(ConvergenceError) as other:
+            call()
+        assert str(other.value) == str(err.value)

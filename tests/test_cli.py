@@ -16,6 +16,7 @@ import pytest
 
 from tricontest import (
     ScenarioError,
+    SolverSettings,
     load_scenario,
     parse_scenario,
     save_scenario,
@@ -175,6 +176,12 @@ _FAULTS = [
      "graph: drafting edge ('ada', 'zed') references an unknown athlete"),
 ]
 
+# A block that is absent or not of its kind.
+_SHAPES = [
+    ("top", "version", _ABSENT, "version: missing field"),
+    ("top", "graph", {"ada": "bea"}, "graph: expected an array of [from, to] pairs"),
+]
+
 # Integers past float range, and a stop tolerance no share mass of one can use.
 _OUT_OF_RANGE = [
     ("athlete", "prize_diff", 10**400,
@@ -187,9 +194,10 @@ _OUT_OF_RANGE = [
 ]
 
 
-@pytest.mark.parametrize("block,key,value,message", _FAULTS + _OUT_OF_RANGE,
+@pytest.mark.parametrize("block,key,value,message", _FAULTS + _OUT_OF_RANGE + _SHAPES,
                          ids=[f"{block}.{key}" for block, key, _, _ in _FAULTS]
-                         + [f"{block}.{key}-out-of-range" for block, key, _, _ in _OUT_OF_RANGE])
+                         + [f"{block}.{key}-out-of-range" for block, key, _, _ in _OUT_OF_RANGE]
+                         + [f"{block}.{key}-shape" for block, key, _, _ in _SHAPES])
 def test_parse_fault_messages(block, key, value, message):
     """Each single fault is reported with its exact path and text."""
     payload = minimal_payload()
@@ -240,6 +248,16 @@ def test_scenario_with_a_graph_round_trips(tmp_path):
     save_scenario(original, tmp_path / "graph.json")
     assert load_scenario(tmp_path / "graph.json") == original
     assert scenario_to_dict(original)["graph"] == [["ada", "bea"], ["bea", "ada"]]
+
+
+def test_scenario_with_a_solver_block_round_trips(tmp_path):
+    payload = minimal_payload()
+    payload["solver"] = {"abs_tol": 1e-10, "max_iter": 50}
+    original = parse_scenario(payload)
+    assert original.settings == SolverSettings(abs_tol=1e-10, max_iter=50)
+    save_scenario(original, tmp_path / "solver.json")
+    assert load_scenario(tmp_path / "solver.json") == original
+    assert scenario_to_dict(original)["solver"] == payload["solver"]
 
 
 def test_scenario_to_dict_omits_empty_blocks():
@@ -404,6 +422,22 @@ def test_unknown_set_member_is_a_usage_error(capsys):
         assert (code, out, err) == (2, "", "error: unknown athlete id 'zzz'\n"), command
 
 
+def test_malformed_set_is_a_usage_error(capsys):
+    code, out, err = run_cli(["solve", "--set", ",", str(SCENARIOS / "symmetric_pair.json")],
+                             capsys)
+    assert (code, out, err) == (2, "", "error: malformed --set value ',': empty member id\n")
+
+
+def test_help_exits_0_and_an_unknown_option_2(capsys):
+    code, out, _ = run_cli(["--help"], capsys)
+    assert code == 0
+    assert out.startswith("usage: tricontest ")
+    code, out, err = run_cli(["solve", "--bogus", str(SCENARIOS / "symmetric_pair.json")],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("tricontest: error: unrecognized arguments: --bogus\n")
+
+
 def test_a_root_beyond_float_range_is_a_solver_error(tmp_path, capsys):
     """Valid prizes and costs whose ratio passes 1e308 end in one line and exit 1."""
     payload = minimal_payload()
@@ -416,6 +450,20 @@ def test_a_root_beyond_float_range_is_a_solver_error(tmp_path, capsys):
         assert (code, out) == (1, ""), command
         assert err.startswith("error: Newton's slope underflowed to zero ")
         assert err.count("\n") == 1
+
+
+def test_a_root_below_float_range_is_a_solver_error(tmp_path, capsys):
+    """Valid prizes and costs whose ratio is under 1e-308 stall Newton: one line, exit 1."""
+    payload = minimal_payload()
+    for athlete in payload["athletes"]:
+        athlete.update(prize_diff=1e-200, base_cost=1e200)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(payload))
+    for command in ("solve", "spe", "welfare"):
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert (code, out) == (1, ""), command
+        assert err == ("error: Newton stalled at floating point resolution "
+                       "(bracket [0.0, 0.0], residual 1.0)\n")
 
 
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):

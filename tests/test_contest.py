@@ -9,6 +9,7 @@ package solver.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,10 +147,10 @@ def test_root_within_twenty_evaluations():
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         instance = random_instance(rng, weighted=True)
-        total = solve_total_effort(instance, lean)
+        total = solve_total_effort(replace(instance, settings=lean))
         assert abs(aggregate_equation(total, instance)) <= lean.abs_tol
     crowd = random_instance(rng, m=1000, weighted=True)
-    total = solve_total_effort(crowd, lean)
+    total = solve_total_effort(replace(crowd, settings=lean))
     assert abs(aggregate_equation(total, crowd)) <= lean.abs_tol
 
 
@@ -187,7 +188,7 @@ def test_solve_evaluates_the_shares_only_inside_newton(monkeypatch):
         needed = 1
         while True:
             try:
-                solve_total_effort(instance, SolverSettings(max_iter=needed))
+                solve_total_effort(replace(instance, settings=SolverSettings(max_iter=needed)))
                 break
             except ConvergenceError:
                 needed += 1
@@ -197,7 +198,7 @@ def test_solve_evaluates_the_shares_only_inside_newton(monkeypatch):
 def test_convergence_error_carries_bracket():
     starved = SolverSettings(max_iter=2)
     with pytest.raises(ConvergenceError) as err:
-        solve_total_effort(mixed_triple(), starved)
+        solve_total_effort(replace(mixed_triple(), settings=starved))
     lo, hi = err.value.bracket
     assert lo < solve_total_effort(mixed_triple()) < hi
     assert math.isfinite(err.value.residual)
@@ -214,6 +215,17 @@ def test_a_root_beyond_float_range_is_a_convergence_error(prize, cost):
     assert err.value.bracket == (0.0, math.inf)
 
 
+def test_a_root_below_float_range_is_a_convergence_error():
+    """With ``de/k`` under about 1e-308 the root ``t`` underflows to 0 and Newton stalls there."""
+    instance = ContestInstance(ids=("a", "b"), delta=(1e-200,) * 2, cost=(1e200,) * 2,
+                               psi=(1.0,) * 2, weight=(1.0,) * 2)
+    with pytest.raises(ConvergenceError) as err:
+        solve_contest(instance)
+    assert str(err.value) == ("Newton stalled at floating point resolution "
+                              "(bracket [0.0, 0.0], residual 1.0)")
+    assert (err.value.bracket, err.value.residual) == ((0.0, 0.0), 1.0)
+
+
 def test_warm_starts_reach_the_cold_root():
     """From below, at, above and far above the root Newton lands on the cold root.
 
@@ -225,15 +237,15 @@ def test_warm_starts_reach_the_cold_root():
     tight = SolverSettings(abs_tol=1e-14)
     rng = np.random.default_rng(2024)
     for _ in range(200):
-        instance = random_instance(rng, weighted=True)
-        cold = contest._newton(instance, tight)[0]
+        instance = replace(random_instance(rng, weighted=True), settings=tight)
+        cold = contest._newton(instance)[0]
         for factor in (0.0, 0.5, 1.0, 1.5, 3.0, 1e6):
-            warm = contest._newton(instance, tight, start=factor * cold)[0]
+            warm = contest._newton(instance, start=factor * cold)[0]
             assert warm == pytest.approx(cold, rel=1e-12, abs=0.0), factor
         for factor in (1.5, 3.0, 1e6):
             for budget in (1, 2, 3):
                 with pytest.raises(ConvergenceError) as err:
-                    contest._newton(instance, SolverSettings(max_iter=budget),
+                    contest._newton(replace(instance, settings=SolverSettings(max_iter=budget)),
                                     start=factor * cold)
                 lo, hi = err.value.bracket
                 assert lo <= cold < hi, (factor, budget)
@@ -330,6 +342,11 @@ def test_solver_settings_validation():
         SolverSettings(abs_tol=0.0)
     with pytest.raises(DomainError):
         SolverSettings(max_iter=0)
+    for count in (2.0, True):
+        with pytest.raises(DomainError) as err:
+            SolverSettings(max_iter=count)
+        assert err.value.field == "max_iter"
+        assert str(err.value) == f"max_iter must be an integer, got {count!r}"
     # A share mass of one bounds every gap; at abs_tol >= 1 zero effort would pass.
     for tol in (1.0, 2.0, math.inf, 10**400):
         with pytest.raises(DomainError) as err:
@@ -408,6 +425,17 @@ def test_symmetric_closed_form_rejects_small_or_fractional_fields():
         symmetric_equilibrium(2.0, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("delta, cost, psi, field, shown", [
+    (0.0, 1.0, 1.0, "delta", "0.0"), (1.0, -1.0, 1.0, "cost", "-1.0"),
+    (1.0, 1.0, math.nan, "psi", "nan"), (math.inf, 1.0, 1.0, "delta", "inf"),
+])
+def test_symmetric_closed_form_rejects_bad_values(delta, cost, psi, field, shown):
+    with pytest.raises(DomainError) as err:
+        symmetric_equilibrium(2, delta, cost, psi)
+    assert err.value.field == field
+    assert str(err.value) == f"{field} must be positive, got {shown}"
+
+
 @hyp_settings(max_examples=150, deadline=None)
 @given(d1=pos, d2=pos, c1=pos, c2=pos, s1=psis, s2=psis, w1=wts, w2=wts)
 def test_duel_closed_form_matches_root_search(d1, d2, c1, c2, s1, s2, w1, w2):
@@ -462,6 +490,18 @@ def test_nash_check_fails_off_equilibrium():
     # ada's best response to 0.5 is exactly 0.5; the forgone payoff is
     # 0.375 - (0.6/1.1 - 0.18).
     assert check.max_gain == pytest.approx(0.375 - (0.6 / 1.1 - 0.18), abs=1e-6)
+
+
+def test_nash_check_and_curvature_need_every_member():
+    instance = unit_pair()
+    partial = ContestEquilibrium(total_effort=0.5, efforts={"ada": 0.5}, probs={"ada": 1.0},
+                                 continuation_values={"ada": 0.0}, residual=0.0)
+    with pytest.raises(ValueError) as err:
+        verify_nash(instance, partial)
+    assert str(err.value) == "equilibrium efforts are missing athlete 'bea'"
+    with pytest.raises(ValueError) as err:
+        payoff_curvature(instance, EffortProfile({"ada": 0.5}), "ada")
+    assert str(err.value) == "profile is missing athlete 'bea'"
 
 
 def test_nash_check_singleton_passes_trivially():

@@ -21,13 +21,17 @@ import pytest
 import tricontest.entry as entry
 from tricontest import (
     AthleteRecord,
+    ContestEquilibrium,
     ContestInstance,
     DomainError,
     GlobalParams,
     Scenario,
+    SolverSettings,
+    WelfareReport,
     cutoff_psi,
     solve_contest,
     subset_equilibrium,
+    welfare_report,
 )
 
 from helpers import random_scenario, reference_instance
@@ -107,6 +111,35 @@ def test_derived_instances_solve_like_public_ones():
             assert solve_contest(variant) == solve_contest(public(variant))
 
 
+def test_every_construction_path_carries_the_settings():
+    """``None`` reads as the defaults; a scenario's full field, its candidate fields and the
+    ``with_*`` variants carry the scenario's settings, and ``replace`` sets new ones."""
+    base = ContestInstance(ids=("ada", "bea"), delta=(1.0, 1.0), cost=(1.0, 1.0),
+                           psi=(1.0, 1.0), weight=(1.0, 1.0))
+    assert base.settings == SolverSettings()
+    chosen = SolverSettings(abs_tol=1e-11, max_iter=77)
+    assert dataclasses.replace(base, settings=chosen).settings is chosen
+    scenario = dataclasses.replace(random_scenario(np.random.default_rng(1014), n=4),
+                                   settings=chosen)
+    full = ContestInstance.from_scenario(scenario)
+    fields = entry._Fields(scenario._columns, scenario.settings)
+    aid = full.ids[1]
+    for instance in (full, fields.full, fields.instance(0b0101), full.with_psi(aid, 1.5),
+                     full.with_delta(aid, 2.0), fields.instance(0b0011).with_cost(aid, 0.5)):
+        assert instance.settings is chosen
+    assert ContestInstance.from_scenario(dataclasses.replace(scenario, settings=None)) == \
+        dataclasses.replace(full, settings=SolverSettings())
+
+
+@pytest.mark.parametrize("value", ["x", {"max_iter": 2}, 0])
+def test_settings_must_be_solver_settings(value):
+    with pytest.raises(DomainError) as err:
+        ContestInstance(ids=("ada",), delta=(1.0,), cost=(1.0,), psi=(1.0,), weight=(1.0,),
+                        settings=value)
+    assert err.value.field == "settings"
+    assert str(err.value) == f"settings must be SolverSettings, got {value!r}"
+
+
 BAD_VALUES = [(0, "0.0"), (-1, "-1.0"), (math.nan, "nan"), (math.inf, "inf"),
               (-0.0, "-0.0"), ("nan", "nan"), ("1e400", "inf")]
 
@@ -170,6 +203,17 @@ def test_fields_with_a_subnormal_athlete_refuse_at_solve_time(members):
     # Mending the one entry clears the refusal.
     mended = instance.with_delta("cal", 1e10)
     assert solve_contest(mended) == solve_contest(public(mended))
+
+
+def test_a_lone_subnormal_athlete_is_not_refused():
+    """A lone member wins at zero effort, so its effective columns are never read."""
+    scenario = subnormal_scenario()
+    assert subset_equilibrium(scenario, ["cal"]) == ContestEquilibrium(
+        total_effort=0.0, efforts={"cal": 0.0}, probs={"cal": 1.0},
+        continuation_values={"cal": 1e-300}, residual=0.0)
+    assert welfare_report(scenario, ["cal"]) == WelfareReport(
+        members=("cal",), total_welfare=1e-300, aggregate_cost=0.0,
+        aggregate_prize_intake=1e-300, rent_ratio=0.0)
 
 
 def test_cutoffs_in_fields_without_a_subnormal_athlete():

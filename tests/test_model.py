@@ -163,6 +163,18 @@ def test_instance_column_validation_table(column, value, shown):
                                f"got {shown} (athlete 'bea')")
 
 
+@pytest.mark.parametrize("ids, cost, field, message", [
+    ((), (), "ids", "a contest instance needs at least one member"),
+    (("ada", "ada"), (1.0, 1.0), "ids", "contest member ids must be unique"),
+    (("ada", "bea"), (1.0,), "cost", "cost needs one entry per member (2), got 1"),
+])
+def test_instance_shape_validation(ids, cost, field, message):
+    rest = (1.0,) * len(ids)
+    with pytest.raises(DomainError) as err:
+        ContestInstance(ids=ids, delta=rest, cost=cost, psi=rest, weight=rest)
+    assert (err.value.field, str(err.value)) == (field, message)
+
+
 @pytest.mark.parametrize("column, shown, athlete", [
     ((1.0, -0.0, 0.0), "-0.0", "bea"),
     ((1.0, 0.0, -0.0), "0.0", "bea"),

@@ -4,9 +4,9 @@ Read from the source with ``ast``: the package ``__all__`` must list
 exactly the public names ``__init__`` imports, every submodule ``__all__``
 entry must be defined, and no module may import a name it never uses
 (imports under ``if TYPE_CHECKING:`` are for annotations and do not count).
-Read with ``inspect``: a public function that takes a scenario solves with
-that scenario's settings and takes no ``settings`` of its own, and the entry
-and what-if functions take no tuning knobs.  Loaded from its file: every
+Read with ``inspect``: no public function takes ``settings``, which only a
+scenario and a contest instance carry, and the entry and what-if functions
+take no tuning knobs.  Loaded from its file: every
 package name the benchmark's tracer wraps exists.  Read from the README: the
 errors it names as worth catching are exactly the package's exported errors.
 Every exported name but an allowlisted one has a caller outside the tests.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import builtins
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -137,6 +138,20 @@ def test_scenario_functions_take_no_settings():
             "cutoff_psi", "is_equilibrium_set", "enumerate_equilibrium_sets",
             "iterate_continuation_operator", "assemble_spe", "welfare_report", "sweep",
             "prediction_report"} <= set(takes_scenario)
+
+
+def test_no_public_function_takes_settings():
+    """Solver settings are data on a scenario or an instance, never a call's argument."""
+    functions = {name: getattr(tricontest, name) for name in tricontest.__all__
+                 if inspect.isfunction(getattr(tricontest, name))}
+    assert {"solve_contest", "solve_total_effort", "sensitivity_report",
+            "total_effort_derivative"} <= set(functions)
+    assert [name for name, function in functions.items()
+            if "settings" in inspect.signature(function).parameters] == []
+    carriers = {name for name in tricontest.__all__
+                if dataclasses.is_dataclass(value := getattr(tricontest, name))
+                and "settings" in {field.name for field in dataclasses.fields(value)}}
+    assert carriers == {"Scenario", "ContestInstance"}
 
 
 def test_entry_and_what_if_functions_take_no_tuning_knobs():

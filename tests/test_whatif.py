@@ -158,24 +158,27 @@ def test_sensitivity_reports_on_one_instance_equal_reports_on_fresh_instances():
     """Shuffled, repeated and under two settings, the memo never changes a report."""
     scenario = study_scenario(9, True)
     ids = scenario.ids
-    instance = ContestInstance.from_scenario(scenario)
     loose = SolverSettings(abs_tol=1e-9, max_iter=80)
+    local = {settings: dataclasses.replace(scenario, settings=settings)
+             for settings in (None, loose)}
+    instances = {settings: ContestInstance.from_scenario(local[settings])
+                 for settings in (None, loose)}
     cases = [(target, (kind, aid), settings)
              for target in (("total", None), ("prob", ids[1]), ("effort", ids[0]))
              for kind in PARAMS for aid in ids[:3] for settings in (None, loose)]
     order = cases * 2
     random.Random(4).shuffle(order)
     for target, param, settings in order:
-        fresh = ContestInstance.from_scenario(scenario)
-        assert (sensitivity_report(instance, target, param, settings)
-                == sensitivity_report(fresh, target, param, settings)), (target, param)
-        assert (total_effort_derivative(instance, param, settings)
-                == total_effort_derivative(ContestInstance.from_scenario(scenario), param,
-                                           settings))
-    # One root per settings plus at most one re-solve per kind, member and side.
-    memo = vars(instance)["_solves"]
-    assert set(memo) == {SolverSettings(), loose}
-    assert all(len(solves) <= 1 + 6 * instance.m for solves in memo.values())
+        instance = instances[settings]
+        fresh = ContestInstance.from_scenario(local[settings])
+        assert (sensitivity_report(instance, target, param)
+                == sensitivity_report(fresh, target, param)), (target, param)
+        assert (total_effort_derivative(instance, param)
+                == total_effort_derivative(ContestInstance.from_scenario(local[settings]), param))
+    # One root per instance plus at most one re-solve per kind, member and side.
+    assert [instance.settings for instance in instances.values()] == [SolverSettings(), loose]
+    assert all(len(vars(instance)["_solves"]) <= 1 + 6 * instance.m
+               for instance in instances.values())
 
 
 def test_scenario_keeps_input_columns_only_and_instances_are_fresh():
