@@ -3,21 +3,14 @@
 The package solves the effort lottery among athletes who stayed in
 contention, evaluates each athlete's stay-or-leave decision against their
 outside option, and layers comparative statics, welfare accounting, and a
-deterministic CLI on top.
+deterministic CLI on top.  ``import tricontest`` loads ``model``, ``contest``
+and ``scenario_io``; the names from ``entry`` and ``analysis`` load on first
+use, and the CLI loads ``analysis`` only for ``welfare`` and ``sweep``.
 """
 
-from .analysis import (
-    PredictionReport,
-    PredictionSection,
-    SensitivityReport,
-    SweepRecord,
-    WelfareReport,
-    prediction_report,
-    sensitivity_report,
-    sweep,
-    total_effort_derivative,
-    welfare_report,
-)
+import importlib
+from typing import TYPE_CHECKING, Any
+
 from .contest import (
     ContestEquilibrium,
     ContestInstance,
@@ -33,20 +26,6 @@ from .contest import (
     symmetric_equilibrium,
     two_player_equilibrium,
     verify_nash,
-)
-from .entry import (
-    CutoffResult,
-    EntryIteration,
-    NetBenefit,
-    SpeResult,
-    assemble_spe,
-    cutoff_psi,
-    enumerate_equilibrium_sets,
-    is_equilibrium_set,
-    iterate_continuation_operator,
-    net_benefit,
-    net_benefit_curve,
-    subset_equilibrium,
 )
 from .model import (
     AthleteRecord,
@@ -66,6 +45,34 @@ from .scenario_io import (
     save_scenario,
     scenario_to_dict,
 )
+
+if TYPE_CHECKING:
+    from .analysis import (
+        PredictionReport,
+        PredictionSection,
+        SensitivityReport,
+        SweepRecord,
+        WelfareReport,
+        prediction_report,
+        sensitivity_report,
+        sweep,
+        total_effort_derivative,
+        welfare_report,
+    )
+    from .entry import (
+        CutoffResult,
+        EntryIteration,
+        NetBenefit,
+        SpeResult,
+        assemble_spe,
+        cutoff_psi,
+        enumerate_equilibrium_sets,
+        is_equilibrium_set,
+        iterate_continuation_operator,
+        net_benefit,
+        net_benefit_curve,
+        subset_equilibrium,
+    )
 
 __version__ = "0.1.0"
 
@@ -121,3 +128,20 @@ __all__ = [
     "verify_nash",
     "welfare_report",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Import ``entry``, or ``analysis`` if the name is not there, on first use (PEP 562)."""
+    if name in ("entry", "analysis"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    layer = importlib.import_module(f"{__name__}.entry")
+    if not hasattr(layer, name):
+        layer = importlib.import_module(f"{__name__}.analysis")
+    value = globals()[name] = getattr(layer, name)  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

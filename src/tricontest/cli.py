@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .analysis import sweep, welfare_report
 from .contest import DEFAULT_SETTINGS, verify_nash
 from .entry import _Fields, assemble_spe, cutoff_psi
 from .model import Scenario
@@ -173,6 +172,9 @@ def _cmd_solve(ns: argparse.Namespace, scenario: Scenario) -> Record:
     fields = _Fields(scenario._columns, scenario.settings)
     instance, equilibrium = fields.solve(fields.mask(members))
     check = verify_nash(instance, equilibrium)
+    if not check.passed:  # a loose solver block can stop short of the equilibrium
+        raise RuntimeError(f"contest on {members} failed the best-response check: athlete "
+                           f"{check.worst!r} gains {format_number(check.max_gain)} by deviating")
     athletes = [{"id": aid, "psi": psi, "k": k,
                  "e_star": equilibrium.efforts[aid],
                  "p_star": equilibrium.probs[aid],
@@ -186,7 +188,7 @@ def _cmd_solve(ns: argparse.Namespace, scenario: Scenario) -> Record:
     return Record(tree, athletes, {
         "total_effort": equilibrium.total_effort,
         "residual": equilibrium.residual, "nash_max_gain": check.max_gain,
-        "nash": "PASS" if check.passed else "FAIL"})
+        "nash": "PASS"})
 
 
 def _cmd_cutoff(ns: argparse.Namespace, scenario: Scenario) -> Record:
@@ -215,6 +217,7 @@ def _cmd_spe(ns: argparse.Namespace, scenario: Scenario) -> Record:
 
 
 def _cmd_welfare(ns: argparse.Namespace, scenario: Scenario) -> Record:
+    from .analysis import welfare_report  # loaded only by the commands that use it
     report = welfare_report(scenario, _parse_set(ns.set, scenario))
     metrics = {name: getattr(report, name) for name in
                ("total_welfare", "aggregate_cost", "aggregate_prize_intake",
@@ -225,6 +228,7 @@ def _cmd_welfare(ns: argparse.Namespace, scenario: Scenario) -> Record:
 
 
 def _cmd_sweep(ns: argparse.Namespace, scenario: Scenario) -> Record:
+    from .analysis import sweep
     grid = _parse_grid(ns.grid)
     stage = "full" if ns.full_spe else "contest"
     points = sweep(scenario, ns.param, grid, stage=stage)

@@ -23,6 +23,7 @@ from .model import (
     DomainError,
     EffortProfile,
     Scenario,
+    SolverSettings,
     _float,
 )
 
@@ -42,27 +43,6 @@ __all__ = [
     "verify_nash",
     "payoff_curvature",
 ]
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Tolerances and budgets for the aggregate root search.
-
-    Newton stops at ``|g| <= max(abs_tol, m * eps) * mass``, relative to the target share
-    mass (one for a contest), with ``0 < abs_tol < 1``; ``m * eps * mass`` bounds its rounding.
-    """
-
-    abs_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.max_iter, int) and not isinstance(self.max_iter, bool)):
-            raise DomainError("max_iter", f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise DomainError("max_iter", f"max_iter must be at least 1, got {self.max_iter}")
-        if not 0.0 < self.abs_tol < 1.0:  # false for NaN; at 1, zero effort's gap could pass
-            bound = "below 1" if self.abs_tol > 0.0 else "positive"
-            raise DomainError("abs_tol", f"abs_tol must be {bound}, got {self.abs_tol}")
-
 
 DEFAULT_SETTINGS = SolverSettings()
 _TINY = sys.float_info.min  # smallest normal float: the root search fails below it
@@ -147,7 +127,7 @@ class ContestInstance:
         columns.update(ids=ids, delta=delta, cost=cost, psi=psi, weight=weight,
                        settings=settings or DEFAULT_SETTINGS, _effective=effective)
         for name, values in zip(("_k", "_delta_eff"), effective):
-            if _all_normal(values):
+            if _TINY <= min(values) and max(values) < math.inf:  # no NaN: the columns are positive
                 columns[name] = values
 
     @classmethod
@@ -213,11 +193,6 @@ class ContestInstance:
         settings, over the input columns it builds from its checked records once; solves live
         on the new instance only.  The entry stage and ``sweep`` build theirs the same way."""
         return cls._derived(*scenario._columns[:5], scenario.settings)
-
-
-def _all_normal(values: _Column) -> bool:
-    """``_TINY <= value < inf`` throughout; never NaN, as every column is positive and finite."""
-    return _TINY <= min(values) and max(values) < math.inf
 
 
 @dataclass(frozen=True)

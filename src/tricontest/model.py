@@ -14,10 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping
-
-if TYPE_CHECKING:  # pragma: no cover - only used for annotations
-    from .contest import SolverSettings
+from typing import Mapping
 
 __all__ = [
     "DomainError",
@@ -25,6 +22,7 @@ __all__ = [
     "AthleteRecord",
     "GlobalParams",
     "Scenario",
+    "SolverSettings",
     "EffortProfile",
     "drafting_multiplier",
     "outside_option",
@@ -179,6 +177,27 @@ class GlobalParams:
 
 
 @dataclass(frozen=True)
+class SolverSettings:
+    """Tolerances and budgets for the aggregate root search.
+
+    Newton stops at ``|g| <= max(abs_tol, m * eps) * mass``, relative to the target share
+    mass (one for a contest), with ``0 < abs_tol < 1``; ``m * eps * mass`` bounds its rounding.
+    """
+
+    abs_tol: float = 1e-12
+    max_iter: int = 200
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.max_iter, int) and not isinstance(self.max_iter, bool)):
+            raise DomainError("max_iter", f"max_iter must be an integer, got {self.max_iter!r}")
+        if self.max_iter < 1:
+            raise DomainError("max_iter", f"max_iter must be at least 1, got {self.max_iter}")
+        if not 0.0 < self.abs_tol < 1.0:  # false for NaN; at 1, zero effort's gap could pass
+            bound = "below 1" if self.abs_tol > 0.0 else "positive"
+            raise DomainError("abs_tol", f"abs_tol must be {bound}, got {self.abs_tol}")
+
+
+@dataclass(frozen=True)
 class Scenario:
     """Full description of one race: athletes, global parameters, graph, settings.
 
@@ -189,9 +208,11 @@ class Scenario:
     athletes: tuple[AthleteRecord, ...]
     globals: GlobalParams
     graph: frozenset[tuple[str, str]] = frozenset()
-    settings: "SolverSettings | None" = None
+    settings: SolverSettings | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.settings, (SolverSettings, type(None))):
+            raise DomainError("settings", f"settings must be SolverSettings, got {self.settings!r}")
         edges = tuple(self.graph)  # read once: the caller may pass an iterator
         for edge in edges:
             _require(isinstance(edge, (tuple, list)) and len(edge) == 2, "graph",

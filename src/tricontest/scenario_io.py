@@ -17,12 +17,12 @@ from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import Any
 
-from .contest import SolverSettings
 from .model import (
     AthleteRecord,
     DomainError,
     GlobalParams,
     Scenario,
+    SolverSettings,
     _float,
 )
 

@@ -452,6 +452,21 @@ def test_a_root_beyond_float_range_is_a_solver_error(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_solve_exits_1_when_its_nash_check_fails(tmp_path, capsys):
+    """A loose solver block stops short of the equilibrium: solve names who gains, as spe fails."""
+    payload = json.loads((SCENARIOS / "symmetric_pair.json").read_text())
+    payload["solver"] = {"abs_tol": 0.5}
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["solve", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: contest on ('ada', 'bea') failed the best-response check: "
+                   "athlete 'ada' gains 8.29783138966e-04 by deviating\n")
+    code, out, err = run_cli(["spe", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert "failed the best-response check" in err
+
+
 def test_a_root_below_float_range_is_a_solver_error(tmp_path, capsys):
     """Valid prizes and costs whose ratio is under 1e-308 stall Newton: one line, exit 1."""
     payload = minimal_payload()

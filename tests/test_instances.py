@@ -140,6 +140,20 @@ def test_settings_must_be_solver_settings(value):
     assert str(err.value) == f"settings must be SolverSettings, got {value!r}"
 
 
+@pytest.mark.parametrize("value", ["x", {"max_iter": 2}, 0])
+@pytest.mark.parametrize("use", [lambda scenario: scenario,
+                                 lambda scenario: subset_equilibrium(scenario, scenario.ids),
+                                 ContestInstance.from_scenario],
+                         ids=["replace", "subset_equilibrium", "from_scenario"])
+def test_a_scenario_refuses_settings_that_are_not_solver_settings(value, use):
+    """No scenario carries such settings, so none reaches a solve or an instance with them."""
+    scenario = random_scenario(np.random.default_rng(5), n=3)
+    with pytest.raises(DomainError) as err:
+        use(dataclasses.replace(scenario, settings=value))
+    assert err.value.field == "settings"
+    assert str(err.value) == f"settings must be SolverSettings, got {value!r}"
+
+
 BAD_VALUES = [(0, "0.0"), (-1, "-1.0"), (math.nan, "nan"), (math.inf, "inf"),
               (-0.0, "-0.0"), ("nan", "nan"), ("1e400", "inf")]
 

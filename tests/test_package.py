@@ -1,9 +1,13 @@
 """Package surface: exports, imports, and where solver settings come from.
 
 Read from the source with ``ast``: the package ``__all__`` must list
-exactly the public names ``__init__`` imports, every submodule ``__all__``
-entry must be defined, and no module may import a name it never uses
-(imports under ``if TYPE_CHECKING:`` are for annotations and do not count).
+exactly the public names ``__init__`` imports from the package's modules,
+those under its ``if TYPE_CHECKING:`` (loaded on first use) included, every
+``__all__`` entry must be defined, and no module may import a name it never
+uses (imports under ``if TYPE_CHECKING:`` are for annotations and do not
+count).  In fresh interpreters: ``import tricontest`` loads neither
+``entry`` nor ``analysis``, each name loads only its own layer, and the CLI
+loads ``analysis`` only for ``welfare`` and ``sweep``.
 Read with ``inspect``: no public function takes ``settings``, which only a
 scenario and a contest instance carry, and the entry and what-if functions
 take no tuning knobs.  Loaded from its file: every
@@ -20,7 +24,10 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,19 +105,32 @@ def top_level_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def lazy_imports(tree: ast.Module) -> list[ast.stmt]:
+    """Imports directly under a top-level ``if TYPE_CHECKING:``."""
+    return [sub for node in tree.body if isinstance(node, ast.If)
+            and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"
+            for sub in node.body]
+
+
 def test_package_all_lists_every_public_import():
     tree = parse(PACKAGE / "__init__.py")
-    public = {name for name in imported_names(tree.body) if not name.startswith("_")}
+    own = [node for node in tree.body + lazy_imports(tree)
+           if isinstance(node, ast.ImportFrom) and node.level]
+    public = {name for name in imported_names(own) if not name.startswith("_")}
     exported = declared_all(tree)
     assert len(exported) == len(set(exported))
     assert set(exported) == public
+    assert len(lazy_imports(tree)) == 2  # entry and analysis, resolved by __getattr__
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_all_names_exist(path):
     tree = parse(path)
     exported = declared_all(tree) or []
-    assert set(exported) <= top_level_names(tree)
+    defined = top_level_names(tree)
+    if path.name == "__init__.py":
+        defined |= set(imported_names(lazy_imports(tree)))
+    assert set(exported) <= defined
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -217,3 +237,66 @@ def test_every_export_has_a_caller_outside_tests():
     called |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     uncalled = set(tricontest.__all__) - called
     assert uncalled == CALLED_BY_TESTS_ONLY
+
+
+# ---------------------------------------------------------------------------
+# Import boundary: what loads when
+# ---------------------------------------------------------------------------
+
+LAYERS = ("tricontest.entry", "tricontest.analysis")
+
+
+def loaded_layers(code: str) -> list[str]:
+    """The layers a fresh interpreter has loaded after running ``code``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    probe = f"import sys\n{code}\nprint([m for m in {LAYERS!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          cwd=ROOT, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("code, layers", [
+    ("import tricontest", []),
+    ("import tricontest\nassert not hasattr(tricontest, 'no_such_name')", []),
+    ("import tricontest\ntricontest.cutoff_psi", ["tricontest.entry"]),
+    ("import tricontest\ntricontest.sweep", list(LAYERS)),
+    ("import tricontest\nassert tricontest.analysis.__name__ == 'tricontest.analysis'",
+     list(LAYERS)),
+], ids=["import", "unknown-name", "entry-name", "analysis-name", "analysis-module"])
+def test_names_load_their_layer_on_first_use(code, layers):
+    assert loaded_layers(code) == layers
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["solve", "scenarios/symmetric_pair.json"], ["tricontest.entry"]),
+    (["spe", "scenarios/symmetric_pair.json"], ["tricontest.entry"]),
+    (["cutoff", "--athlete", "ada", "scenarios/symmetric_pair.json"], ["tricontest.entry"]),
+    (["welfare", "scenarios/symmetric_pair.json"], list(LAYERS)),
+    (["sweep", "--param", "globals.eta", "--grid", "0.2:0.4:2",
+      "scenarios/symmetric_pair.json"], list(LAYERS)),
+], ids=["solve", "spe", "cutoff", "welfare", "sweep"])
+def test_cli_loads_analysis_only_for_welfare_and_sweep(argv, layers):
+    code = f"from tricontest import cli\nassert cli.main({argv!r}) == 0"
+    assert loaded_layers(code) == layers
+
+
+def test_every_export_is_its_defining_module_object():
+    modules = [importlib.import_module(f"tricontest.{name}") for name in
+               ("model", "contest", "scenario_io", "entry", "analysis")]
+    for name in tricontest.__all__:
+        homes = [module for module in modules if name in module.__all__]
+        assert homes, name
+        assert all(getattr(tricontest, name) is getattr(module, name) for module in homes), name
+
+
+def test_star_import_dir_and_unknown_names():
+    namespace: dict = {}
+    exec("from tricontest import *", namespace)
+    assert set(tricontest.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(tricontest, name) for name in tricontest.__all__)
+    assert set(tricontest.__all__) <= set(dir(tricontest))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tricontest.no_such_name  # noqa: B018
