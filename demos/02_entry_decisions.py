@@ -23,7 +23,6 @@ from tricontest import (
     enumerate_equilibrium_sets,
     iterate_continuation_operator,
     net_benefit,
-    outside_option,
 )
 
 
@@ -64,7 +63,7 @@ for rec in athletes:
 
 banner("Stable fields")
 
-# Pruned search of the nonempty subsets (all of them at worst).
+# Pruned search of the subsets, the empty one included (all of them at worst).
 stable = enumerate_equilibrium_sets(race)
 print(f"enumeration: {stable}")
 
@@ -102,11 +101,11 @@ for rec in athletes:
 # 4. When everyone walks away
 # ---------------------------------------------------------------------
 
-banner("Fallback when no field is stable")
+banner("When everyone walks away")
 
-# Outside options so rich that nobody wants company: no nonempty field
-# passes both stability conditions, so the assembler falls back to the
-# single most attractive lone racer and says so in the method flag.
+# Outside options so rich that nobody's prize beats them: a lone entrant
+# would net prize minus outside option < 0, so the one stable field is the
+# empty one and every athlete withdraws at their outside option.
 rich = tuple(
     rec.__class__(id=rec.id, t_swim=rec.t_swim, r_swim=rec.r_swim,
                   draft_share=rec.draft_share, base_cost=rec.base_cost,
@@ -116,8 +115,7 @@ rich = tuple(
 empty_race = Scenario(athletes=rich, globals=race.globals)
 print(f"stable fields: {enumerate_equilibrium_sets(empty_race)}")
 spe = assemble_spe(empty_race)[0]
-print(f"fallback outcome: {spe.members} flagged '{spe.method}'")
-
+print(f"outcome {spe.members} [{spe.method}]:")
 for rec in rich:
-    print(f"  {rec.id}: outside option "
-          f"{outside_option(rec, empty_race.globals):+.4f}")
+    print(f"  {rec.id}: {spe.actions[rec.id]:9s} payoff {spe.payoffs[rec.id]:+.4f} "
+          f"(prize {rec.prize_diff:.4f})")

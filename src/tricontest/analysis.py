@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 from .contest import (
     ContestInstance,
     _newton,
+    _require_nash,
     solve_contest,
     symmetric_equilibrium,
 )
@@ -253,9 +254,11 @@ def welfare_report(scenario: Scenario, members: Sequence[str]) -> WelfareReport:
 
     ``rent_ratio`` is aggregate effort cost over aggregate expected prize
     intake; for a symmetric field of size ``m`` it equals ``(m-1)/(2m)``.
+    A contest that fails the best-response check raises ``RuntimeError``.
     """
     fields = _Fields(scenario._columns, scenario.settings)
     instance, equilibrium = fields.solve(fields.mask(members))
+    _require_nash(instance, equilibrium)
     cost = intake = welfare = 0.0
     for aid, k, delta in zip(instance.ids, instance._k, instance.delta):
         effort = equilibrium.efforts[aid]

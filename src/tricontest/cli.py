@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .contest import DEFAULT_SETTINGS, verify_nash
+from .contest import DEFAULT_SETTINGS, _require_nash
 from .entry import _Fields, assemble_spe, cutoff_psi
 from .model import Scenario
 from .scenario_io import load_scenario
@@ -171,10 +171,7 @@ def _cmd_solve(ns: argparse.Namespace, scenario: Scenario) -> Record:
     members = _parse_set(ns.set, scenario)
     fields = _Fields(scenario._columns, scenario.settings)
     instance, equilibrium = fields.solve(fields.mask(members))
-    check = verify_nash(instance, equilibrium)
-    if not check.passed:  # a loose solver block can stop short of the equilibrium
-        raise RuntimeError(f"contest on {members} failed the best-response check: athlete "
-                           f"{check.worst!r} gains {format_number(check.max_gain)} by deviating")
+    check = _require_nash(instance, equilibrium)
     athletes = [{"id": aid, "psi": psi, "k": k,
                  "e_star": equilibrium.efforts[aid],
                  "p_star": equilibrium.probs[aid],
@@ -237,10 +234,10 @@ def _cmd_sweep(ns: argparse.Namespace, scenario: Scenario) -> Record:
         block: dict[str, Any] = {"value": point.value,
                                  "total_effort": point.total_effort}
         row = {"param": point.param, **block}
-        if ns.param == "m":  # a symmetric field: one athlete speaks for all
-            first = next(iter(point.efforts))
-            block.update(e_star=point.efforts[first], p_star=point.probs[first],
-                         value_star=point.continuation_values[first])
+        if ns.param == "m":  # a symmetric field: one athlete speaks for all, none if all left
+            first = next(iter(point.efforts), None)
+            block.update(e_star=point.efforts.get(first), p_star=point.probs.get(first),
+                         value_star=point.continuation_values.get(first))
             row.update(block)
         else:
             block["athletes"] = []

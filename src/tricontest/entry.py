@@ -4,8 +4,8 @@ An athlete continues when the contest value of staying beats the outside
 option.  The module evaluates those net benefits for arbitrary candidate
 fields, gives in closed form the drafting-multiplier cutoff that makes an
 athlete indifferent, and assembles self-consistent continuation sets either
-by a pruned search over the candidate fields (all ``2^n - 1`` of them at
-worst) or by iterating the best-reply set operator, which ends at a stable field.
+by a pruned search over the candidate fields, the empty one included (all ``2^n`` of
+them at worst), or by iterating the best-reply set operator, which ends at a stable field.
 
 Each public call keys its scenario's candidate fields by bitmask (bit ``i``
 is the ``i``-th athlete) and builds and solves every field at most once.
@@ -23,8 +23,8 @@ from .contest import (
     ContestInstance,
     SolverSettings,
     _newton,
+    _require_nash,
     solve_contest,
-    verify_nash,
 )
 from .model import Scenario
 
@@ -99,7 +99,8 @@ class EntryIteration:
 
 @dataclass(frozen=True)
 class SpeResult:
-    """One self-consistent continuation outcome with its solved contest."""
+    """One self-consistent continuation outcome with its solved contest: for the empty field,
+    a zero-effort record with no entries."""
 
     members: Members
     equilibrium: ContestEquilibrium
@@ -270,8 +271,9 @@ def is_equilibrium_set(scenario: Scenario, members: Iterable[str]) -> bool:
     return fields.stable(fields.mask(members))
 
 
-def _stable_sets(fields: _Fields) -> list[Members]:
-    """Stable fields, sorted, by a depth-first search over the content fields.
+def _stable_sets(fields: _Fields) -> list[int]:
+    """Stable fields, in order of their sorted ids, by a depth-first search over the
+    content fields, the empty one included.
 
     A field is content when every member weakly prefers staying.  Joining
     raises the aggregate and lowers every member's continuation value, so
@@ -301,28 +303,22 @@ def _stable_sets(fields: _Fields) -> list[Members]:
         top = mask | sum(1 << i for i in grow)
         if any(fields.net(top, j) > 0.0 for j in range(start) if not mask >> j & 1):
             continue
-        if mask and fields.stable(mask):
-            found.append(fields.members(mask))
+        if fields.stable(mask):
+            found.append(mask)
         stack.extend((mask | 1 << i, i + 1) for i in grow)
-    return sorted(found)
+    return sorted(found, key=fields.members)
 
 
 def enumerate_equilibrium_sets(scenario: Scenario) -> list[Members]:
-    """All stable continuation sets, in lexicographic order of sorted ids.
+    """All stable continuation sets, in lexicographic order of sorted ids; ``()`` leads when no
+    prize beats its outside option, so the list is never empty.
 
-    A pruned search that solves all ``2^n - 1`` nonempty subsets in the
-    worst case, so it raises ``ValueError`` past 12 athletes; larger fields
-    should use the iterative operator.  Each field is solved at most once,
-    keyed by bitmask.
+    A pruned search that solves all ``2^n - 1`` nonempty subsets in the worst case, so it
+    raises ``ValueError`` past 12 athletes; larger fields should use the iterative operator.
+    Each field is solved at most once, keyed by bitmask.
     """
-    return _stable_sets(_Fields(scenario._columns, scenario.settings))
-
-
-def _singleton_fallback(fields: _Fields) -> Members:
-    """Most attractive lone continuation: best net benefit, ties to lower id."""
-    best = max(sorted(range(len(fields.ids)), key=fields.ids.__getitem__),
-               key=lambda i: fields.net(1 << i, i))
-    return (fields.ids[best],)
+    fields = _Fields(scenario._columns, scenario.settings)
+    return [fields.members(mask) for mask in _stable_sets(fields)]
 
 
 def _greedy(fields: _Fields) -> int:
@@ -332,7 +328,8 @@ def _greedy(fields: _Fields) -> int:
     / (k_i p*_i)``: infinite for ``o_i <= 0`` or an underflowed ``k_i p*_i``, ``-inf``
     for ``o_i > delta_i``.  Ties go in scenario order; an athlete joins if the field
     stays content, so only they can refuse, and one who refused a subset of the final
-    field refuses it too.  At most ``n`` fields are solved.
+    field refuses it too.  An athlete with ``o_i <= delta_i`` is content alone, so the result
+    is empty exactly when every ``o_i > delta_i``.  At most ``n`` fields are solved.
     """
     k, de = fields.full._effective
 
@@ -358,13 +355,14 @@ def iterate_continuation_operator(scenario: Scenario) -> EntryIteration:
     returned directly.  An empty round, a revisited set or ``2 n`` rounds
     without settling end the iteration at the stable field that athletes
     joining in falling order of their thresholds build (method ``greedy``).
-    That field is empty only when every outside option exceeds its prize;
-    the best singleton is then returned, flagged ``singleton_fallback``.
+    That field is empty when every outside option exceeds its prize.
     """
-    return _iterate(_Fields(scenario._columns, scenario.settings))
+    fields = _Fields(scenario._columns, scenario.settings)
+    mask, trace, method = _iterate(fields)
+    return EntryIteration(fields.members(mask), trace, method)
 
 
-def _iterate(fields: _Fields) -> EntryIteration:
+def _iterate(fields: _Fields) -> tuple[int, tuple[Members, ...], str]:
     n = len(fields.ids)
     current = fields.everyone
     trace: list[Members] = [fields.members(current)]
@@ -372,14 +370,11 @@ def _iterate(fields: _Fields) -> EntryIteration:
         nxt = sum(1 << i for i in range(n) if fields.net(current, i) >= 0.0)
         trace.append(fields.members(nxt))
         if nxt == current:
-            return EntryIteration(trace[-1], tuple(trace), "fixed_point")
+            return current, tuple(trace), "fixed_point"
         if not nxt or trace[-1] in trace[:-1]:
             break
         current = nxt
-    greedy = _greedy(fields)
-    if greedy:
-        return EntryIteration(fields.members(greedy), tuple(trace), "greedy")
-    return EntryIteration(_singleton_fallback(fields), tuple(trace), "singleton_fallback")
+    return _greedy(fields), tuple(trace), "greedy"
 
 
 def assemble_spe(scenario: Scenario, mode: str = "first") -> list[SpeResult]:
@@ -388,10 +383,10 @@ def assemble_spe(scenario: Scenario, mode: str = "first") -> list[SpeResult]:
     ``mode`` selects the stable set: ``"first"`` takes the lexicographically
     first enumerated set, ``"all"`` keeps every enumerated set, and
     ``"iterative"`` runs the set operator (method ``iteration``, or ``greedy``
-    where it does not settle).  When no stable set exists the best singleton
-    is returned, flagged ``singleton_fallback``.  Every non-fallback result
-    is re-verified against both stability conditions and the best-response
-    oracle.  One call solves each field at most once, keyed by bitmask.
+    where it does not settle).  In the empty set everyone withdraws at their
+    outside option.  Every result is re-verified against both stability
+    conditions, and a nonempty one against the best-response oracle, which
+    raises ``RuntimeError`` on failure.  One call solves each field at most once.
     """
     if mode not in ("first", "all", "iterative"):
         raise ValueError(f"mode must be 'first', 'all', or 'iterative', got {mode!r}")
@@ -400,29 +395,22 @@ def assemble_spe(scenario: Scenario, mode: str = "first") -> list[SpeResult]:
 
 def _assemble(fields: _Fields, mode: str) -> list[SpeResult]:
     if mode == "iterative":
-        outcome = _iterate(fields)
-        method = "iteration" if outcome.method == "fixed_point" else outcome.method
-        chosen = [(outcome.members, method)]
+        mask, _, method = _iterate(fields)
+        chosen = [(mask, "iteration" if method == "fixed_point" else method)]
     else:
-        sets = _stable_sets(fields)
-        if sets:
-            if mode == "first":
-                sets = sets[:1]
-            chosen = [(members, "enumeration") for members in sets]
-        else:
-            chosen = [(_singleton_fallback(fields), "singleton_fallback")]
+        masks = _stable_sets(fields)
+        chosen = [(mask, "enumeration") for mask in (masks[:1] if mode == "first" else masks)]
     results: list[SpeResult] = []
-    for members, method in chosen:
-        mask = fields.mask(members)
-        instance, equilibrium = fields.solve(mask)
-        if method != "singleton_fallback" and not fields.stable(mask):
+    for mask, method in chosen:
+        members = fields.members(mask)
+        if mask:
+            instance, equilibrium = fields.solve(mask)
+            _require_nash(instance, equilibrium)
+        else:
+            equilibrium = ContestEquilibrium(0.0, {}, {}, {}, 0.0)
+        if not fields.stable(mask):
             raise RuntimeError(f"internal error: set {members} failed its "
                                f"stability re-check")
-        check = verify_nash(instance, equilibrium)
-        if not check.passed:
-            raise RuntimeError(f"internal error: contest on {members} failed "
-                               f"the best-response check "
-                               f"(gain {check.max_gain})")
         inside = set(members)
         actions = {aid: CONTINUE if aid in inside else WITHDRAW for aid in fields.ids}
         payoffs = {aid: equilibrium.continuation_values[aid] if aid in inside else leave

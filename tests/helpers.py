@@ -11,11 +11,13 @@ records through the public ``ContestInstance`` constructor, so it shares
 nothing with the entry module's field slices.  The reference entry stage
 further down solves every candidate field afresh with it and loops over id
 tuples, so it shares none of the entry module's bookkeeping.
-``reference_iteration`` orders its fallback by ``reference_threshold``,
+``reference_iteration`` orders its greedy field by ``reference_threshold``,
 which takes the textbook ``p*`` and the scenario's records, not the entry
 module's form or columns.
 ``sweep_stable_sets`` is the fast reference for larger fields: it tests
-every bitmask of one field table instead of searching.  ``reference_cutoff``
+every bitmask of one field table instead of searching.
+``reference_pair_stable_sets`` reads a pair's stable fields off its closed-form
+map in the ratio of the drafting multipliers, with no contest solve.  ``reference_cutoff``
 bisects the solved net benefit in the own multiplier, so it shares nothing
 with the closed-form cutoff but the contest solver.
 ``reference_sweep`` rebuilds the records and the scenario at every grid
@@ -224,10 +226,10 @@ def reference_is_stable(scenario: Scenario, members) -> bool:
 
 
 def reference_stable_sets(scenario: Scenario) -> list[tuple[str, ...]]:
-    """Every stable field as a sorted id tuple, in lexicographic order."""
+    """Every stable field as a sorted id tuple, the empty one included, in lexicographic order."""
     ids = sorted(scenario.ids)
     found = []
-    for size in range(1, len(ids) + 1):
+    for size in range(len(ids) + 1):
         for combo in itertools.combinations(ids, size):
             if reference_is_stable(scenario, combo):
                 found.append(combo)
@@ -235,16 +237,53 @@ def reference_stable_sets(scenario: Scenario) -> list[tuple[str, ...]]:
 
 
 def sweep_stable_sets(scenario: Scenario) -> list[tuple[str, ...]]:
-    """Every stable field, by testing all ``2^n - 1`` bitmasks of one field table."""
+    """Every stable field, by testing all ``2^n`` bitmasks of one field table."""
     fields = entry._Fields(scenario._columns, scenario.settings)
-    return sorted(fields.members(mask) for mask in range(1, fields.everyone + 1)
+    return sorted(fields.members(mask) for mask in range(fields.everyone + 1)
                   if fields.stable(mask))
 
 
-def reference_singleton(scenario: Scenario) -> tuple[str, ...]:
-    """Lone field with the best net benefit; ties go to the lower id."""
-    return (max(sorted(scenario.ids),
-                key=lambda aid: reference_net_benefit(scenario, (aid,), aid)),)
+def pair_ratios(scenario: Scenario) -> tuple[float, float, float]:
+    """``(rho, r_1, r_2)`` of a two-athlete scenario: its closed-form SPE map's coordinates.
+
+    ``rho = psi_1 / psi_2``.  With ``p*_i`` the textbook win share at which a contest pays
+    the outside option (0 for ``o_i <= 0``), ``q_i = p*_i / (1 - p*_i)`` (infinite for
+    ``o_i >= delta_i``) and ``r_i = (c_i delta_j w_j^2) / (c_j delta_i w_i^2) q_i^2``.  In
+    the pair the odds ``p_1 / p_2`` square to ``rho c_2 delta_1 w_1^2 / (c_1 delta_2 w_2^2)``,
+    so athlete 1 stays iff ``rho >= r_1`` and athlete 2 iff ``rho <= 1 / r_2``.
+    """
+    (one, two), params = scenario.athletes, scenario.globals
+    psi = [drafting_multiplier(rec.draft_share, params.eta) for rec in (one, two)]
+    q = []
+    for rec in (one, two):
+        leave, delta = outside_option(rec, params), float(rec.prize_diff)
+        p_star = (math.sqrt(1.0 + 8.0 * leave / delta) - 1.0) / 2.0 if leave > 0.0 else 0.0
+        q.append(p_star / (1.0 - p_star) if p_star < 1.0 else math.inf)
+    scale = [rec.base_cost / (rec.prize_diff * rec.weight ** 2) for rec in (one, two)]
+    return (psi[0] / psi[1], scale[0] / scale[1] * q[0] ** 2,
+            scale[1] / scale[0] * q[1] ** 2)
+
+
+def reference_pair_stable_sets(scenario: Scenario) -> list[tuple[str, ...]]:
+    """Stable fields of a two-athlete scenario by its closed-form map, in lexicographic order.
+
+    The pair is stable iff ``r_1 <= rho <= 1 / r_2``; ``{1}`` iff ``o_1 <= delta_1`` and
+    ``rho >= 1 / r_2``; ``{2}`` iff ``o_2 <= delta_2`` and ``rho <= r_1``; the empty field
+    iff both ``o_i >= delta_i`` (``pair_ratios`` names the terms).
+    """
+    rho, r_1, r_2 = pair_ratios(scenario)
+    (one, two), params = scenario.athletes, scenario.globals
+    fits = [outside_option(rec, params) <= rec.prize_diff for rec in (one, two)]
+    found = []
+    if r_1 <= rho and rho * r_2 <= 1.0:
+        found.append((one.id, two.id))
+    if fits[0] and rho * r_2 >= 1.0:
+        found.append((one.id,))
+    if fits[1] and rho <= r_1:
+        found.append((two.id,))
+    if all(outside_option(rec, params) >= rec.prize_diff for rec in (one, two)):
+        found.append(())
+    return sorted(tuple(sorted(members)) for members in found)
 
 
 def reference_threshold(scenario: Scenario, athlete_id: str) -> float:
@@ -273,7 +312,7 @@ def reference_iteration(scenario: Scenario):
     An empty round, a revisit or ``2 n`` rounds without a fixed point end the
     loop.  Athletes then join in falling threshold order, ties in scenario
     order, while every member of the grown field weakly prefers staying
-    (method ``"greedy"``); an empty result falls back to the best singleton.
+    (method ``"greedy"``).
     """
     ids = sorted(scenario.ids)
     current = tuple(ids)
@@ -295,9 +334,7 @@ def reference_iteration(scenario: Scenario):
         if all(reference_net_benefit(scenario, field + [aid], member) >= 0.0
                for member in field + [aid]):
             field.append(aid)
-    if field:
-        return tuple(sorted(field)), tuple(trace), "greedy"
-    return reference_singleton(scenario), tuple(trace), "singleton_fallback"
+    return tuple(sorted(field)), tuple(trace), "greedy"
 
 
 def reference_cutoff(scenario: Scenario, members, athlete_id: str,

@@ -453,7 +453,7 @@ def test_a_root_beyond_float_range_is_a_solver_error(tmp_path, capsys):
 
 
 def test_solve_exits_1_when_its_nash_check_fails(tmp_path, capsys):
-    """A loose solver block stops short of the equilibrium: solve names who gains, as spe fails."""
+    """A loose solver block stops short of the equilibrium: solve, spe and welfare name who gains."""
     payload = json.loads((SCENARIOS / "symmetric_pair.json").read_text())
     payload["solver"] = {"abs_tol": 0.5}
     path = tmp_path / "loose.json"
@@ -462,9 +462,27 @@ def test_solve_exits_1_when_its_nash_check_fails(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err == ("error: contest on ('ada', 'bea') failed the best-response check: "
                    "athlete 'ada' gains 8.29783138966e-04 by deviating\n")
-    code, out, err = run_cli(["spe", str(path)], capsys)
-    assert (code, out) == (1, "")
-    assert "failed the best-response check" in err
+    for command in ("spe", "welfare"):
+        assert run_cli([command, str(path)], capsys) == (1, "", err), command
+
+
+def test_an_all_leave_field_is_the_empty_field(tmp_path, capsys):
+    """Every outside option beats its prize: everyone withdraws at it, at every field size."""
+    payload = json.loads((SCENARIOS / "symmetric_pair.json").read_text())
+    for athlete in payload["athletes"]:
+        athlete["theta"] = 5.0
+    path = tmp_path / "leave.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(["spe", "--output", "csv", str(path)], capsys)
+    assert (code, out) == (0, "set,method,id,action,payoff\n"
+                               ",enumeration,ada,withdraw,3.19000000000e+00\n"
+                               ",enumeration,bea,withdraw,3.18000000000e+00\n")
+    code, out, _ = run_cli(["sweep", "--param", "m", "--grid", "2:4:3", "--full-spe",
+                            str(path)], capsys)
+    assert (code, out) == (0, "param,value,total_effort,e_star,p_star,value_star,members\n"
+                               "m,2.00000000000e+00,0.00000000000e+00,,,,\n"
+                               "m,3.00000000000e+00,0.00000000000e+00,,,,\n"
+                               "m,4.00000000000e+00,0.00000000000e+00,,,,\n")
 
 
 def test_a_root_below_float_range_is_a_solver_error(tmp_path, capsys):

@@ -22,6 +22,7 @@ from tricontest import (
     SolverSettings,
     assemble_spe,
     cutoff_psi,
+    drafting_multiplier,
     enumerate_equilibrium_sets,
     is_equilibrium_set,
     iterate_continuation_operator,
@@ -34,6 +35,7 @@ from tricontest import (
 )
 
 from helpers import (
+    pair_ratios,
     pair_scenario,
     random_scenario,
     reference_cutoff,
@@ -42,7 +44,7 @@ from helpers import (
     reference_instance,
     reference_iteration,
     reference_net_benefit,
-    reference_singleton,
+    reference_pair_stable_sets,
     reference_stable_sets,
     selective_scenario,
     sweep_stable_sets,
@@ -390,7 +392,8 @@ def test_enumerate_high_outside_rival():
 
 
 def test_enumerate_everyone_out():
-    assert enumerate_equilibrium_sets(pair_with_outside(10.0, 10.0)) == []
+    """Every outside option beats its prize: the empty field is the one stable set."""
+    assert enumerate_equilibrium_sets(pair_with_outside(10.0, 10.0)) == [()]
 
 
 def test_enumerate_two_singletons_in_order():
@@ -457,11 +460,60 @@ def test_search_when_no_athlete_is_forced():
 
 
 def test_search_when_no_field_is_stable():
-    """Nobody stays in any field, so the lone best athlete is the fallback."""
+    """No field with members is stable, so the search returns the empty one alone.
+
+    A lone deviator from the empty field gets ``delta_i - o_i < 0``, so nobody
+    enters; ``bea``'s larger prize no longer singles her out.
+    """
     scenario = pair_with_outside(10.0, 10.0, delta=(1.0, 2.0))
-    assert enumerate_equilibrium_sets(scenario) == [] == sweep_stable_sets(scenario)
+    assert enumerate_equilibrium_sets(scenario) == [()] == sweep_stable_sets(scenario) \
+        == reference_stable_sets(scenario) == reference_pair_stable_sets(scenario)
     results = assemble_spe(scenario, mode="all")
-    assert [(r.members, r.method) for r in results] == [(("bea",), "singleton_fallback")]
+    assert [(r.members, r.method) for r in results] == [((), "enumeration")]
+
+
+def test_pair_map_matches_the_search_and_the_cutoffs():
+    """A pair's stable fields and cutoffs follow its closed-form map in ``rho = psi_1 / psi_2``.
+
+    Random weighted pairs with outside options inside the prize are swept over a 9 x 9 grid
+    of draft shares.  Points within 1e-9 of a boundary of the map are ties and skipped.
+    Where both lone fields are stable, ``p*_1 + p*_2 > 1``.  Each boundary is the other
+    athlete's cutoff: ``psi*_1 = psi_2 r_1`` and ``psi*_2 = psi_1 r_2``.
+    """
+    rng = np.random.default_rng(2121)
+    grid = np.linspace(0.0, 1.0, 9)
+    counts = {"points": 0, "two": 0, "interior": 0}
+    for _ in range(60):
+        base = weighted(rng, random_scenario(rng, n=2, eta=0.9, outside=(0.02, 0.6)))
+        p_star = [entry._needed_share(outside_option(rec, base.globals), rec.prize_diff)[0]
+                  for rec in base.athletes]
+        for d_1, d_2 in itertools.product(grid, grid):
+            scenario = dataclasses.replace(base, athletes=tuple(
+                dataclasses.replace(rec, draft_share=float(d))
+                for rec, d in zip(base.athletes, (d_1, d_2))))
+            rho, r_1, r_2 = pair_ratios(scenario)
+            if min(abs(rho / r_1 - 1.0), abs(rho * r_2 - 1.0)) <= 1e-9:
+                continue
+            stable = enumerate_equilibrium_sets(scenario)
+            assert stable == reference_pair_stable_sets(scenario)
+            counts["points"] += 1
+            if len(stable) == 2:
+                counts["two"] += 1
+                assert p_star[0] + p_star[1] > 1.0
+            psi = [drafting_multiplier(rec.draft_share, 0.9) for rec in scenario.athletes]
+            lo, hi = scenario.globals.psi_bounds
+            for i, boundary in enumerate((psi[1] * r_1, psi[0] * r_2)):
+                if min(abs(boundary / lo - 1.0), abs(boundary / hi - 1.0)) <= 1e-9:
+                    continue
+                result = cutoff_psi(scenario, scenario.ids, scenario.ids[i])
+                if boundary <= lo:
+                    assert result.verdict == entry.ALWAYS_CONTINUE
+                elif boundary > hi:
+                    assert result.verdict == entry.ALWAYS_WITHDRAW
+                else:
+                    counts["interior"] += 1
+                    assert result.psi_star == pytest.approx(boundary, rel=1e-9)
+    assert counts["points"] >= 4800 and counts["two"] >= 100 and counts["interior"] >= 1000
 
 
 def test_iterate_fixed_point_in_one_round():
@@ -479,17 +531,12 @@ def test_iterate_sheds_the_reluctant_rival():
     assert len(outcome.trace) <= 3
 
 
-def test_iterate_singleton_fallback_tie_breaks_low():
-    outcome = iterate_continuation_operator(pair_with_outside(10.0, 10.0))
-    assert outcome.method == "singleton_fallback"
-    assert outcome.members == ("ada",)
-
-
-def test_iterate_singleton_fallback_prefers_best_prize():
-    scenario = pair_with_outside(10.0, 10.0, delta=(1.0, 2.0))
-    outcome = iterate_continuation_operator(scenario)
-    assert outcome.method == "singleton_fallback"
-    assert outcome.members == ("bea",)
+@pytest.mark.parametrize("delta", [(1.0, 1.0), (1.0, 2.0)])
+def test_iterate_ends_at_the_empty_field(delta):
+    """Everyone leaves the full field, and the greedy field is empty: nobody's prize pays."""
+    outcome = iterate_continuation_operator(pair_with_outside(10.0, 10.0, delta=delta))
+    assert outcome.trace == (("ada", "bea"), ())
+    assert (outcome.members, outcome.method) == ((), "greedy")
 
 
 def test_iterate_cycle_falls_back_to_the_greedy_field():
@@ -582,9 +629,30 @@ def test_assemble_high_outside_rival():
     assert spe.payoffs["bea"] == pytest.approx(10.0, abs=1e-12)
 
 
-def test_assemble_flags_the_fallback():
-    results = assemble_spe(pair_with_outside(10.0, 10.0))
-    assert [r.method for r in results] == ["singleton_fallback"]
+@pytest.mark.parametrize("mode, method", [("first", "enumeration"), ("all", "enumeration"),
+                                          ("iterative", "greedy")])
+def test_assemble_returns_the_empty_field(mode, method):
+    """Everyone withdraws at their outside option, over a zero-effort record."""
+    scenario = pair_with_outside(10.0, 10.5, delta=(1.0, 2.0))
+    spe, = assemble_spe(scenario, mode=mode)
+    assert (spe.members, spe.method) == ((), method)
+    assert spe.actions == {"ada": "withdraw", "bea": "withdraw"}
+    assert spe.payoffs == pytest.approx({"ada": 10.0, "bea": 10.5}, abs=1e-12)
+    assert spe.payoffs == {rec.id: outside_option(rec, scenario.globals)
+                           for rec in scenario.athletes}
+    assert spe.equilibrium == contest.ContestEquilibrium(0.0, {}, {}, {}, 0.0)
+
+
+def test_the_empty_field_leads_at_the_knife_edge():
+    """With every ``o_i == delta_i`` a lone member nets exactly 0: the empty field and every
+    lone field are stable, the empty one first."""
+    scenario = Scenario(athletes=tuple(athlete_with_outside(aid, rank, 1.0) for rank, aid
+                                       in enumerate(("ada", "bea", "cal"), start=1)),
+                        globals=exact_globals())
+    expected = [(), ("ada",), ("bea",), ("cal",)]
+    assert enumerate_equilibrium_sets(scenario) == expected == reference_stable_sets(scenario)
+    assert [r.members for r in assemble_spe(scenario, mode="all")] == expected
+    assert [r.members for r in assemble_spe(scenario, mode="first")] == [()]
 
 
 def test_assemble_all_returns_every_stable_set():
@@ -614,8 +682,7 @@ def test_iterate_lands_inside_the_enumerated_sets():
         scenario = random_scenario(rng, n=int(rng.integers(2, 7)))
         outcome = iterate_continuation_operator(scenario)
         stable = enumerate_equilibrium_sets(scenario)
-        if outcome.method != "singleton_fallback":
-            assert outcome.members in stable
+        assert outcome.members in stable
         for members in stable:
             # Independent re-check of both stability conditions.
             for aid in scenario.ids:
@@ -631,9 +698,7 @@ def test_assembled_results_recheck_on_random_scenarios():
     for _ in range(20):
         scenario = random_scenario(rng, n=int(rng.integers(2, 6)))
         for spe in assemble_spe(scenario, mode="all"):
-            if spe.method == "singleton_fallback":
-                continue
-            assert is_equilibrium_set(scenario, spe.members)
+            assert reference_is_stable(scenario, spe.members)
             for aid in scenario.ids:
                 if spe.actions[aid] == "continue":
                     assert spe.payoffs[aid] == \
@@ -653,15 +718,17 @@ def count_solves(monkeypatch) -> list[tuple[str, ...]]:
 
 
 def test_lone_fields_are_valued_at_their_prize_without_a_solve(monkeypatch):
-    """With every outside option above its prize no field is stable; only the fallback is solved."""
+    """With every outside option above its prize only the empty field is stable; no contest
+    is solved on the way, nor for the result."""
     scenario = Scenario(athletes=tuple(
         athlete_with_outside(f"a{i}", i + 1, 2.0 + i, prize=1.0 + 0.25 * i) for i in range(5)),
         globals=exact_globals())
-    for mode in ("first", "all"):
+    for mode in ("first", "all", "iterative"):
         fields = count_solves(monkeypatch)
-        results = assemble_spe(scenario, mode=mode)
-        assert [(r.members, r.method) for r in results] == [(("a0",), "singleton_fallback")]
-        assert fields == [("a0",)]
+        spe, = assemble_spe(scenario, mode=mode)
+        assert spe.members == ()
+        assert set(spe.actions.values()) == {"withdraw"}
+        assert fields == ([scenario.ids] if mode == "iterative" else [])
 
 
 def test_assemble_solves_each_field_at_most_once(monkeypatch):
@@ -722,7 +789,7 @@ def test_assemble_builds_each_contest_instance_once(monkeypatch):
 
 
 def test_search_matches_the_bitmask_sweep():
-    """Stable sets, the operator's greedy fallback and the assembled outcomes.
+    """Stable sets, the operator's greedy field and the assembled outcomes.
 
     Every fourth field has small positive outside options only: no athlete
     is forced and most fields are content, which is where whole branches
@@ -734,24 +801,16 @@ def test_search_matches_the_bitmask_sweep():
         outside = (0.01, 0.1) if k % 4 == 3 else (-0.3, 0.9)
         scenario = random_scenario(rng, n=int(rng.integers(2, 13)), outside=outside)
         stable = sweep_stable_sets(scenario)
+        assert stable
         assert enumerate_equilibrium_sets(scenario) == stable
-        fields = entry._Fields(scenario._columns, scenario.settings)
-        fallback = entry._singleton_fallback(fields)
         outcome = iterate_continuation_operator(scenario)
+        assert outcome.members in stable
         if outcome.method != "fixed_point":
-            if stable:
-                assert outcome.method == "greedy" and outcome.members in stable
-            else:
-                assert (outcome.members, outcome.method) == (fallback, "singleton_fallback")
             cycled.append(outcome.method)
         results = assemble_spe(scenario, mode="all")
-        if stable:
-            assert [(r.members, r.method) for r in results] == \
-                [(members, "enumeration") for members in stable]
-            assert assemble_spe(scenario, mode="first") == results[:1]
-        else:
-            assert [(r.members, r.method) for r in results] == \
-                [(fallback, "singleton_fallback")]
+        assert [(r.members, r.method) for r in results] == \
+            [(members, "enumeration") for members in stable]
+        assert assemble_spe(scenario, mode="first") == results[:1]
         for spe in results:
             assert spe.equilibrium == solve_contest(
                 reference_instance(scenario, spe.members))
@@ -763,18 +822,35 @@ def test_search_matches_the_bitmask_sweep():
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        n=st.integers(min_value=2, max_value=8))
 def test_entry_stage_matches_the_reference_enumeration(seed, n):
-    """Stable sets, the operator's trace and the fallback equal a plain re-solve."""
+    """Stable sets and the operator's trace equal a plain re-solve."""
     scenario = random_scenario(np.random.default_rng(seed), n=n)
     stable = enumerate_equilibrium_sets(scenario)
     assert stable == reference_stable_sets(scenario)
     outcome = iterate_continuation_operator(scenario)
     assert (outcome.members, outcome.trace, outcome.method) == \
         reference_iteration(scenario)
-    fallback = entry._singleton_fallback(entry._Fields(scenario._columns, scenario.settings))
-    assert fallback == reference_singleton(scenario)
     for spe in assemble_spe(scenario, mode="all"):
         assert spe.equilibrium == solve_contest(
             reference_instance(scenario, spe.members))
+
+
+def test_assembled_fields_match_the_reference_when_outside_options_straddle_the_prize():
+    """Outside options at 0.3 to 1.3 of the prize: a stable field is always found, the empty
+    one included where every outside option beats its prize, and each one re-checks."""
+    rng = np.random.default_rng(1313)
+    empty = 0
+    for _ in range(150):
+        scenario = random_scenario(rng, n=int(rng.integers(2, 6)), outside=(0.3, 1.3))
+        expected = reference_stable_sets(scenario)
+        assert expected
+        results = assemble_spe(scenario, mode="all")
+        assert [r.members for r in results] == expected
+        assert all(reference_is_stable(scenario, spe.members) for spe in results)
+        leaves = [outside_option(rec, scenario.globals) > rec.prize_diff
+                  for rec in scenario.athletes]
+        assert (expected == [()]) == all(leaves)
+        empty += all(leaves)
+    assert empty >= 3
 
 
 def test_stable_sets_away_from_ties_do_not_depend_on_the_tolerance():
@@ -800,8 +876,7 @@ def test_iterative_outcome_is_stable_whenever_a_stable_field_exists():
     """On 1200 fields of 2 to 10 athletes the operator's outcome passes the reference check.
 
     A third of the fields draw outside options in ``(0.3, 1.05)``: crowded
-    fields shed everyone, and some athletes never stay.  Only when no
-    stable field exists is the lone best athlete returned.
+    fields shed everyone, and some athletes never stay.
     """
     rng = np.random.default_rng(4242)
     methods = []
@@ -809,10 +884,7 @@ def test_iterative_outcome_is_stable_whenever_a_stable_field_exists():
         outside = [(-0.3, 0.9), (0.01, 0.1), (0.3, 1.05)][k % 3]
         scenario = random_scenario(rng, n=int(rng.integers(2, 11)), outside=outside)
         outcome = iterate_continuation_operator(scenario)
-        if outcome.method == "singleton_fallback":
-            assert not reference_stable_sets(scenario)
-        else:
-            assert reference_is_stable(scenario, outcome.members)
+        assert reference_is_stable(scenario, outcome.members)
         methods.append(outcome.method)
     assert methods.count("greedy") >= 100
 
@@ -824,7 +896,6 @@ def test_iterate_ends_at_a_stable_field_past_the_enumeration_cap():
         rng = np.random.default_rng(seed)
         scenario = random_scenario(rng, n=int(rng.integers(13, 41)))
         outcome = iterate_continuation_operator(scenario)
-        assert outcome.method != "singleton_fallback"
         assert reference_is_stable(scenario, outcome.members)
         methods.append(outcome.method)
     assert "greedy" in methods

@@ -14,6 +14,8 @@ take no tuning knobs.  Loaded from its file: every
 package name the benchmark's tracer wraps exists.  Read from the README: the
 errors it names as worth catching are exactly the package's exported errors.
 Every exported name but an allowlisted one has a caller outside the tests.
+Every private module-level function and class has a reader in the package
+outside its own definition.
 """
 
 from __future__ import annotations
@@ -237,6 +239,24 @@ def test_every_export_has_a_caller_outside_tests():
     called |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     uncalled = set(tricontest.__all__) - called
     assert uncalled == CALLED_BY_TESTS_ONLY
+
+
+def test_every_private_definition_has_a_caller_in_the_package():
+    """A private module-level function or class that no package code reads outside its own
+    definition is a hook to delete; tests reading it do not count."""
+    definitions, readers = [], []
+    for path in MODULES:
+        for node in parse(path).body:
+            names = {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                     if isinstance(sub, (ast.Name, ast.Attribute))}
+            readers.append((node, names))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_") and not node.name.startswith("__"):
+                definitions.append((path.name, node))
+    unread = [(module, node.name) for module, node in definitions
+              if not any(node.name in names for other, names in readers if other is not node)]
+    assert definitions
+    assert unread == []
 
 
 # ---------------------------------------------------------------------------
