@@ -254,10 +254,13 @@ def welfare_report(scenario: Scenario, members: Sequence[str]) -> WelfareReport:
 
     ``rent_ratio`` is aggregate effort cost over aggregate expected prize
     intake; for a symmetric field of size ``m`` it equals ``(m-1)/(2m)``.
-    A contest that fails the best-response check raises ``RuntimeError``.
+    An empty ``members`` raises ``ValueError`` (nobody is paid, so the ratio is 0/0), and a
+    contest that fails the best-response check raises ``RuntimeError``.
     """
     fields = _Fields(scenario._columns, scenario.settings)
     instance, equilibrium = fields.solve(fields.mask(members))
+    if instance is None:
+        raise ValueError("welfare needs at least one member")
     _require_nash(instance, equilibrium)
     cost = intake = welfare = 0.0
     for aid, k, delta in zip(instance.ids, instance._k, instance.delta):

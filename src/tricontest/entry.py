@@ -58,8 +58,8 @@ INTERIOR = "interior"
 ALWAYS_CONTINUE = "always_continue"
 ALWAYS_WITHDRAW = "always_withdraw"
 
-# Largest field searched for stable sets; the pruned search
-# solves all 2^n - 1 candidate subsets in the worst case.
+# Largest field searched for stable sets; the pruned search visits all 2^n
+# fields at worst, solving each with two or more members once.
 _ENUM_MAX_N = 12
 
 
@@ -123,7 +123,8 @@ class _Fields:
         self.everyone = (1 << len(self.ids)) - 1
         self.outside = columns[5]
         self._bit = {aid: 1 << i for i, aid in enumerate(self.ids)}
-        self._solved: dict[int, tuple[ContestInstance, ContestEquilibrium]] = {}
+        self._solved: dict[int, tuple[ContestInstance | None, ContestEquilibrium]] = {
+            0: (None, ContestEquilibrium(0.0, {}, {}, {}, 0.0))}
 
     def mask(self, members: Iterable[str]) -> int:
         mask = 0
@@ -131,8 +132,6 @@ class _Fields:
             if aid not in self._bit:
                 raise ValueError(f"unknown athlete id {aid!r}")
             mask |= self._bit[aid]
-        if not mask:
-            raise ValueError("the member set must not be empty")
         return mask
 
     def members(self, mask: int) -> Members:
@@ -154,8 +153,8 @@ class _Fields:
         return ContestInstance._derived(ids, delta, cost, psi, weight, full.settings,
                                         (k, delta_eff))
 
-    def solve(self, mask: int) -> tuple[ContestInstance, ContestEquilibrium]:
-        """The field's contest and its equilibrium."""
+    def solve(self, mask: int) -> tuple[ContestInstance | None, ContestEquilibrium]:
+        """The field's contest and its equilibrium; the empty field has no contest, zero effort."""
         if mask not in self._solved:
             instance = self.instance(mask)
             self._solved[mask] = instance, solve_contest(instance)
@@ -179,7 +178,7 @@ class _Fields:
 
 
 def subset_equilibrium(scenario: Scenario, members: Iterable[str]) -> ContestEquilibrium:
-    """Solve the contest among ``members``, given in any order.
+    """Solve the contest among ``members``, given in any order; ``()`` has zero effort.
 
     Like every public call of this module, it solves each field at most
     once, keyed by bitmask.  Input columns are cached per ``Scenario``;
@@ -287,8 +286,8 @@ def _stable_sets(fields: _Fields) -> list[int]:
     A branch adds only athletes that keep its node content, so each of its
     fields lies inside the node joined by all of them.  An outsider the
     branch never adds who wants into that union wants into each of its
-    fields, and the branch is dropped.  The search solves all ``2^n - 1``
-    fields at worst, each at most once, so it refuses past ``_ENUM_MAX_N`` athletes.
+    fields, and the branch is dropped.  The search visits all ``2^n`` fields at worst and
+    solves each with two or more members once, so it refuses past ``_ENUM_MAX_N`` athletes.
     """
     n = len(fields.ids)
     if n > _ENUM_MAX_N:
@@ -313,9 +312,9 @@ def enumerate_equilibrium_sets(scenario: Scenario) -> list[Members]:
     """All stable continuation sets, in lexicographic order of sorted ids; ``()`` leads when no
     prize beats its outside option, so the list is never empty.
 
-    A pruned search that solves all ``2^n - 1`` nonempty subsets in the worst case, so it
-    raises ``ValueError`` past 12 athletes; larger fields should use the iterative operator.
-    Each field is solved at most once, keyed by bitmask.
+    A pruned search that visits all ``2^n`` fields, the empty one included, in the worst case,
+    so it raises ``ValueError`` past 12 athletes; larger fields should use the iterative
+    operator.  Each field is solved at most once, keyed by bitmask; the empty and lone ones never.
     """
     fields = _Fields(scenario._columns, scenario.settings)
     return [fields.members(mask) for mask in _stable_sets(fields)]
@@ -403,11 +402,9 @@ def _assemble(fields: _Fields, mode: str) -> list[SpeResult]:
     results: list[SpeResult] = []
     for mask, method in chosen:
         members = fields.members(mask)
-        if mask:
-            instance, equilibrium = fields.solve(mask)
+        instance, equilibrium = fields.solve(mask)
+        if instance is not None:
             _require_nash(instance, equilibrium)
-        else:
-            equilibrium = ContestEquilibrium(0.0, {}, {}, {}, 0.0)
         if not fields.stable(mask):
             raise RuntimeError(f"internal error: set {members} failed its "
                                f"stability re-check")

@@ -225,6 +225,9 @@ def test_welfare_singleton():
     assert report.aggregate_cost == 0.0
     assert report.aggregate_prize_intake == 3.0
     assert report.rent_ratio == 0.0
+    # Nobody is paid in the empty field, so its rent ratio would be 0/0.
+    with pytest.raises(ValueError, match="^welfare needs at least one member$"):
+        welfare_report(scenario, ())
 
 
 def test_welfare_identity_on_random_scenarios():

@@ -16,6 +16,7 @@ import tricontest.contest as contest
 import tricontest.entry as entry
 from tricontest import (
     AthleteRecord,
+    ContestEquilibrium,
     ContestInstance,
     GlobalParams,
     Scenario,
@@ -32,6 +33,7 @@ from tricontest import (
     outside_option,
     solve_contest,
     subset_equilibrium,
+    sweep,
 )
 
 from helpers import (
@@ -135,6 +137,10 @@ def test_net_benefit_extends_the_field_for_outsiders():
     assert report.members == ("ada", "bea")
     assert report.continuation == pytest.approx(0.375, abs=1e-12)
     assert report.value == pytest.approx(0.175, abs=1e-12)
+    # Against the empty field the outsider is alone: ``delta - o``.
+    alone = net_benefit(scenario, (), "bea")
+    assert (alone.members, alone.continuation) == (("bea",), 1.0)
+    assert alone.value == 1.0 - alone.outside == pytest.approx(0.8, abs=1e-12)
 
 
 def test_net_benefit_unknown_athlete():
@@ -147,8 +153,7 @@ def test_subset_equilibrium_validates_members():
     scenario = pair_with_outside(0.0, 0.0)
     assert subset_equilibrium(scenario, ("bea", "ada")) == \
         subset_equilibrium(scenario, ("ada", "bea"))
-    with pytest.raises(ValueError):
-        subset_equilibrium(scenario, ())
+    assert subset_equilibrium(scenario, ()) == ContestEquilibrium(0.0, {}, {}, {}, 0.0)
     with pytest.raises(ValueError):
         subset_equilibrium(scenario, ("zed",))
 
@@ -186,10 +191,11 @@ def test_cutoff_requires_membership():
 def test_cutoff_and_curve_share_the_membership_check(athlete):
     scenario = cutoff_scenario(0.375)
     message = f"athlete {athlete!r} is not in the member set"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        cutoff_psi(scenario, ("bea",), athlete)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        net_benefit_curve(scenario, ("bea",), athlete, [1.0])
+    for members in (("bea",), ()):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cutoff_psi(scenario, members, athlete)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            net_benefit_curve(scenario, members, athlete, [1.0])
 
 
 def test_cutoff_moves_with_prize_and_cost():
@@ -380,6 +386,10 @@ def test_is_equilibrium_set_direct_checks():
     assert is_equilibrium_set(skewed, ("ada",))
     assert not is_equilibrium_set(skewed, ("ada", "bea"))
 
+    # The empty field is stable iff no lone deviator gains: every ``o_i >= delta_i``.
+    assert not is_equilibrium_set(low, ()) and not is_equilibrium_set(skewed, ())
+    assert is_equilibrium_set(pair_with_outside(10.0, 10.0, delta=(1.0, 2.0)), ())
+
 
 def test_enumerate_low_outside_pair():
     assert enumerate_equilibrium_sets(pair_with_outside(0.0, 0.0)) == \
@@ -470,6 +480,84 @@ def test_search_when_no_field_is_stable():
         == reference_stable_sets(scenario) == reference_pair_stable_sets(scenario)
     results = assemble_spe(scenario, mode="all")
     assert [(r.members, r.method) for r in results] == [((), "enumeration")]
+
+
+def dyadic_field(rng: np.random.Generator, n: int, kind: str) -> Scenario:
+    """``n`` athletes with dyadic prizes and outside options, pinned exactly by ``exact_globals``.
+
+    ``kind`` sets the outside option over the prize: ``"all_leave"`` draws 1, 1.25 or 1.5 (so
+    every ``o_i >= delta_i``), ``"knife"`` draws one exact 1 and the rest from -0.25 to 0.75,
+    and ``"random"`` draws multiples of 1/32 from -0.25 to 1.25.
+    """
+    if kind == "all_leave":
+        ratios = rng.choice([1.0, 1.25, 1.5], size=n)
+    elif kind == "knife":
+        ratios = rng.choice([-0.25, 0.25, 0.5, 0.75], size=n)
+        ratios[rng.integers(n)] = 1.0
+    else:
+        ratios = rng.integers(-8, 41, size=n) / 32.0
+    athletes = []
+    for i, ratio in enumerate(ratios):
+        prize = float(rng.integers(4, 17)) / 8.0
+        record = athlete_with_outside(f"a{i}", i + 1, prize * float(ratio), prize=prize,
+                                      cost=float(rng.uniform(0.5, 2.0)))
+        athletes.append(dataclasses.replace(record, draft_share=float(rng.uniform(0.0, 1.0))))
+    return weighted(rng, Scenario(athletes=tuple(athletes), globals=exact_globals()))
+
+
+def test_the_direct_check_confirms_exactly_the_enumerated_sets():
+    """For every subset, the empty one included, ``is_equilibrium_set`` holds iff the search
+    returns it: on random fields, on fields where everyone leaves and on knife edges
+    ``o_i == delta_i`` (n = 2 to 6)."""
+    rng = np.random.default_rng(2424)
+    counts = {"empty": 0, "edges": 0}
+    for draw in range(300):
+        kind = ("random", "all_leave", "knife")[draw % 3]
+        scenario = dyadic_field(rng, int(rng.integers(2, 7)), kind)
+        stable = enumerate_equilibrium_sets(scenario)
+        ids = sorted(scenario.ids)
+        for size in range(len(ids) + 1):
+            for members in itertools.combinations(ids, size):
+                assert is_equilibrium_set(scenario, members) == (members in stable), \
+                    (draw, kind, members, stable)
+        gaps = [rec.prize_diff - outside_option(rec, scenario.globals)
+                for rec in scenario.athletes]
+        assert (() in stable) == (max(gaps) <= 0.0)
+        counts["empty"] += () in stable
+        counts["edges"] += 0.0 in gaps
+    assert counts["empty"] >= 100 and counts["edges"] >= 100
+
+
+def test_full_sweep_stays_on_the_pair_map():
+    """``sweep(stage="full")`` over one athlete's draft share picks a field of the pair's
+    closed-form map at every point off its boundaries, and the only one where it has one.
+
+    Random weighted pairs as in ``test_pair_map_matches_the_search_and_the_cutoffs``; each
+    sweeps the first athlete's draft share over 9 points for each of 9 of the second's.
+    """
+    rng = np.random.default_rng(2121)
+    grid = [float(d) for d in np.linspace(0.0, 1.0, 9)]
+    counts = {"points": 0, "two": 0}
+    for _ in range(60):
+        base = weighted(rng, random_scenario(rng, n=2, eta=0.9, outside=(0.02, 0.6)))
+        one, two = base.athletes
+        for d_2 in grid:
+            other = dataclasses.replace(two, draft_share=d_2)
+            swept = dataclasses.replace(base, athletes=(one, other))
+            records = sweep(swept, f"athletes.{one.id}.draft_share", grid, stage="full")
+            for d_1, record in zip(grid, records):
+                scenario = dataclasses.replace(swept, athletes=(
+                    dataclasses.replace(one, draft_share=d_1), other))
+                rho, r_1, r_2 = pair_ratios(scenario)
+                if min(abs(rho / r_1 - 1.0), abs(rho * r_2 - 1.0)) <= 1e-9:
+                    continue
+                stable = reference_pair_stable_sets(scenario)
+                assert record.members in stable
+                if len(stable) == 1:
+                    assert [record.members] == stable
+                counts["points"] += 1
+                counts["two"] += len(stable) == 2
+    assert counts["points"] >= 4800 and counts["two"] >= 100
 
 
 def test_pair_map_matches_the_search_and_the_cutoffs():
@@ -640,7 +728,8 @@ def test_assemble_returns_the_empty_field(mode, method):
     assert spe.payoffs == pytest.approx({"ada": 10.0, "bea": 10.5}, abs=1e-12)
     assert spe.payoffs == {rec.id: outside_option(rec, scenario.globals)
                            for rec in scenario.athletes}
-    assert spe.equilibrium == contest.ContestEquilibrium(0.0, {}, {}, {}, 0.0)
+    assert spe.equilibrium == contest.ContestEquilibrium(0.0, {}, {}, {}, 0.0) == \
+        subset_equilibrium(scenario, ())
 
 
 def test_the_empty_field_leads_at_the_knife_edge():
