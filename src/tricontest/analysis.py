@@ -145,13 +145,14 @@ def _gap_param_partial(instance: ContestInstance, x: float, kind: str,
 
 def _solves(instance: ContestInstance) -> dict:
     """The instance's solves, kept in its ``__dict__`` like ``_k``: key ``None`` holds the
-    root ``x``, ``dg/dt`` there and its settings tightened for finite differences;
-    ``(kind, index, sign)`` the re-solved variant and its root."""
+    root ``x``, ``dg/dt`` there and a copy of the instance whose ``abs_tol`` is tightened for
+    finite differences; ``(kind, index, sign)`` a ``with_*`` variant of that copy and its root."""
     memo = instance.__dict__.setdefault("_solves", {})
     if not memo:
-        x, _, _, slope = _newton(instance)
-        settings = instance.settings
-        memo[None] = x, slope, replace(settings, abs_tol=min(settings.abs_tol, _FD_ABS_TOL))
+        x, _, slope = _newton(instance)
+        tight = replace(instance.settings, abs_tol=min(instance.settings.abs_tol, _FD_ABS_TOL))
+        columns = instance.ids, instance.delta, instance.cost, instance.psi, instance.weight
+        memo[None] = x, slope, ContestInstance._derived(*columns, tight, instance._effective)
     return memo
 
 
@@ -207,8 +208,8 @@ def sensitivity_report(instance: ContestInstance,
     ``target`` is ``("total", None)``, ``("prob", id)``, or
     ``("effort", id)``.  The finite difference re-solves the contest at the
     parameter plus and minus ``1e-5``, so the parameter must exceed ``1e-5``.
-    Each re-solve starts Newton from the unperturbed root, with the same stop rule.
-    That root and the re-solves are kept on the instance.
+    Each re-solve starts Newton from the unperturbed root, on a copy of the instance with
+    ``abs_tol`` at most ``1e-14``.  That root, the copy and the re-solves are kept on the instance.
     """
     t_kind = target[0]
     if t_kind not in TARGET_KINDS:
@@ -233,8 +234,8 @@ def sensitivity_report(instance: ContestInstance,
     def resolved(sign: float) -> float:
         key = p_kind, p_idx, sign
         if key not in memo:
-            solved = getattr(instance, f"with_{p_kind}")(param[1], base + sign * _FD_STEP)
-            memo[key] = solved, _newton(solved, start=x, settings=tight)[0]
+            solved = getattr(tight, f"with_{p_kind}")(param[1], base + sign * _FD_STEP)
+            memo[key] = solved, _newton(solved, start=x)[0]
         solved, root = memo[key]
         return _target_at(solved, t_kind, t_idx, root)[0]
 

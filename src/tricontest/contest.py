@@ -16,7 +16,7 @@ import sys
 from operator import mul, truediv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NoReturn
 
 from .model import (
     DegenerateProfileError,
@@ -65,6 +65,13 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
+def _positive(name: str, value: float, athlete_id: str) -> float:
+    if not 0.0 < value < math.inf:  # false for NaN as well
+        raise DomainError(name, f"{name} must be positive and finite, got {value} "
+                                f"(athlete {athlete_id!r})")
+    return value
+
+
 _Column = tuple[float, ...]
 _Effective = tuple[_Column, _Column]  # slopes cost/psi and prizes delta*weight^2
 
@@ -103,10 +110,8 @@ class ContestInstance:
             if len(values) != len(ids):
                 raise DomainError(name, f"{name} needs one entry per member "
                                         f"({len(ids)}), got {len(values)}")
-            for value in values:
-                if not 0.0 < value < math.inf:  # false for NaN as well
-                    raise DomainError(name, f"{name} must be positive and finite, got {value} "
-                                            f"(athlete {ids[values.index(value)]!r})")
+            for aid, value in zip(ids, values):
+                _positive(name, value, aid)
             columns.append(values)
         if not isinstance(self.settings, (SolverSettings, type(None))):
             raise DomainError("settings", f"settings must be SolverSettings, got {self.settings!r}")
@@ -151,27 +156,22 @@ class ContestInstance:
 
     @cached_property
     def _k(self) -> tuple[float, ...]:
-        return self._normal("effective_cost", "effective cost slope cost/psi",
-                            self._effective[0])
+        self._normal("effective_cost", "effective cost slope cost/psi", self._effective[0])
 
     @cached_property
     def _delta_eff(self) -> tuple[float, ...]:
-        return self._normal("effective_prize", "effective prize delta*weight^2",
-                            self._effective[1])
+        self._normal("effective_prize", "effective prize delta*weight^2", self._effective[1])
 
-    def _normal(self, name: str, label: str, values: tuple[float, ...]) -> tuple[float, ...]:
-        for value in values:
-            if not _TINY <= value < math.inf:
-                raise DomainError(name, f"{label} must be a normal finite float, got {value} "
-                                        f"(athlete {self.ids[values.index(value)]!r})")
-        return values
+    def _normal(self, name: str, label: str, values: tuple[float, ...]) -> NoReturn:
+        """Refuse the first of ``values`` that is not a normal finite float: ``_store`` sets
+        ``_k`` and ``_delta_eff`` wherever they are normal, so their properties only refuse."""
+        value = next(value for value in values if not _TINY <= value < math.inf)
+        raise DomainError(name, f"{label} must be a normal finite float, got {value} "
+                                f"(athlete {self.ids[values.index(value)]!r})")
 
     def _with_field(self, name: str, athlete_id: str, value: float) -> "ContestInstance":
         idx = self.index(athlete_id)
-        value = float(value)
-        if not 0.0 < value < math.inf:  # false for NaN as well
-            raise DomainError(name, f"{name} must be positive and finite, got {value} "
-                                    f"(athlete {self.ids[idx]!r})")
+        value = _positive(name, float(value), self.ids[idx])
         columns = {"delta": self.delta, "cost": self.cost, "psi": self.psi,
                    "weight": self.weight}
         column = columns[name]
@@ -250,22 +250,19 @@ def _sum_left(values: Iterable[float]) -> float:
     return total
 
 
-def _shares_and_slope(instance: ContestInstance, t: float,
-                      mass: float = 1.0) -> tuple[list[float], float, float]:
-    """Win probabilities at ``t = X^2``, their excess over ``mass``, ``g(t)``, and ``dg/dt``.
+def _gap_and_slope(instance: ContestInstance, t: float, mass: float = 1.0) -> tuple[float, float]:
+    """Excess ``g(t)`` of shares ``de / (k t + de)`` at ``t = X^2`` over ``mass``, and ``dg/dt``.
 
     The sums run left to right in this loop, so they do not depend on how
     the interpreter's ``sum`` rounds.
     """
-    probs = []
     total = slope = 0.0
     for k, de in zip(instance._k, instance._delta_eff):
         den = k * t + de
         p = de / den
-        probs.append(p)
         total += p
         slope -= p * k / den
-    return probs, total - mass, slope
+    return total - mass, slope
 
 
 def aggregate_equation(total: float, instance: ContestInstance) -> float:
@@ -277,26 +274,25 @@ def aggregate_equation(total: float, instance: ContestInstance) -> float:
     total = float(total)
     if not (math.isfinite(total) and total >= 0.0):
         raise DomainError("total", f"total effort must be nonnegative, got {total}")
-    return _shares_and_slope(instance, total * total)[1]
+    return _gap_and_slope(instance, total * total)[0]
 
 
-def _newton(instance: ContestInstance, mass: float = 1.0, start: float = 0.0,
-            settings: SolverSettings | None = None) -> tuple[float, list[float], float, float]:
-    """Root ``X``, its shares, gap and slope ``dg/dt`` by Newton in ``t = X^2`` from ``X = start``:
+def _newton(instance: ContestInstance, mass: float = 1.0,
+            start: float = 0.0) -> tuple[float, float, float]:
+    """Root ``X``, gap ``g`` and slope ``dg/dt`` there by Newton in ``t = X^2`` from ``X = start``:
     a start above the root steps to or below it (``g`` is convex, ``t < 0`` clamps to 0), then
     climbs until ``|g| <= max(abs_tol, m eps) mass``, so a small target mass keeps its digits.
-    ``settings`` overrides the instance's, for the tightened finite-difference re-solves.
+    ``abs_tol`` and the ``max_iter`` budget are the instance's settings, the only ones read.
     Raises :class:`ConvergenceError` when the budget runs out, a step stalls, or ``dg/dt``
     underflows to zero, as it does for a root beyond float range (``de/k`` past about 1e308)."""
-    settings = settings or instance.settings
-    tol = max(settings.abs_tol, instance.m * sys.float_info.epsilon) * mass
+    tol = max(instance.settings.abs_tol, instance.m * sys.float_info.epsilon) * mass
     x = start
     try:
-        for _ in range(settings.max_iter):
+        for _ in range(instance.settings.max_iter):
             t = x * x
-            probs, gap, slope = _shares_and_slope(instance, t, mass)
+            gap, slope = _gap_and_slope(instance, t, mass)
             if abs(gap) <= tol:
-                return x, probs, gap, slope
+                return x, gap, slope
             x, last = math.sqrt(t_next if (t_next := t - gap / slope) > 0.0 else 0.0), x
             if x == last:
                 message = "Newton stalled at floating point resolution"
@@ -331,8 +327,8 @@ def solve_contest(instance: ContestInstance) -> ContestEquilibrium:
     """Equilibrium odds, efforts, and expected payoffs for the field.
 
     A singleton field wins outright at zero effort by convention.  For two
-    or more members the aggregate root is solved first; each athlete's win
-    probability, effort, and continuation value then follow directly.
+    or more members the aggregate root ``X`` is solved first; each athlete's win
+    probability ``de / (k X^2 + de)``, effort, and continuation value then follow directly.
     """
     if instance.m == 1:
         aid = instance.ids[0]
@@ -343,7 +339,9 @@ def solve_contest(instance: ContestInstance) -> ContestEquilibrium:
             continuation_values={aid: instance.delta[0]},
             residual=0.0,
         )
-    x, probs, gap, _ = _newton(instance)
+    x, gap, _ = _newton(instance)
+    t = x * x
+    probs = [de / (k * t + de) for k, de in zip(instance._k, instance._delta_eff)]
     efforts = [p * x / w for p, w in zip(probs, instance.weight)]
     values = [p * d - 0.5 * k * e * e
               for p, d, k, e in zip(probs, instance.delta, instance._k, efforts)]

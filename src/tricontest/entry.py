@@ -160,21 +160,21 @@ class _Fields:
             self._solved[mask] = instance, solve_contest(instance)
         return self._solved[mask]
 
-    def net(self, mask: int, i: int) -> float:
-        """Net benefit of athlete ``i`` in the field ``mask`` plus them; alone, ``delta - o``."""
+    def stay(self, mask: int, i: int) -> float:
+        """Continuation value of athlete ``i`` in the field ``mask`` plus them, which they weigh
+        against their outside option; alone, ``delta`` with no contest built or solved."""
         grown = mask | 1 << i
-        stay = (self.full.delta[i] if grown == 1 << i
+        return (self.full.delta[i] if grown == 1 << i
                 else self.solve(grown)[1].continuation_values[self.ids[i]])
-        return stay - self.outside[i]
 
     def content(self, mask: int) -> bool:
         """Every member of the field ``mask`` weakly prefers staying."""
-        return all(self.net(mask, i) >= 0.0 for i in range(len(self.ids)) if mask >> i & 1)
+        return all(self.stay(mask, i) >= o for i, o in enumerate(self.outside) if mask >> i & 1)
 
     def stable(self, mask: int) -> bool:
         """Members weakly prefer staying, outsiders weakly prefer staying out."""
-        return not any(self.net(mask, i) < 0.0 if mask >> i & 1 else self.net(mask, i) > 0.0
-                       for i in range(len(self.ids)))
+        return not any(self.stay(mask, i) < o if mask >> i & 1 else self.stay(mask, i) > o
+                       for i, o in enumerate(self.outside))
 
 
 def subset_equilibrium(scenario: Scenario, members: Iterable[str]) -> ContestEquilibrium:
@@ -191,13 +191,13 @@ def subset_equilibrium(scenario: Scenario, members: Iterable[str]) -> ContestEqu
 def net_benefit(scenario: Scenario, members: Iterable[str], athlete_id: str) -> NetBenefit:
     """Continuation value minus outside option for one athlete.
 
-    An athlete outside ``members`` is judged on the field extended by them,
-    which is the payoff relevant to their own entry decision.
+    An athlete outside ``members`` is judged on the field extended by them, which is the
+    payoff relevant to their own entry decision; alone, it pays ``delta`` with no solve.
     """
     fields = _Fields(scenario._columns, scenario.settings)
     mask = fields.mask(members) | fields.mask((athlete_id,))
-    stay = fields.solve(mask)[1].continuation_values[athlete_id]
-    leave = fields.outside[fields.ids.index(athlete_id)]
+    i = fields.ids.index(athlete_id)
+    stay, leave = fields.stay(mask, i), fields.outside[i]
     return NetBenefit(athlete_id=athlete_id, members=fields.members(mask),
                       continuation=stay, outside=leave, value=stay - leave)
 
@@ -300,7 +300,7 @@ def _stable_sets(fields: _Fields) -> list[int]:
         grow = [i for i in range(start, n)
                 if not mask >> i & 1 and fields.content(mask | 1 << i)]
         top = mask | sum(1 << i for i in grow)
-        if any(fields.net(top, j) > 0.0 for j in range(start) if not mask >> j & 1):
+        if any(fields.stay(top, j) > fields.outside[j] for j in range(start) if not mask >> j & 1):
             continue
         if fields.stable(mask):
             found.append(mask)
@@ -366,7 +366,7 @@ def _iterate(fields: _Fields) -> tuple[int, tuple[Members, ...], str]:
     current = fields.everyone
     trace: list[Members] = [fields.members(current)]
     for _ in range(2 * n):
-        nxt = sum(1 << i for i in range(n) if fields.net(current, i) >= 0.0)
+        nxt = sum(1 << i for i in range(n) if fields.stay(current, i) >= fields.outside[i])
         trace.append(fields.members(nxt))
         if nxt == current:
             return current, tuple(trace), "fixed_point"

@@ -16,6 +16,8 @@ which takes the textbook ``p*`` and the scenario's records, not the entry
 module's form or columns.
 ``sweep_stable_sets`` is the fast reference for larger fields: it tests
 every bitmask of one field table instead of searching.
+``share_stable_sets`` decides every field by the root-free predicates on the
+share sum ``F_S`` at the athletes' thresholds ``tau``, with no contest solve.
 ``reference_pair_stable_sets`` reads a pair's stable fields off its closed-form
 map in the ratio of the drafting multipliers, with no contest solve.  ``reference_cutoff``
 bisects the solved net benefit in the own multiplier, so it shares nothing
@@ -304,6 +306,41 @@ def reference_threshold(scenario: Scenario, athlete_id: str) -> float:
     k = record.base_cost / drafting_multiplier(record.draft_share, scenario.globals.eta)
     de = delta * record.weight * record.weight
     return de * (1.0 - p_star) / (k * p_star) if k * p_star > 0.0 else float("inf")
+
+
+def share_stable_sets(scenario: Scenario) -> tuple[list[tuple[str, ...]], float]:
+    """Every stable field by the share-function predicates, with no root solve, in
+    lexicographic order, and the closest any finite predicate comes to its threshold.
+
+    ``F_S(t) = sum_{i in S} de_i / (k_i t + de_i)`` is field ``S``'s share sum at
+    ``t = X^2``; it falls in ``t`` and its root solves ``F_S = 1``.  With ``tau`` from
+    ``reference_threshold`` and ``p*`` the textbook share (0 for ``o <= 0``), the members are
+    content iff ``F_S(min tau) <= 1`` and outsider ``j`` stays out iff
+    ``F_S(tau_j) + p*_j >= 1``.  ``tau = inf`` (``o <= 0``) gives ``F_S = 0``; with
+    ``tau = -inf`` (``o > delta``) a member is never content and an outsider always stays
+    out.  A lone member with ``o == delta`` has ``tau = 0`` and ``F = 1``: content.  Every
+    field is tested at once, as a bitmask row (bit ``i`` the ``i``-th athlete).
+    """
+    records, eta = scenario.athletes, scenario.globals.eta
+    n = len(records)
+    k = np.array([rec.base_cost / drafting_multiplier(rec.draft_share, eta) for rec in records])
+    de = np.array([rec.prize_diff * rec.weight * rec.weight for rec in records])
+    tau = np.array([reference_threshold(scenario, rec.id) for rec in records])
+    p_star = np.array([(math.sqrt(1.0 + 8.0 * max(ratio, 0.0)) - 1.0) / 2.0 for ratio in
+                       (outside_option(rec, scenario.globals) / rec.prize_diff
+                        for rec in records)])
+    inside = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+    low = np.where(inside, tau, np.inf).min(axis=1)
+    members = np.where(inside, de / (k * low[:, None] + de), 0.0).sum(axis=1)
+    outsiders = inside @ (de[:, None] / (k[:, None] * tau + de[:, None])) + p_star
+    content = (low > -np.inf) & (members <= 1.0)
+    stays_out = (tau == -np.inf) | (outsiders >= 1.0)
+    stable = content & (inside | stays_out).all(axis=1)
+    finite = [members[np.isfinite(low)], outsiders[~inside & np.isfinite(tau)]]
+    margin = min(np.abs(values - 1.0).min(initial=np.inf) for values in finite)
+    ids = [rec.id for rec in records]
+    found = [tuple(sorted(itertools.compress(ids, row))) for row in inside[stable]]
+    return sorted(found), float(margin)
 
 
 def reference_iteration(scenario: Scenario):

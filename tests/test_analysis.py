@@ -492,8 +492,8 @@ def test_prediction_report_rejects_unknown_athlete():
 
 def test_the_solver_block_reaches_every_solve(monkeypatch):
     """Every root solve under a public scenario call, and under the instance calls on
-    ``ContestInstance.from_scenario``, uses the scenario's settings; the finite-difference
-    re-solves use them with the tightened ``abs_tol``."""
+    ``ContestInstance.from_scenario``, reads the scenario's settings off its instance; the
+    finite-difference re-solves read them with the tightened ``abs_tol`` off theirs."""
     chosen = SolverSettings(abs_tol=1e-11, max_iter=77)
     tight = dataclasses.replace(chosen, abs_tol=analysis._FD_ABS_TOL)
     rng = np.random.default_rng(77)
@@ -509,7 +509,7 @@ def test_the_solver_block_reaches_every_solve(monkeypatch):
     real = contest._newton
 
     def spy(instance, *rest, **keys):
-        seen.append(keys.get("settings") or instance.settings)
+        seen.append(instance.settings)
         return real(instance, *rest, **keys)
 
     for module in (contest, entry, analysis):
@@ -544,6 +544,29 @@ def test_the_solver_block_reaches_every_solve(monkeypatch):
         assert seen, name
         assert all(settings is chosen or settings == tight for settings in seen), (name, seen)
         assert (tight in seen) == (name == "sensitivity_report"), name
+
+
+def test_re_solved_variants_carry_the_tightened_tolerance():
+    """Each variant ``sensitivity_report`` keeps in ``_solves`` is a ``with_*`` variant of one
+    tightened copy of the instance: its settings are the instance's with ``abs_tol`` at most
+    ``_FD_ABS_TOL``, a looser tolerance tightened and a tighter one kept."""
+    rng = np.random.default_rng(78)
+    for chosen in (SolverSettings(), SolverSettings(abs_tol=1e-10, max_iter=70),
+                   SolverSettings(abs_tol=1e-16)):
+        instance = dataclasses.replace(random_instance(rng, m=4, weighted=True),
+                                       settings=chosen)
+        for kind in analysis.PARAM_KINDS:
+            for aid in instance.ids[:2]:
+                sensitivity_report(instance, ("prob", aid), (kind, instance.ids[0]))
+        memo = vars(instance)["_solves"]
+        tight = memo.pop(None)[2]
+        assert tight.settings == dataclasses.replace(
+            chosen, abs_tol=min(chosen.abs_tol, analysis._FD_ABS_TOL))
+        assert len(memo) == 2 * len(analysis.PARAM_KINDS)
+        for (kind, idx, sign), (variant, _) in memo.items():
+            assert variant.settings == tight.settings
+            assert variant == getattr(tight, f"with_{kind}")(
+                instance.ids[idx], getattr(instance, kind)[idx] + sign * analysis._FD_STEP)
 
 
 def test_a_starved_scenario_fails_alike_at_every_level():

@@ -167,16 +167,18 @@ def test_continuation_value_is_the_share_identity():
 
 
 def test_solve_evaluates_the_shares_only_inside_newton(monkeypatch):
-    """solve_contest reuses the shares of the last Newton step at the root."""
+    """solve_contest evaluates the aggregate equation once per Newton iterate, no more: the
+    shares are computed once at the returned root, by the kernel's expression, without
+    another evaluation."""
     evaluations = 0
 
     def counted(instance, *args):
         nonlocal evaluations
         evaluations += 1
-        return shares_and_slope(instance, *args)
+        return gap_and_slope(instance, *args)
 
-    shares_and_slope = contest._shares_and_slope
-    monkeypatch.setattr(contest, "_shares_and_slope", counted)
+    gap_and_slope = contest._gap_and_slope
+    monkeypatch.setattr(contest, "_gap_and_slope", counted)
     rng = np.random.default_rng(2025)
     for m in (2, 3, 10, 1000):
         instance = random_instance(rng, m=m, weighted=True)

@@ -19,6 +19,7 @@ from tricontest import (
     ContestEquilibrium,
     ContestInstance,
     GlobalParams,
+    NetBenefit,
     Scenario,
     SolverSettings,
     assemble_spe,
@@ -49,6 +50,7 @@ from helpers import (
     reference_pair_stable_sets,
     reference_stable_sets,
     selective_scenario,
+    share_stable_sets,
     sweep_stable_sets,
 )
 
@@ -141,6 +143,18 @@ def test_net_benefit_extends_the_field_for_outsiders():
     alone = net_benefit(scenario, (), "bea")
     assert (alone.members, alone.continuation) == (("bea",), 1.0)
     assert alone.value == 1.0 - alone.outside == pytest.approx(0.8, abs=1e-12)
+
+
+def test_net_benefit_values_a_lone_field_without_a_solve(monkeypatch):
+    """Alone, the athlete is valued at ``delta - o`` with no contest built or solved."""
+    scenario = pair_with_outside(0.0, 0.2)
+    leave = outside_option(scenario.record("bea"), scenario.globals)
+    fields = count_solves(monkeypatch)
+    for members in ((), ("bea",)):
+        assert net_benefit(scenario, members, "bea") == NetBenefit(
+            athlete_id="bea", members=("bea",), continuation=1.0, outside=leave,
+            value=1.0 - leave)
+    assert fields == []
 
 
 def test_net_benefit_unknown_athlete():
@@ -526,6 +540,30 @@ def test_the_direct_check_confirms_exactly_the_enumerated_sets():
         counts["empty"] += () in stable
         counts["edges"] += 0.0 in gaps
     assert counts["empty"] >= 100 and counts["edges"] >= 100
+
+
+def test_the_share_predicates_decide_exactly_the_enumerated_sets():
+    """``helpers.share_stable_sets``, which solves no contest, returns exactly the search's
+    sets on 300 random fields (n = 2 to 10) and 100 selective ones (n = 12), skipping any
+    field with a predicate within 1e-9 of its threshold, and on 200 dyadic fields whose
+    ties ``o_i == delta_i`` are exact (knife edges and all-leave fields), with no skip."""
+    rng = np.random.default_rng(2525)
+    draws = ((300, lambda: random_scenario(rng, n=int(rng.integers(2, 11)))),
+             (100, lambda: selective_scenario(rng)))
+    for count, draw in draws:
+        checked = skipped = 0
+        while checked < count:
+            scenario = draw()
+            found, margin = share_stable_sets(scenario)
+            if margin <= 1e-9:
+                skipped += 1
+                continue
+            assert found == enumerate_equilibrium_sets(scenario), scenario
+            checked += 1
+        assert skipped <= count // 10
+    for index in range(200):
+        scenario = dyadic_field(rng, int(rng.integers(2, 7)), ("knife", "all_leave")[index % 2])
+        assert share_stable_sets(scenario)[0] == enumerate_equilibrium_sets(scenario), index
 
 
 def test_full_sweep_stays_on_the_pair_map():

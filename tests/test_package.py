@@ -9,7 +9,8 @@ count).  In fresh interpreters: ``import tricontest`` loads neither
 ``entry`` nor ``analysis``, each name loads only its own layer, and the CLI
 loads ``analysis`` only for ``welfare`` and ``sweep``.
 Read with ``inspect``: no public function takes ``settings``, which only a
-scenario and a contest instance carry, and the entry and what-if functions
+scenario and a contest instance carry, the root solve takes only its instance,
+a target mass and a start, and the entry and what-if functions
 take no tuning knobs.  Loaded from its file: every
 package name the benchmark's tracer wraps exists.  Read from the README: the
 errors it names as worth catching are exactly the package's exported errors.
@@ -163,7 +164,8 @@ def test_scenario_functions_take_no_settings():
 
 
 def test_no_public_function_takes_settings():
-    """Solver settings are data on a scenario or an instance, never a call's argument."""
+    """Solver settings are data on a scenario or an instance, never a call's argument; the
+    root solve under every public call reads them off its instance alone."""
     functions = {name: getattr(tricontest, name) for name in tricontest.__all__
                  if inspect.isfunction(getattr(tricontest, name))}
     assert {"solve_contest", "solve_total_effort", "sensitivity_report",
@@ -174,6 +176,8 @@ def test_no_public_function_takes_settings():
                 if dataclasses.is_dataclass(value := getattr(tricontest, name))
                 and "settings" in {field.name for field in dataclasses.fields(value)}}
     assert carriers == {"Scenario", "ContestInstance"}
+    newton = importlib.import_module("tricontest.contest")._newton
+    assert list(inspect.signature(newton).parameters) == ["instance", "mass", "start"]
 
 
 def test_entry_and_what_if_functions_take_no_tuning_knobs():
