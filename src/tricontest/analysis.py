@@ -1,10 +1,13 @@
 """Comparative statics, welfare accounting, grid sweeps, and prediction checks.
 
-Derivatives of the solved contest come from the implicit function theorem
-applied to the aggregate equation, cross-checked against central finite
-differences.  Sweeps re-solve scenarios along a parameter grid, optionally
-with the continuation stage in the loop, and the prediction report bundles
-the canonical monotonicity checks.
+Derivatives of the solved contest come from one share identity, cross-checked against
+central finite differences: the shares ``p_l`` sum to one at the root ``t = X^2``, so with
+``a_l = p_l (1 - p_l)`` and ``V = sum a_l`` raising ``log theta_i`` moves ``log t`` by
+``a_i / V`` and ``p_j`` by ``a_i (1[i=j] - a_j / V)`` (Cornes & Hartley, Economic Theory 26,
+2005).  A rival's effort then rises iff that rival is the favourite, ``p_j > 1/2`` (Dixit,
+AER 77, 1987).  Sweeps re-solve scenarios along a parameter grid, optionally with the
+continuation stage in the loop, and the prediction report bundles the canonical
+monotonicity checks.
 """
 
 from __future__ import annotations
@@ -128,44 +131,42 @@ def _check_param(instance: ContestInstance,
     return kind, idx
 
 
-def _gap_param_partial(instance: ContestInstance, x: float, kind: str,
-                       idx: int) -> float:
-    """Partial of the aggregate equation in one member's parameter."""
-    de = instance._delta_eff[idx]
-    k = instance._k[idx]
-    den = k * x * x + de
-    if kind == "psi":
-        return de * k * x * x / (instance.psi[idx] * den * den)
-    if kind == "delta":
-        w = instance.weight[idx]
-        return w * w * k * x * x / (den * den)
-    # cost: the effective slope scales one-for-one with the baseline cost
-    return -de * x * x * (k / instance.cost[idx]) / (den * den)
-
-
 def _solves(instance: ContestInstance) -> dict:
     """The instance's solves, kept in its ``__dict__`` like ``_k``: key ``None`` holds the
-    root ``x``, ``dg/dt`` there and a copy of the instance whose ``abs_tol`` is tightened for
-    finite differences; ``(kind, index, sign)`` a ``with_*`` variant of that copy and its root."""
+    root ``x`` and a copy of the instance whose ``abs_tol`` is tightened for finite
+    differences; ``(kind, index, sign)`` a ``with_*`` variant of that copy and its root."""
     memo = instance.__dict__.setdefault("_solves", {})
     if not memo:
-        x, _, slope = _newton(instance)
+        x = _newton(instance)[0]
         tight = replace(instance.settings, abs_tol=min(instance.settings.abs_tol, _FD_ABS_TOL))
         columns = instance.ids, instance.delta, instance.cost, instance.psi, instance.weight
-        memo[None] = x, slope, ContestInstance._derived(*columns, tight, instance._effective)
+        memo[None] = x, ContestInstance._derived(*columns, tight, instance._effective)
     return memo
 
 
-def _aggregate_response(instance: ContestInstance, kind: str,
-                        idx: int) -> tuple[float, float, float]:
-    """Root ``x``, the equation's partial ``g_p`` in the parameter, and ``dx/dp``.
+def _share_response(instance: ContestInstance, kind: str,
+                    i: int) -> tuple[float, float, list[float], list[float]]:
+    """Root ``x`` and ``dx``, and every share ``p_j`` and ``dp_j``, per unit of member ``i``'s
+    parameter ``kind``.
 
-    Implicit function theorem on ``g(x^2) = 0``, with ``dg/dx = 2 x dg/dt``.
+    At ``t = x^2`` the shares ``p_l = de_l / (k_l t + de_l)`` sum to one and move with
+    ``log t`` by ``-a_l``, ``a_l = p_l (1 - p_l)``; raising ``log theta_i`` adds ``a_i`` to
+    ``p_i``, with ``theta_i`` the multiplier or prize, or the cost with the opposite sign.
+    So with ``V = sum a_l``, ``d log t = a_i / V`` and ``dp_j = a_i (1[i=j] - a_j / V)``.
     """
-    x, slope, _ = _solves(instance)[None]
-    g_x = 2.0 * x * slope
-    g_p = _gap_param_partial(instance, x, kind, idx)
-    return x, g_p, -g_p / g_x
+    x = _solves(instance)[None][0]
+    t = x * x
+    shares, spread, total = [], [], 0.0
+    for k, de in zip(instance._k, instance._delta_eff):
+        den = k * t + de
+        shares.append(de / den)
+        spread.append(shares[-1] * (k * t / den))  # 1 - p as k t / den: no cancellation
+        total += spread[-1]
+    gain = spread[i] / getattr(instance, kind)[i]
+    if kind == "cost":
+        gain = -gain
+    dp = [gain * ((j == i) - a / total) for j, a in enumerate(spread)]
+    return x, 0.5 * x * gain / total, shares, dp
 
 
 def total_effort_derivative(instance: ContestInstance, param: tuple[str, str]) -> float:
@@ -175,29 +176,16 @@ def total_effort_derivative(instance: ContestInstance, param: tuple[str, str]) -
     ``"delta"``, or ``"cost"``.  Raising a multiplier or a prize pushes the
     aggregate up; raising a cost pushes it down.
     """
-    kind, idx = _check_param(instance, param)
-    return _aggregate_response(instance, kind, idx)[2]
+    return _share_response(instance, *_check_param(instance, param))[1]
 
 
-def _target_at(instance: ContestInstance, kind: str, idx: int | None, x: float,
-               dx: float = 0.0, direct: float = 0.0) -> tuple[float, float]:
-    """A target's value at the root ``x``, and its derivative in a parameter.
-
-    ``dx`` is the root's derivative and ``direct`` the parameter's own
-    effect on member ``idx``'s win probability; both default to zero, which
-    leaves only the value meaningful.
-    """
+def _target_at(instance: ContestInstance, kind: str, idx: int | None, x: float) -> float:
+    """A target's value at the root ``x``: the root itself, or member ``idx``'s share or effort."""
     if kind == "total":
-        return x, dx
+        return x
     de = instance._delta_eff[idx]
-    k = instance._k[idx]
-    den = k * x * x + de
-    p = de / den
-    dh_dx = -2.0 * k * x * de / (den * den)
-    dp = direct + dh_dx * dx
-    if kind == "prob":
-        return p, dp
-    return p * x / instance.weight[idx], (dp * x + p * dx) / instance.weight[idx]
+    p = de / (instance._k[idx] * x * x + de)
+    return p if kind == "prob" else p * x / instance.weight[idx]
 
 
 def sensitivity_report(instance: ContestInstance,
@@ -215,13 +203,10 @@ def sensitivity_report(instance: ContestInstance,
     if t_kind not in TARGET_KINDS:
         raise ValueError(f"target kind must be one of {TARGET_KINDS}, got {t_kind!r}")
     p_kind, p_idx = _check_param(instance, param)
-
     t_idx = None if t_kind == "total" else instance.index(target[1])
-
-    # Analytic chain rule through the aggregate root.
-    x, g_p, dx = _aggregate_response(instance, p_kind, p_idx)
-    direct = g_p if t_idx == p_idx else 0.0
-    analytic = _target_at(instance, t_kind, t_idx, x, dx, direct)[1]
+    x, dx, shares, dp = _share_response(instance, p_kind, p_idx)
+    analytic = (dx if t_kind == "total" else dp[t_idx] if t_kind == "prob"
+                else (dp[t_idx] * x + shares[t_idx] * dx) / instance.weight[t_idx])
 
     # Central difference at a tightened residual tolerance.
     base = getattr(instance, p_kind)[p_idx]
@@ -229,7 +214,7 @@ def sensitivity_report(instance: ContestInstance,
         raise DomainError("step", f"step {_FD_STEP} drives {p_kind} of athlete "
                                   f"{param[1]!r} out of its positive domain")
     memo = _solves(instance)
-    tight = memo[None][2]
+    tight = memo[None][1]
 
     def resolved(sign: float) -> float:
         key = p_kind, p_idx, sign
@@ -237,7 +222,7 @@ def sensitivity_report(instance: ContestInstance,
             solved = getattr(tight, f"with_{p_kind}")(param[1], base + sign * _FD_STEP)
             memo[key] = solved, _newton(solved, start=x)[0]
         solved, root = memo[key]
-        return _target_at(solved, t_kind, t_idx, root)[0]
+        return _target_at(solved, t_kind, t_idx, root)
 
     finite = (resolved(1.0) - resolved(-1.0)) / (2.0 * _FD_STEP)
     rel_err = abs(analytic - finite) / max(abs(analytic), 1e-12)

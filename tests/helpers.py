@@ -27,6 +27,10 @@ point with ``dataclasses.replace`` and solves it through the public entry
 points, so it shares nothing with the sweep's input columns.
 ``reference_best_response`` bisects the best-response cubic in mpmath, so
 it shares nothing with the closed form in ``verify_nash``.
+``reference_share_response`` differentiates the aggregate equation over the raw
+columns through its root by a complex step in mpmath, at the instance's own float
+root, so it shares no share identity with the package and its error against the
+package's derivatives is the package's rounding alone.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from tricontest import (
     drafting_multiplier,
     outside_option,
     solve_contest,
+    solve_total_effort,
 )
 
 
@@ -114,6 +119,49 @@ def reference_best_response(delta_eff: float, k: float, weight: float, rivals: f
             else:
                 hi = mid
         return float(hi / w)
+
+
+def reference_share_response(instance: ContestInstance, digits: int = 50) -> tuple:
+    """Share mass at the instance's own float root and every derivative there, at ``digits``.
+
+    Built from the raw columns alone, ``k = cost / psi`` and ``de = delta * weight^2`` in
+    mpmath, with no share identity.  ``mass`` sums the shares ``de / (k t + de)`` at the
+    package's root ``t = x^2``, which therefore solves ``sum = mass`` exactly.  Each parameter
+    ``theta`` takes a complex step ``theta + i h``, ``h = 10^(-digits/2)``: one Newton step of
+    that equation from ``t``, with its unstepped slope, lands on the stepped root up to a real
+    ``O(h^2)``, so the imaginary part over ``h`` of the root and of each target read there (the
+    total ``x``, shares ``p_j``, efforts ``p_j x / w_j``) is its implicit derivative.  Returns ``mass`` and a map from each
+    ``(kind, id)`` to ``sensitivity_report`` targets, each ``(derivative, scale)``: the
+    derivative an mpf, the scale ``|d log t / d theta|`` times ``x`` for the total, ``1`` for a
+    share and ``x / w_j`` for an effort, as a float.
+    """
+    x = solve_total_effort(instance)
+    with mp.workdps(digits):
+        h = mp.mpf(10) ** -(digits // 2)
+        raw = {name: [mp.mpf(v) for v in getattr(instance, name)]
+               for name in ("delta", "cost", "psi", "weight")}
+        k = [c / p for c, p in zip(raw["cost"], raw["psi"])]
+        de = [d * w * w for d, w in zip(raw["delta"], raw["weight"])]
+        t = mp.mpf(x) ** 2
+        shares = [e / (kk * t + e) for kk, e in zip(k, de)]
+        slope = mp.fsum(e * kk / (kk * t + e) ** 2 for kk, e in zip(k, de))
+        out = {}
+        for kind, i in itertools.product(("psi", "delta", "cost"), range(instance.m)):
+            theta = {name: column[i] for name, column in raw.items()}
+            theta[kind] += mp.mpc(0, h)
+            ks, des = list(k), list(de)
+            ks[i] = theta["cost"] / theta["psi"]
+            des[i] = theta["delta"] * theta["weight"] ** 2
+            root = t + (des[i] / (ks[i] * t + des[i]) - shares[i]) / slope
+            total = mp.sqrt(root)
+            dx = mp.im(total) / h
+            scale = abs(2 * dx / x)
+            row = out[kind, instance.ids[i]] = {("total", None): (dx, float(scale * x))}
+            for aid, kk, e, w in zip(instance.ids, ks, des, raw["weight"]):
+                p = e / (kk * root + e)
+                row["prob", aid] = mp.im(p) / h, float(scale)
+                row["effort", aid] = mp.im(p * total) / (h * w), float(scale * x / w)
+        return mp.fsum(shares), out
 
 
 def random_instance(rng: np.random.Generator, m: int | None = None,

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,7 @@ from tricontest import (
     welfare_report,
 )
 
-from helpers import pair_scenario, random_instance, random_scenario
+from helpers import pair_scenario, random_instance, random_scenario, reference_share_response
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -188,6 +190,68 @@ def test_sensitivity_input_validation():
                            psi=(1.0,), weight=(1.0,))
     with pytest.raises(ValueError):
         sensitivity_report(lone, ("total", None), ("psi", "a"))
+
+
+def statics_fields(seed: int, count: int = 210):
+    """Fields of 2 to 8 athletes, in turn unweighted, weighted, and weighted with one
+    favourite whose prize is raised 20 to 200 fold."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        instance = random_instance(rng, weighted=trial % 3 > 0)
+        if trial % 3 == 2:
+            j = int(rng.integers(instance.m))
+            instance = instance.with_delta(instance.ids[j],
+                                           instance.delta[j] * float(rng.uniform(20.0, 200.0)))
+        yield instance
+
+
+def test_every_derivative_is_within_4_eps_of_the_implicit_derivative():
+    """Every (target, parameter) pair's ``analytic`` and every ``total_effort_derivative``
+    agree with the implicit derivative of the raw-column aggregate equation, taken in 50-digit
+    mpmath at the same float root, to 4 eps of the response scale ``|d log t / d theta|``
+    (times ``x`` for the total, ``x / w_j`` for efforts); and that root's share mass, over the
+    raw columns, is within the solver's tolerance of one."""
+    eps = sys.float_info.epsilon
+    checked = 0
+    for instance in statics_fields(2026):
+        mass, expected = reference_share_response(instance)
+        assert abs(mass - 1) <= max(instance.settings.abs_tol, instance.m * eps)
+        for param, row in expected.items():
+            for target, (value, scale) in row.items():
+                analytic = sensitivity_report(instance, target, param).analytic
+                assert abs(analytic - value) <= 4 * eps * scale, (target, param)
+                checked += 1
+            value, scale = row["total", None]
+            assert abs(total_effort_derivative(instance, param) - value) <= 4 * eps * scale
+    assert checked >= 30_000
+
+
+def test_derivatives_stay_finite_at_large_prize_scales():
+    """At prizes near 1e200 the products ``de k t`` overflow; the shares do not."""
+    instance = ContestInstance(ids=("a", "b", "c"), delta=(1e200, 2e200, 3e199),
+                               cost=(1.0, 2.0, 0.5), psi=(1.0, 1.5, 1.2), weight=(1.0, 1.0, 1.0))
+    for target in (("total", None), ("prob", "b"), ("effort", "b")):
+        for kind in analysis.PARAM_KINDS:
+            assert sensitivity_report(instance, target, (kind, "a")).passed, (target, kind)
+    assert math.isfinite(total_effort_derivative(instance, ("psi", "a")))
+
+
+def test_a_rivals_drafting_gain_raises_a_favourites_effort_only():
+    """Dixit's favourite law: raising ``psi_i`` raises rival ``j``'s effort iff ``p_j > 1/2``.
+
+    Every ordered rival pair of the fields above whose ``p_j`` is more than 1e-9 from 1/2.
+    """
+    counts = {1.0: 0, -1.0: 0}
+    for instance in statics_fields(2027):
+        probs = solve_contest(instance).probs
+        for i, j in itertools.permutations(instance.ids, 2):
+            if abs(probs[j] - 0.5) <= 1e-9:
+                continue
+            report = sensitivity_report(instance, ("effort", j), ("psi", i))
+            sign = math.copysign(1.0, probs[j] - 0.5)
+            assert math.copysign(1.0, report.analytic) == sign, (i, j, probs[j])
+            counts[sign] += 1
+    assert min(counts.values()) >= 300, counts
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +623,7 @@ def test_re_solved_variants_carry_the_tightened_tolerance():
             for aid in instance.ids[:2]:
                 sensitivity_report(instance, ("prob", aid), (kind, instance.ids[0]))
         memo = vars(instance)["_solves"]
-        tight = memo.pop(None)[2]
+        tight = memo.pop(None)[1]
         assert tight.settings == dataclasses.replace(
             chosen, abs_tol=min(chosen.abs_tol, analysis._FD_ABS_TOL))
         assert len(memo) == 2 * len(analysis.PARAM_KINDS)

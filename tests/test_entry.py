@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -640,6 +641,57 @@ def test_pair_map_matches_the_search_and_the_cutoffs():
                     counts["interior"] += 1
                     assert result.psi_star == pytest.approx(boundary, rel=1e-9)
     assert counts["points"] >= 4800 and counts["two"] >= 100 and counts["interior"] >= 1000
+
+
+def test_symmetric_stable_sets_follow_the_group_size_law():
+    """``n`` identical athletes: a member is content iff ``1/m >= p*`` and an outsider stays
+    out iff ``1/(m + 1) <= p*``, so the stable sets are exactly the subsets of size
+    ``m* = min(n, floor(1/p*))``.  ``o / delta`` is drawn log-uniform in 0.005 to 0.99;
+    draws with ``1/p*`` within 1e-9 of an integer, where size ``m* - 1`` is stable too, are
+    skipped.  With every outside option above the prize only the empty field is stable."""
+    rng = np.random.default_rng(3131)
+    sizes = set()
+    for _ in range(150):
+        n = int(rng.integers(2, 11))
+        prize, cost = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))
+        ratio = float(np.exp(rng.uniform(np.log(0.005), np.log(0.99))))
+        record = athlete_with_outside("a", 1, ratio * prize, prize=prize, cost=cost)
+        scenario = Scenario(athletes=tuple(dataclasses.replace(record, id=f"a{i}")
+                                           for i in range(n)), globals=exact_globals())
+        leave = outside_option(record, scenario.globals)
+        inverse = 2.0 / (math.sqrt(1.0 + 8.0 * leave / prize) - 1.0)
+        if abs(inverse - round(inverse)) <= 1e-9:
+            continue
+        size = min(n, math.floor(inverse))
+        sizes.add(size)
+        assert enumerate_equilibrium_sets(scenario) == \
+            list(itertools.combinations(scenario.ids, size)), (n, ratio)
+    assert sizes >= set(range(1, 11))
+    everyone_out = Scenario(athletes=tuple(athlete_with_outside(f"a{i}", 1, 1.25)
+                                           for i in range(4)), globals=exact_globals())
+    assert enumerate_equilibrium_sets(everyone_out) == [()]
+
+
+def test_the_best_reply_iteration_ends_at_the_greedy_field():
+    """``iterate_continuation_operator`` settles on ``_greedy``'s field, on 420 random fields
+    of 2 to 10 athletes, 100 selective twelve-athlete fields, and the random pairs where both
+    lone fields are stable, so that greedy's field is one of two SPEs."""
+    rng = np.random.default_rng(909)
+    scenarios = [random_scenario(rng, n=int(rng.integers(2, 11)),
+                                 outside=[(-0.3, 0.9), (0.01, 0.1), (0.3, 1.05)][k % 3])
+                 for k in range(420)]
+    scenarios += [selective_scenario(rng) for _ in range(100)]
+    pairs = [weighted(rng, random_scenario(rng, n=2, eta=0.9, outside=(0.3, 0.6)))
+             for _ in range(200)]
+    pairs = [pair for pair in pairs if len(reference_pair_stable_sets(pair)) == 2]
+    assert len(pairs) >= 40
+    methods = []
+    for scenario in scenarios + pairs:
+        fields = entry._Fields(scenario._columns, scenario.settings)
+        outcome = iterate_continuation_operator(scenario)
+        assert outcome.members == fields.members(entry._greedy(fields)), scenario
+        methods.append(outcome.method)
+    assert min(methods.count("fixed_point"), methods.count("greedy")) >= 40
 
 
 def test_iterate_fixed_point_in_one_round():

@@ -200,3 +200,8 @@ def test_scenario_keeps_input_columns_only_and_instances_are_fresh():
     assert all(isinstance(column, tuple) and len(column) == len(ids) for column in columns)
     assert columns[0] == ids
     assert all(type(value) is float for column in columns[1:] for value in column)
+
+
+if __name__ == "__main__":
+    # Regenerate the golden: PYTHONPATH=src python tests/test_whatif.py > tests/golden/whatif_n8.txt
+    print(transcript(), end="")
