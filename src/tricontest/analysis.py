@@ -18,11 +18,10 @@ from typing import Mapping, Sequence
 from .contest import (
     ContestInstance,
     _newton,
-    _require_nash,
     solve_contest,
     symmetric_equilibrium,
 )
-from .entry import CONTINUE, Members, _assemble, _Fields
+from .entry import CONTINUE, Members, _Fields, _greedy, _outcome
 from .model import (AthleteRecord, DomainError, GlobalParams, Scenario, _athlete_value,
                     _finite, _float, drafting_multiplier, outside_option)
 
@@ -44,8 +43,8 @@ __all__ = [
 PARAM_KINDS = ("psi", "delta", "cost")
 TARGET_KINDS = ("total", "prob", "effort")
 
-#: Relative disagreement between analytic and finite-difference derivatives
-#: below which a sensitivity check counts as passing.
+#: Disagreement between analytic and finite-difference derivatives, in units of the
+#: response scale (see ``SensitivityReport``), up to which a sensitivity check passes.
 REL_ERR_PASS = 1e-4
 
 # Finite differences move the parameter by _FD_STEP either way and re-solve the
@@ -57,7 +56,9 @@ _FD_ABS_TOL = 1e-14
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    """Analytic derivative versus central finite difference for one target."""
+    """Analytic derivative versus central finite difference for one target; ``rel_err`` is
+    their difference over the response scale ``|d log t / d theta|``, times ``x`` for the
+    total and ``x / w_j`` for an effort, so a zero derivative is judged like any other."""
 
     target: tuple[str, str | None]
     parameter: tuple[str, str]
@@ -145,9 +146,9 @@ def _solves(instance: ContestInstance) -> dict:
 
 
 def _share_response(instance: ContestInstance, kind: str,
-                    i: int) -> tuple[float, float, list[float], list[float]]:
-    """Root ``x`` and ``dx``, and every share ``p_j`` and ``dp_j``, per unit of member ``i``'s
-    parameter ``kind``.
+                    i: int) -> tuple[float, float, list[float], list[float], float]:
+    """Root ``x`` and ``dx``, every share ``p_j`` and ``dp_j``, and ``d log t``, per unit of
+    member ``i``'s parameter ``kind``.
 
     At ``t = x^2`` the shares ``p_l = de_l / (k_l t + de_l)`` sum to one and move with
     ``log t`` by ``-a_l``, ``a_l = p_l (1 - p_l)``; raising ``log theta_i`` adds ``a_i`` to
@@ -166,7 +167,7 @@ def _share_response(instance: ContestInstance, kind: str,
     if kind == "cost":
         gain = -gain
     dp = [gain * ((j == i) - a / total) for j, a in enumerate(spread)]
-    return x, 0.5 * x * gain / total, shares, dp
+    return x, 0.5 * x * gain / total, shares, dp, gain / total
 
 
 def total_effort_derivative(instance: ContestInstance, param: tuple[str, str]) -> float:
@@ -204,7 +205,7 @@ def sensitivity_report(instance: ContestInstance,
         raise ValueError(f"target kind must be one of {TARGET_KINDS}, got {t_kind!r}")
     p_kind, p_idx = _check_param(instance, param)
     t_idx = None if t_kind == "total" else instance.index(target[1])
-    x, dx, shares, dp = _share_response(instance, p_kind, p_idx)
+    x, dx, shares, dp, dlog_t = _share_response(instance, p_kind, p_idx)
     analytic = (dx if t_kind == "total" else dp[t_idx] if t_kind == "prob"
                 else (dp[t_idx] * x + shares[t_idx] * dx) / instance.weight[t_idx])
 
@@ -225,7 +226,8 @@ def sensitivity_report(instance: ContestInstance,
         return _target_at(solved, t_kind, t_idx, root)
 
     finite = (resolved(1.0) - resolved(-1.0)) / (2.0 * _FD_STEP)
-    rel_err = abs(analytic - finite) / max(abs(analytic), 1e-12)
+    unit = x if t_kind == "total" else 1.0 if t_kind == "prob" else x / instance.weight[t_idx]
+    rel_err = abs(analytic - finite) / (abs(dlog_t) * unit)
     return SensitivityReport(target=target, parameter=param, analytic=analytic,
                              finite_diff=finite, rel_err=rel_err)
 
@@ -244,20 +246,16 @@ def welfare_report(scenario: Scenario, members: Sequence[str]) -> WelfareReport:
     contest that fails the best-response check raises ``RuntimeError``.
     """
     fields = _Fields(scenario._columns, scenario.settings)
-    instance, equilibrium = fields.solve(fields.mask(members))
+    instance, equilibrium, _ = fields.checked(fields.mask(members))
     if instance is None:
         raise ValueError("welfare needs at least one member")
-    _require_nash(instance, equilibrium)
     cost = intake = welfare = 0.0
     for aid, k, delta in zip(instance.ids, instance._k, instance.delta):
         effort = equilibrium.efforts[aid]
         cost += 0.5 * k * effort * effort
         intake += equilibrium.probs[aid] * delta
         welfare += equilibrium.continuation_values[aid]
-    return WelfareReport(members=tuple(sorted(instance.ids)),
-                         total_welfare=welfare, aggregate_cost=cost,
-                         aggregate_prize_intake=intake,
-                         rent_ratio=cost / intake)
+    return WelfareReport(tuple(sorted(instance.ids)), welfare, cost, intake, cost / intake)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +339,8 @@ def sweep(scenario: Scenario, param: str, grid: Sequence[float],
     (``"athletes.<id>.<field>"``), a global field (``"globals.<field>"``),
     or the symmetric field size ``"m"``, which replicates the first athlete.
     With ``stage="contest"`` everybody plays; with ``stage="full"`` the
-    continuation stage picks the field at every grid point, by the iterative operator.
+    continuation stage picks the field at every grid point: the greedy threshold field,
+    where the iterative operator ends, checked like an ``assemble_spe`` result.
     Each point is the scenario's input columns with the swept entries replaced.
     """
     if stage not in ("contest", "full"):
@@ -358,13 +357,13 @@ def sweep(scenario: Scenario, param: str, grid: Sequence[float],
         if stage == "contest":
             equilibrium = solve_contest(ContestInstance._derived(*columns[:5], scenario.settings))
         else:
-            result = _assemble(_Fields(columns, scenario.settings), "iterative")[0]
+            fields = _Fields(columns, scenario.settings)
+            result = _outcome(fields, _greedy(fields), "greedy")
             equilibrium, members, actions = result.equilibrium, result.members, result.actions
         records.append(SweepRecord(
             param=param, value=value, total_effort=equilibrium.total_effort,
             efforts=equilibrium.efforts, probs=equilibrium.probs,
-            continuation_values=equilibrium.continuation_values,
-            members=members, actions=actions))
+            continuation_values=equilibrium.continuation_values, members=members, actions=actions))
     return records
 
 

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .contest import DEFAULT_SETTINGS, _require_nash
+from .contest import DEFAULT_SETTINGS
 from .entry import _Fields, assemble_spe, cutoff_psi
 from .model import Scenario
 from .scenario_io import load_scenario
@@ -170,8 +170,7 @@ def _parse_grid(raw: str) -> list[float]:
 def _cmd_solve(ns: argparse.Namespace, scenario: Scenario) -> Record:
     members = _parse_set(ns.set, scenario)
     fields = _Fields(scenario._columns, scenario.settings)
-    instance, equilibrium = fields.solve(fields.mask(members))
-    check = _require_nash(instance, equilibrium)
+    instance, equilibrium, check = fields.checked(fields.mask(members))
     athletes = [{"id": aid, "psi": psi, "k": k,
                  "e_star": equilibrium.efforts[aid],
                  "p_star": equilibrium.probs[aid],

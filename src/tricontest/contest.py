@@ -474,16 +474,6 @@ def verify_nash(instance: ContestInstance, equilibrium: ContestEquilibrium,
     return NashCheck(max_gain=max_gain, worst=worst, passed=passed)
 
 
-def _require_nash(instance: ContestInstance, equilibrium: ContestEquilibrium) -> NashCheck:
-    """``verify_nash``'s passing check, else a ``RuntimeError`` naming who gains by deviating:
-    a loose solver block can stop short of the equilibrium."""
-    check = verify_nash(instance, equilibrium)
-    if not check.passed:
-        raise RuntimeError(f"contest on {instance.ids} failed the best-response check: athlete "
-                           f"{check.worst!r} gains {check.max_gain:.11e} by deviating")
-    return check
-
-
 def payoff_curvature(instance: ContestInstance, profile: EffortProfile,
                      athlete_id: str) -> CurvatureReport:
     """Exact own-second derivative and cross partials of one athlete's payoff.

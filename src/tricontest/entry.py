@@ -13,7 +13,6 @@ is the ``i``-th athlete) and builds and solves every field at most once.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -21,10 +20,11 @@ from typing import Iterable, Sequence
 from .contest import (
     ContestEquilibrium,
     ContestInstance,
+    NashCheck,
     SolverSettings,
     _newton,
-    _require_nash,
     solve_contest,
+    verify_nash,
 )
 from .model import Scenario
 
@@ -146,9 +146,12 @@ class _Fields:
     def instance(self, mask: int) -> ContestInstance:
         if mask == self.everyone:
             return self.full
-        full, keep = self.full, [mask >> i & 1 for i in range(len(self.ids))]
+        full, at = self.full, []
+        while mask:  # the set bits only: a small field of a large table costs its own size
+            at.append((mask & -mask).bit_length() - 1)
+            mask &= mask - 1
         ids, delta, cost, psi, weight, k, delta_eff = (
-            tuple(itertools.compress(column, keep)) for column in
+            tuple([column[i] for i in at]) for column in
             (full.ids, full.delta, full.cost, full.psi, full.weight, *full._effective))
         return ContestInstance._derived(ids, delta, cost, psi, weight, full.settings,
                                         (k, delta_eff))
@@ -159,6 +162,17 @@ class _Fields:
             instance = self.instance(mask)
             self._solved[mask] = instance, solve_contest(instance)
         return self._solved[mask]
+
+    def checked(self, mask: int) -> tuple[ContestInstance | None, ContestEquilibrium,
+                                           NashCheck | None]:
+        """``solve`` and its passing best-response check (``None`` for the empty field), else a
+        ``RuntimeError`` naming who gains by deviating: a loose solver block can stop short."""
+        instance, equilibrium = self.solve(mask)
+        check = None if instance is None else verify_nash(instance, equilibrium)
+        if check and not check.passed:
+            raise RuntimeError(f"contest on {instance.ids} failed the best-response check: "
+                               f"athlete {check.worst!r} gains {check.max_gain:.11e} by deviating")
+        return instance, equilibrium, check
 
     def stay(self, mask: int, i: int) -> float:
         """Continuation value of athlete ``i`` in the field ``mask`` plus them, which they weigh
@@ -329,6 +343,11 @@ def _greedy(fields: _Fields) -> int:
     stays content, so only they can refuse, and one who refused a subset of the final
     field refuses it too.  An athlete with ``o_i <= delta_i`` is content alone, so the result
     is empty exactly when every ``o_i > delta_i``.  At most ``n`` fields are solved.
+
+    The best-reply iteration from the full field ``N`` ends here: its first round keeps ``S1 =
+    {i : tau_i >= t(N)}``, a prefix of that order with ``t <= t(N)`` on each prefix, so ``S1``
+    enters greedy whole, and if no outsider wants into ``S1`` both stop there.  Longer paths
+    rest on ``test_the_best_reply_iteration_ends_at_the_greedy_field``.
     """
     k, de = fields.full._effective
 
@@ -379,40 +398,31 @@ def _iterate(fields: _Fields) -> tuple[int, tuple[Members, ...], str]:
 def assemble_spe(scenario: Scenario, mode: str = "first") -> list[SpeResult]:
     """Full continuation outcomes: stable sets, actions, and payoffs.
 
-    ``mode`` selects the stable set: ``"first"`` takes the lexicographically
-    first enumerated set, ``"all"`` keeps every enumerated set, and
-    ``"iterative"`` runs the set operator (method ``iteration``, or ``greedy``
-    where it does not settle).  In the empty set everyone withdraws at their
-    outside option.  Every result is re-verified against both stability
-    conditions, and a nonempty one against the best-response oracle, which
-    raises ``RuntimeError`` on failure.  One call solves each field at most once.
+    ``mode`` selects the stable set: ``"first"`` takes the lexicographically first enumerated
+    set, ``"all"`` keeps every enumerated set, and ``"iterative"`` runs the set operator (method
+    ``iteration``, or ``greedy`` where it does not settle).  In the empty set everyone withdraws
+    at their outside option.  Every result is re-checked against both stability conditions and
+    by ``_Fields.checked``, each raising ``RuntimeError`` on failure.  One call solves each
+    field at most once.
     """
     if mode not in ("first", "all", "iterative"):
         raise ValueError(f"mode must be 'first', 'all', or 'iterative', got {mode!r}")
-    return _assemble(_Fields(scenario._columns, scenario.settings), mode)
-
-
-def _assemble(fields: _Fields, mode: str) -> list[SpeResult]:
+    fields = _Fields(scenario._columns, scenario.settings)
     if mode == "iterative":
         mask, _, method = _iterate(fields)
-        chosen = [(mask, "iteration" if method == "fixed_point" else method)]
-    else:
-        masks = _stable_sets(fields)
-        chosen = [(mask, "enumeration") for mask in (masks[:1] if mode == "first" else masks)]
-    results: list[SpeResult] = []
-    for mask, method in chosen:
-        members = fields.members(mask)
-        instance, equilibrium = fields.solve(mask)
-        if instance is not None:
-            _require_nash(instance, equilibrium)
-        if not fields.stable(mask):
-            raise RuntimeError(f"internal error: set {members} failed its "
-                               f"stability re-check")
-        inside = set(members)
-        actions = {aid: CONTINUE if aid in inside else WITHDRAW for aid in fields.ids}
-        payoffs = {aid: equilibrium.continuation_values[aid] if aid in inside else leave
-                   for aid, leave in zip(fields.ids, fields.outside)}
-        results.append(SpeResult(members=members, equilibrium=equilibrium,
-                                 actions=actions, payoffs=payoffs,
-                                 method=method))
-    return results
+        return [_outcome(fields, mask, "iteration" if method == "fixed_point" else method)]
+    masks = _stable_sets(fields)[:1 if mode == "first" else None]
+    return [_outcome(fields, mask, "enumeration") for mask in masks]
+
+
+def _outcome(fields: _Fields, mask: int, method: str) -> SpeResult:
+    """The stable field ``mask`` as a continuation outcome, re-checked as ``assemble_spe`` says:
+    its members continue at their contest values, the rest withdraw at their outside options."""
+    members, equilibrium = fields.members(mask), fields.checked(mask)[1]
+    if not fields.stable(mask):
+        raise RuntimeError(f"internal error: set {members} failed its stability re-check")
+    paid = equilibrium.continuation_values
+    return SpeResult(members, equilibrium,
+                     {aid: CONTINUE if aid in paid else WITHDRAW for aid in fields.ids},
+                     {aid: paid.get(aid, leave) for aid, leave in zip(fields.ids, fields.outside)},
+                     method)

@@ -42,7 +42,8 @@ from tricontest import (
     welfare_report,
 )
 
-from helpers import pair_scenario, random_instance, random_scenario, reference_share_response
+from helpers import (pair_scenario, random_instance, random_scenario, reference_share_response,
+                     selective_scenario)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -122,6 +123,18 @@ def test_sensitivity_rival_prob_wrt_psi_is_nonpositive():
     assert report.analytic <= 0.0
     assert report.analytic == pytest.approx(-0.125, abs=1e-12)
     assert report.passed
+
+
+def test_every_report_on_the_shipped_symmetric_pair_passes():
+    """At ``p = 1/2`` a rival's effort does not move with a multiplier (Dixit's law): a zero
+    derivative, which the response scale lets its report pass."""
+    pair = load_scenario(ROOT / "scenarios" / "symmetric_pair.json")
+    instance = ContestInstance.from_scenario(pair)
+    targets = [("total", None)] + list(itertools.product(("prob", "effort"), instance.ids))
+    for target in targets:
+        for param in itertools.product(analysis.PARAM_KINDS, instance.ids):
+            assert sensitivity_report(instance, target, param).passed, (target, param)
+    assert sensitivity_report(instance, ("effort", "bea"), ("psi", "ada")).analytic == 0.0
 
 
 def test_sensitivity_agrees_with_central_differences():
@@ -209,8 +222,9 @@ def test_every_derivative_is_within_4_eps_of_the_implicit_derivative():
     """Every (target, parameter) pair's ``analytic`` and every ``total_effort_derivative``
     agree with the implicit derivative of the raw-column aggregate equation, taken in 50-digit
     mpmath at the same float root, to 4 eps of the response scale ``|d log t / d theta|``
-    (times ``x`` for the total, ``x / w_j`` for efforts); and that root's share mass, over the
-    raw columns, is within the solver's tolerance of one."""
+    (times ``x`` for the total, ``x / w_j`` for efforts), and each report's ``rel_err`` is its
+    disagreement over that scale to 1%; and that root's share mass, over the raw columns, is
+    within the solver's tolerance of one."""
     eps = sys.float_info.epsilon
     checked = 0
     for instance in statics_fields(2026):
@@ -218,8 +232,10 @@ def test_every_derivative_is_within_4_eps_of_the_implicit_derivative():
         assert abs(mass - 1) <= max(instance.settings.abs_tol, instance.m * eps)
         for param, row in expected.items():
             for target, (value, scale) in row.items():
-                analytic = sensitivity_report(instance, target, param).analytic
-                assert abs(analytic - value) <= 4 * eps * scale, (target, param)
+                report = sensitivity_report(instance, target, param)
+                assert abs(report.analytic - value) <= 4 * eps * scale, (target, param)
+                assert report.rel_err == pytest.approx(
+                    abs(report.analytic - report.finite_diff) / scale, rel=0.01), (target, param)
                 checked += 1
             value, scale = row["total", None]
             assert abs(total_effort_derivative(instance, param) - value) <= 4 * eps * scale
@@ -227,12 +243,17 @@ def test_every_derivative_is_within_4_eps_of_the_implicit_derivative():
 
 
 def test_derivatives_stay_finite_at_large_prize_scales():
-    """At prizes near 1e200 the products ``de k t`` overflow; the shares do not."""
+    """At prizes near 1e200 the products ``de k t`` overflow; the shares do not.  A step of
+    1e-5 does not move a prize of 1e200, so the prize's central difference reads 0 and its
+    check fails; the multiplier's and the cost's pass."""
     instance = ContestInstance(ids=("a", "b", "c"), delta=(1e200, 2e200, 3e199),
                                cost=(1.0, 2.0, 0.5), psi=(1.0, 1.5, 1.2), weight=(1.0, 1.0, 1.0))
     for target in (("total", None), ("prob", "b"), ("effort", "b")):
         for kind in analysis.PARAM_KINDS:
-            assert sensitivity_report(instance, target, (kind, "a")).passed, (target, kind)
+            report = sensitivity_report(instance, target, (kind, "a"))
+            assert math.isfinite(report.analytic) and math.isfinite(report.rel_err), report
+            assert (report.finite_diff == 0.0) == (kind == "delta"), report
+            assert report.passed == (kind != "delta"), report
     assert math.isfinite(total_effort_derivative(instance, ("psi", "a")))
 
 
@@ -380,6 +401,31 @@ def test_full_sweep_flips_the_entry_decision_once():
     assert all(r.actions["bea"] == "continue" for r in records)
     flips = sum(1 for a, b in zip(actions, actions[1:]) if a != b)
     assert flips == 1
+
+
+def test_full_sweeps_take_the_iterative_outcome_without_iterating(monkeypatch):
+    """A full-stage point is ``assemble_spe(point, "iterative")[0]``'s field, actions and
+    contest, on 300 random and selective fields, and runs no best-reply iteration."""
+    rng = np.random.default_rng(2727)
+    scenarios = [random_scenario(rng, n=int(rng.integers(2, 11)),
+                                 outside=[(-0.3, 0.9), (0.01, 0.1), (0.3, 1.05)][k % 3])
+                 for k in range(260)]
+    scenarios += [selective_scenario(rng) for _ in range(40)]
+    expected = [assemble_spe(scenario, "iterative")[0] for scenario in scenarios]
+    assert min(sum(e.method == m for e in expected) for m in ("iteration", "greedy")) >= 30
+
+    def refuse(fields):
+        raise AssertionError("a full-stage sweep ran the best-reply iteration")
+
+    monkeypatch.setattr(entry, "_iterate", refuse)
+    for scenario, outcome in zip(scenarios, expected):
+        aid = scenario.ids[-1]
+        record, = sweep(scenario, f"athletes.{aid}.draft_share",
+                        [scenario.record(aid).draft_share], stage="full")
+        solved = outcome.equilibrium
+        assert (record.members, record.actions) == (outcome.members, outcome.actions)
+        assert (record.total_effort, record.efforts, record.probs, record.continuation_values) \
+            == (solved.total_effort, solved.efforts, solved.probs, solved.continuation_values)
 
 
 def test_sweep_grid_validation():

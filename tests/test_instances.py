@@ -252,6 +252,14 @@ def test_every_member_subset_of_a_field_is_its_slice():
             assert sliced == built
             assert bits(sliced._k) == bits(built._k)
             assert bits(sliced._delta_eff) == bits(built._delta_eff)
+    wide = random_scenario(np.random.default_rng(1014), n=200)
+    fields = entry._Fields(wide._columns, wide.settings)
+    for at in ((199,), (0, 199), (3, 77, 198, 199)):  # bit 199 set: the table's last athlete
+        members = [wide.ids[i] for i in at]
+        sliced, built = fields.instance(fields.mask(members)), reference_instance(wide, members)
+        assert sliced == built
+        assert bits(sliced._k) == bits(built._k)
+        assert bits(sliced._delta_eff) == bits(built._delta_eff)
 
 
 def test_the_normal_check_runs_only_where_it_refuses(monkeypatch):

@@ -16,7 +16,7 @@ package name the benchmark's tracer wraps exists.  Read from the README: the
 errors it names as worth catching are exactly the package's exported errors.
 Every exported name but an allowlisted one has a caller outside the tests.
 Every private module-level function and class has a reader in the package
-outside its own definition.
+outside its own definition, and only ``entry._Fields.checked`` calls ``verify_nash``.
 """
 
 from __future__ import annotations
@@ -261,6 +261,24 @@ def test_every_private_definition_has_a_caller_in_the_package():
               if not any(node.name in names for other, names in readers if other is not node)]
     assert definitions
     assert unread == []
+
+
+def test_every_best_response_check_runs_in_the_field_certifier():
+    """Package code calls ``verify_nash`` only inside ``entry._Fields.checked``, the one place
+    where a printed or assembled solve is certified."""
+    callers = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "verify_nash" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                callers.append(".".join(scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    for path in MODULES:
+        visit(parse(path), (path.stem,))
+    assert callers == ["entry._Fields.checked"]
 
 
 # ---------------------------------------------------------------------------
