@@ -1,13 +1,13 @@
 """Comparative statics, welfare accounting, grid sweeps, and prediction checks.
 
-Derivatives of the solved contest come from one share identity, cross-checked against
-central finite differences: the shares ``p_l`` sum to one at the root ``t = X^2``, so with
-``a_l = p_l (1 - p_l)`` and ``V = sum a_l`` raising ``log theta_i`` moves ``log t`` by
-``a_i / V`` and ``p_j`` by ``a_i (1[i=j] - a_j / V)`` (Cornes & Hartley, Economic Theory 26,
-2005).  A rival's effort then rises iff that rival is the favourite, ``p_j > 1/2`` (Dixit,
-AER 77, 1987).  Sweeps re-solve scenarios along a parameter grid, optionally with the
-continuation stage in the loop, and the prediction report bundles the canonical
-monotonicity checks.
+Derivatives of the solved contest come from one share identity at one tightened root, checked
+against central differences at the parameter times ``1 +- 1e-5``: the shares ``p_l`` sum to
+one at the root ``t = X^2``, so with ``a_l = p_l (1 - p_l)`` and ``V = sum a_l`` raising
+``log theta_i`` moves ``log t`` by ``a_i / V`` and ``p_j`` by ``a_i (1[i=j] - a_j / V)``
+(Cornes & Hartley, Economic Theory 26, 2005).  A rival's effort then rises iff that rival is
+the favourite, ``p_j > 1/2`` (Dixit, AER 77, 1987).  Sweeps re-solve scenarios along a
+parameter grid, optionally with the continuation stage in the loop, and the prediction report
+bundles the canonical monotonicity checks.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ TARGET_KINDS = ("total", "prob", "effort")
 #: response scale (see ``SensitivityReport``), up to which a sensitivity check passes.
 REL_ERR_PASS = 1e-4
 
-# Finite differences move the parameter by _FD_STEP either way and re-solve the
-# aggregate root; the residual tolerance is tightened to keep solver noise out
-# of the difference quotient.
+# Finite differences scale the parameter by 1 +- _FD_STEP and re-solve the aggregate
+# root; the residual tolerance of that root and of the root the analytic derivatives
+# read is tightened to keep solver noise out of both.
 _FD_STEP = 1e-5
 _FD_ABS_TOL = 1e-14
 
@@ -134,14 +134,14 @@ def _check_param(instance: ContestInstance,
 
 def _solves(instance: ContestInstance) -> dict:
     """The instance's solves, kept in its ``__dict__`` like ``_k``: key ``None`` holds the
-    root ``x`` and a copy of the instance whose ``abs_tol`` is tightened for finite
-    differences; ``(kind, index, sign)`` a ``with_*`` variant of that copy and its root."""
+    root ``x`` every derivative reads and the tightened copy of the instance it solves;
+    ``(kind, index, sign)`` a ``with_*`` variant of that copy and its root."""
     memo = instance.__dict__.setdefault("_solves", {})
     if not memo:
-        x = _newton(instance)[0]
-        tight = replace(instance.settings, abs_tol=min(instance.settings.abs_tol, _FD_ABS_TOL))
+        settings = replace(instance.settings, abs_tol=min(instance.settings.abs_tol, _FD_ABS_TOL))
         columns = instance.ids, instance.delta, instance.cost, instance.psi, instance.weight
-        memo[None] = x, ContestInstance._derived(*columns, tight, instance._effective)
+        tight = ContestInstance._derived(*columns, settings, instance._effective)
+        memo[None] = _newton(tight)[0], tight
     return memo
 
 
@@ -195,10 +195,11 @@ def sensitivity_report(instance: ContestInstance,
     """Analytic derivative of a solved quantity against a central difference.
 
     ``target`` is ``("total", None)``, ``("prob", id)``, or
-    ``("effort", id)``.  The finite difference re-solves the contest at the
-    parameter plus and minus ``1e-5``, so the parameter must exceed ``1e-5``.
-    Each re-solve starts Newton from the unperturbed root, on a copy of the instance with
-    ``abs_tol`` at most ``1e-14``.  That root, the copy and the re-solves are kept on the instance.
+    ``("effort", id)``.  Both sides read one root, solved on a copy of the instance with
+    ``abs_tol`` at most ``1e-14``.  The finite difference re-solves that copy at the
+    parameter ``theta`` times ``1 +- 1e-5``, a step that stays inside the positive domain
+    at every scale, each re-solve starting Newton from that root.  The root, the copy and
+    the re-solves are kept on the instance.
     """
     t_kind = target[0]
     if t_kind not in TARGET_KINDS:
@@ -211,21 +212,18 @@ def sensitivity_report(instance: ContestInstance,
 
     # Central difference at a tightened residual tolerance.
     base = getattr(instance, p_kind)[p_idx]
-    if base - _FD_STEP <= 0.0:
-        raise DomainError("step", f"step {_FD_STEP} drives {p_kind} of athlete "
-                                  f"{param[1]!r} out of its positive domain")
     memo = _solves(instance)
     tight = memo[None][1]
 
     def resolved(sign: float) -> float:
         key = p_kind, p_idx, sign
         if key not in memo:
-            solved = getattr(tight, f"with_{p_kind}")(param[1], base + sign * _FD_STEP)
+            solved = getattr(tight, f"with_{p_kind}")(param[1], base * (1.0 + sign * _FD_STEP))
             memo[key] = solved, _newton(solved, start=x)[0]
         solved, root = memo[key]
         return _target_at(solved, t_kind, t_idx, root)
 
-    finite = (resolved(1.0) - resolved(-1.0)) / (2.0 * _FD_STEP)
+    finite = (resolved(1.0) - resolved(-1.0)) / (2.0 * _FD_STEP * base)
     unit = x if t_kind == "total" else 1.0 if t_kind == "prob" else x / instance.weight[t_idx]
     rel_err = abs(analytic - finite) / (abs(dlog_t) * unit)
     return SensitivityReport(target=target, parameter=param, analytic=analytic,

@@ -121,28 +121,34 @@ def reference_best_response(delta_eff: float, k: float, weight: float, rivals: f
         return float(hi / w)
 
 
-def reference_share_response(instance: ContestInstance, digits: int = 50) -> tuple:
-    """Share mass at the instance's own float root and every derivative there, at ``digits``.
+def reference_share_response(instance: ContestInstance, x: float | None = None,
+                             digits: int = 50) -> tuple:
+    """Share mass at a root and every derivative there, at ``digits``.
 
     Built from the raw columns alone, ``k = cost / psi`` and ``de = delta * weight^2`` in
-    mpmath, with no share identity.  ``mass`` sums the shares ``de / (k t + de)`` at the
-    package's root ``t = x^2``, which therefore solves ``sum = mass`` exactly.  Each parameter
+    mpmath, with no share identity.  The root is ``t = x^2`` for a given float ``x``, which
+    then solves ``sum de / (k t + de) = mass`` exactly; without ``x`` it is the exact root of
+    mass 1, refined by Newton steps from the package's float root.  Each parameter
     ``theta`` takes a complex step ``theta + i h``, ``h = 10^(-digits/2)``: one Newton step of
     that equation from ``t``, with its unstepped slope, lands on the stepped root up to a real
     ``O(h^2)``, so the imaginary part over ``h`` of the root and of each target read there (the
-    total ``x``, shares ``p_j``, efforts ``p_j x / w_j``) is its implicit derivative.  Returns ``mass`` and a map from each
-    ``(kind, id)`` to ``sensitivity_report`` targets, each ``(derivative, scale)``: the
-    derivative an mpf, the scale ``|d log t / d theta|`` times ``x`` for the total, ``1`` for a
-    share and ``x / w_j`` for an effort, as a float.
+    total ``x``, shares ``p_j``, efforts ``p_j x / w_j``) is its implicit derivative.  Returns
+    ``mass`` and a map from each ``(kind, id)`` to ``sensitivity_report`` targets, each
+    ``(derivative, scale)``: the derivative an mpf, the scale ``|d log t / d theta|`` times
+    ``x`` for the total, ``1`` for a share and ``x / w_j`` for an effort, as a float.
     """
-    x = solve_total_effort(instance)
     with mp.workdps(digits):
         h = mp.mpf(10) ** -(digits // 2)
         raw = {name: [mp.mpf(v) for v in getattr(instance, name)]
                for name in ("delta", "cost", "psi", "weight")}
         k = [c / p for c, p in zip(raw["cost"], raw["psi"])]
         de = [d * w * w for d, w in zip(raw["delta"], raw["weight"])]
-        t = mp.mpf(x) ** 2
+        t = mp.mpf(solve_total_effort(instance) if x is None else x) ** 2
+        # Newton converges quadratically from a float root: 6 steps pass 50 digits.
+        for _ in range(6 if x is None else 0):
+            t += (mp.fsum(e / (kk * t + e) for kk, e in zip(k, de)) - 1) / mp.fsum(
+                e * kk / (kk * t + e) ** 2 for kk, e in zip(k, de))
+        x = mp.sqrt(t)
         shares = [e / (kk * t + e) for kk, e in zip(k, de)]
         slope = mp.fsum(e * kk / (kk * t + e) ** 2 for kk, e in zip(k, de))
         out = {}

@@ -402,6 +402,22 @@ def test_a_tiny_share_matches_the_two_player_closed_form():
     assert solved.total_effort == pytest.approx(exact.total_effort, rel=1e-9)
 
 
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="one member's slope term k / de overflows, so the Newton step is 0")
+def test_an_overflowing_slope_term_does_not_stall_the_root():
+    """Athletes b and c share the prize at ``t = 1``; a, with prize 1e-30 and cost 1e300,
+    holds a share of 1e-330.  At ``t = 0`` a's slope term ``k / de = 1e330`` is ``inf``, so
+    the step ``gap / slope`` is 0 and Newton stalls there with residual 2.
+    """
+    lopsided = ContestInstance(ids=("a", "b", "c"), delta=(1e-30, 1.0, 1.0),
+                               cost=(1e300, 1.0, 1.0), psi=(1.0, 1.0, 1.0),
+                               weight=(1.0, 1.0, 1.0))
+    solved = solve_contest(lopsided)
+    assert solved.total_effort == pytest.approx(1.0, rel=1e-12)
+    assert solved.probs["b"] == solved.probs["c"] == pytest.approx(0.5, rel=1e-12)
+    assert solved.probs["a"] <= 1e-300
+
+
 def test_two_player_closed_form_needs_two_members():
     with pytest.raises(ValueError):
         two_player_equilibrium(mixed_triple())
