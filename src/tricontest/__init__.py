@@ -17,7 +17,6 @@ from .contest import (
     ConvergenceError,
     CurvatureReport,
     NashCheck,
-    SolverSettings,
     SymmetricEquilibrium,
     aggregate_equation,
     payoff_curvature,
@@ -34,6 +33,7 @@ from .model import (
     EffortProfile,
     GlobalParams,
     Scenario,
+    SolverSettings,
     drafting_multiplier,
     outside_option,
 )

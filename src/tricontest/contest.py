@@ -6,7 +6,8 @@ each athlete's implied win probability is ``de_i / (k_i X^2 + de_i)`` with
 the equilibrium aggregate.  In ``t = X^2`` the excess mass is convex and
 strictly decreasing and equals ``m - 1`` at zero, so Newton's method started
 at ``t = 0`` rises monotonically to the unique root without a bracket, after
-which odds, efforts, and payoffs follow in closed form.
+which odds and efforts follow in closed form; ``_equilibrium``, which the duel's
+closed form shares, adds the continuation values and builds the record.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from operator import mul, truediv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NoReturn
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 from .model import (
     DegenerateProfileError,
@@ -28,7 +29,6 @@ from .model import (
 )
 
 __all__ = [
-    "SolverSettings",
     "ConvergenceError",
     "ContestInstance",
     "ContestEquilibrium",
@@ -201,7 +201,8 @@ class ContestEquilibrium:
 
     ``total_effort`` is the weighted aggregate (equal to the plain sum of
     efforts when every weight is one); ``residual`` is the absolute excess
-    probability mass left at the returned root.
+    probability mass left at the returned root.  Only ``contest._equilibrium`` builds
+    a solved field's record; a lone member's and the empty field's are literals.
     """
 
     total_effort: float
@@ -278,8 +279,8 @@ def aggregate_equation(total: float, instance: ContestInstance) -> float:
 
 
 def _newton(instance: ContestInstance, mass: float = 1.0,
-            start: float = 0.0) -> tuple[float, float, float]:
-    """Root ``X``, gap ``g`` and slope ``dg/dt`` there by Newton in ``t = X^2`` from ``X = start``:
+            start: float = 0.0) -> tuple[float, float]:
+    """The pair of root ``X`` and gap ``g`` there, by Newton in ``t = X^2`` from ``X = start``:
     a start above the root steps to or below it (``g`` is convex, ``t < 0`` clamps to 0), then
     climbs until ``|g| <= max(abs_tol, m eps) mass``, so a small target mass keeps its digits.
     ``abs_tol`` and the ``max_iter`` budget are the instance's settings, the only ones read.
@@ -292,7 +293,7 @@ def _newton(instance: ContestInstance, mass: float = 1.0,
             t = x * x
             gap, slope = _gap_and_slope(instance, t, mass)
             if abs(gap) <= tol:
-                return x, gap, slope
+                return x, gap
             x, last = math.sqrt(t_next if (t_next := t - gap / slope) > 0.0 else 0.0), x
             if x == last:
                 message = "Newton stalled at floating point resolution"
@@ -327,32 +328,31 @@ def solve_contest(instance: ContestInstance) -> ContestEquilibrium:
     """Equilibrium odds, efforts, and expected payoffs for the field.
 
     A singleton field wins outright at zero effort by convention.  For two
-    or more members the aggregate root ``X`` is solved first; each athlete's win
-    probability ``de / (k X^2 + de)``, effort, and continuation value then follow directly.
+    or more members ``_newton`` returns the aggregate root ``X`` and its gap, whose size
+    is the residual; each athlete's win probability ``de / (k X^2 + de)`` and effort
+    follow directly, and ``_equilibrium`` adds the continuation values.
     """
-    if instance.m == 1:
+    if instance.m == 1:  # literal: a lone field never reads its effective columns
         aid = instance.ids[0]
-        return ContestEquilibrium(
-            total_effort=0.0,
-            efforts={aid: 0.0},
-            probs={aid: 1.0},
-            continuation_values={aid: instance.delta[0]},
-            residual=0.0,
-        )
-    x, gap, _ = _newton(instance)
+        return ContestEquilibrium(total_effort=0.0, efforts={aid: 0.0}, probs={aid: 1.0},
+                                  continuation_values={aid: instance.delta[0]}, residual=0.0)
+    x, gap = _newton(instance)
     t = x * x
     probs = [de / (k * t + de) for k, de in zip(instance._k, instance._delta_eff)]
     efforts = [p * x / w for p, w in zip(probs, instance.weight)]
+    return _equilibrium(instance, x, probs, efforts, abs(gap))
+
+
+def _equilibrium(instance: ContestInstance, x: float, probs: Sequence[float],
+                 efforts: Sequence[float], residual: float) -> ContestEquilibrium:
+    """The record of a solved field of two or more at aggregate ``x``, with each member's
+    continuation value ``p delta - k e^2 / 2``, computed here only."""
+    ids = instance.ids
     values = [p * d - 0.5 * k * e * e
               for p, d, k, e in zip(probs, instance.delta, instance._k, efforts)]
-    ids = instance.ids
-    return ContestEquilibrium(
-        total_effort=x,
-        efforts=dict(zip(ids, efforts)),
-        probs=dict(zip(ids, probs)),
-        continuation_values=dict(zip(ids, values)),
-        residual=abs(gap),
-    )
+    return ContestEquilibrium(total_effort=x, efforts=dict(zip(ids, efforts)),
+                              probs=dict(zip(ids, probs)),
+                              continuation_values=dict(zip(ids, values)), residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -371,22 +371,13 @@ def two_player_equilibrium(instance: ContestInstance) -> ContestEquilibrium:
     if instance.m != 2:
         raise ValueError(f"the duel closed form needs exactly 2 members, "
                          f"got {instance.m}")
-    k = instance._k
-    adv = [instance.delta[i] / k[i] for i in (0, 1)]
+    adv = [d / k for d, k in zip(instance.delta, instance._k)]
     rho = math.sqrt(adv[0] / adv[1]) * instance.weight[0] / instance.weight[1]
     p = (rho / (1.0 + rho), 1.0 / (1.0 + rho))
     scale = math.sqrt(rho) / (1.0 + rho)
     e = (math.sqrt(adv[0]) * scale, math.sqrt(adv[1]) * scale)
     x = instance.weight[0] * e[0] + instance.weight[1] * e[1]
-    values = tuple(p[i] * instance.delta[i] - 0.5 * k[i] * e[i] * e[i] for i in (0, 1))
-    ids = instance.ids
-    return ContestEquilibrium(
-        total_effort=x,
-        efforts=dict(zip(ids, e)),
-        probs=dict(zip(ids, p)),
-        continuation_values=dict(zip(ids, values)),
-        residual=abs(aggregate_equation(x, instance)),
-    )
+    return _equilibrium(instance, x, p, e, abs(aggregate_equation(x, instance)))
 
 
 def symmetric_equilibrium(m: int, delta: float, cost: float,

@@ -21,12 +21,11 @@ from .contest import (
     ContestEquilibrium,
     ContestInstance,
     NashCheck,
-    SolverSettings,
     _newton,
     solve_contest,
     verify_nash,
 )
-from .model import Scenario
+from .model import Scenario, SolverSettings
 
 __all__ = [
     "Members",

@@ -155,11 +155,14 @@ def test_root_within_twenty_evaluations():
 
 
 def test_continuation_value_is_the_share_identity():
-    """Substituting the first-order condition gives ``V = delta p (1 + p) / 2``."""
+    """Substituting the first-order condition gives ``V = delta p (1 + p) / 2``, for the root
+    solve's records and for the duel closed form's on weighted pairs."""
     rng = np.random.default_rng(2026)
-    for _ in range(300):
-        instance = random_instance(rng, weighted=True)
-        equilibrium = solve_contest(instance)
+    records = [(instance, solve_contest(instance))
+               for instance in (random_instance(rng, weighted=True) for _ in range(300))]
+    records += [(pair, two_player_equilibrium(pair))
+                for pair in (random_instance(rng, m=2, weighted=True) for _ in range(300))]
+    for instance, equilibrium in records:
         for aid, delta in zip(instance.ids, instance.delta):
             p = equilibrium.probs[aid]
             assert equilibrium.continuation_values[aid] == \

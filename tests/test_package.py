@@ -16,7 +16,9 @@ package name the benchmark's tracer wraps exists.  Read from the README: the
 errors it names as worth catching are exactly the package's exported errors.
 Every exported name but an allowlisted one has a caller outside the tests.
 Every private module-level function and class has a reader in the package
-outside its own definition, and only ``entry._Fields.checked`` calls ``verify_nash``.
+outside its own definition, only ``entry._Fields.checked`` calls ``verify_nash``, and
+``ContestEquilibrium`` is built by ``contest._equilibrium`` alone, bar the records of a lone
+member and of the empty field.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import random
 import re
 import subprocess
 import sys
@@ -263,14 +266,13 @@ def test_every_private_definition_has_a_caller_in_the_package():
     assert unread == []
 
 
-def test_every_best_response_check_runs_in_the_field_certifier():
-    """Package code calls ``verify_nash`` only inside ``entry._Fields.checked``, the one place
-    where a printed or assembled solve is certified."""
+def package_callers(function: str) -> list[str]:
+    """The dotted scope (module, class, function) of each package call of ``function``."""
     callers = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and "verify_nash" in (
+            if isinstance(child, ast.Call) and function in (
                     getattr(child.func, "id", None), getattr(child.func, "attr", None)):
                 callers.append(".".join(scope))
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -278,7 +280,31 @@ def test_every_best_response_check_runs_in_the_field_certifier():
 
     for path in MODULES:
         visit(parse(path), (path.stem,))
-    assert callers == ["entry._Fields.checked"]
+    return callers
+
+
+def test_every_best_response_check_runs_in_the_field_certifier():
+    """Package code calls ``verify_nash`` only inside ``entry._Fields.checked``, the one place
+    where a printed or assembled solve is certified."""
+    assert package_callers("verify_nash") == ["entry._Fields.checked"]
+
+
+def test_every_solved_record_is_built_by_one_builder():
+    """Package code calls ``ContestEquilibrium`` once in ``contest._equilibrium``, the builder
+    of every solved field's record, and once each for the records that solve nothing: the
+    lone member's in ``solve_contest`` and the empty field's in ``entry._Fields``.  The root
+    solve hands its callers the pair of root and gap."""
+    assert sorted(package_callers("ContestEquilibrium")) == [
+        "contest._equilibrium", "contest.solve_contest", "entry._Fields.__init__"]
+    contest = importlib.import_module("tricontest.contest")
+    rng = random.Random(29)
+    m = rng.randint(2, 8)
+    instance = contest.ContestInstance(
+        ids=tuple(f"a{i}" for i in range(m)),
+        **{name: tuple(rng.uniform(0.5, 2.0) for _ in range(m))
+           for name in ("delta", "cost", "psi", "weight")})
+    x, gap = contest._newton(instance)
+    assert x > 0.0 and abs(gap) == contest.solve_contest(instance).residual
 
 
 # ---------------------------------------------------------------------------
