@@ -386,8 +386,8 @@ def prediction_report(scenario: Scenario, athlete_id: str | None = None,
     drafting share over 0, 0.25, 0.5 and 0.75 (asserted), symmetric effort
     falling in the field size over 2 to 10 (asserted), and the continuation
     action across the drafting sweep (reported, flagged when the field never
-    reaches two members).  A ``psi_by_size`` table, keyed by sizes in 2 to
-    10, adds a descriptive section tracing symmetric effort over its sizes
+    reaches two members).  A ``psi_by_size`` table, keyed by two or more sizes
+    in 2 to 10, adds a descriptive section tracing symmetric effort over its sizes
     when the multiplier grows with the field.  Both size sections replicate
     the first athlete and read ``symmetric_equilibrium``'s closed form.
     """
@@ -400,6 +400,8 @@ def prediction_report(scenario: Scenario, athlete_id: str | None = None,
     for m in psi_by_size or ():
         if m not in size_grid:
             raise ValueError(f"psi_by_size key {m!r} is not a field size in 2 to 10")
+    if psi_by_size is not None and len(psi_by_size) < 2:
+        raise ValueError(f"psi_by_size needs two or more field sizes, got {len(psi_by_size)}")
     sections: list[PredictionSection] = []
 
     # Drafting share up: own odds and effort up.

@@ -17,7 +17,7 @@ import sys
 from operator import mul, truediv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 from .model import (
     DegenerateProfileError,
@@ -243,14 +243,6 @@ class CurvatureReport:
 # ---------------------------------------------------------------------------
 
 
-def _sum_left(values: Iterable[float]) -> float:
-    """Left-to-right float sum, rounded the same on every interpreter version."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def _gap_and_slope(instance: ContestInstance, t: float, mass: float = 1.0) -> tuple[float, float]:
     """Excess ``g(t)`` of shares ``de / (k t + de)`` at ``t = X^2`` over ``mass``, and ``dg/dt``.
 
@@ -416,6 +408,22 @@ def _best_response(delta_eff: float, k: float, weight: float, rivals: float) -> 
     return rivals * d * d / (u * weight)
 
 
+def _played(instance: ContestInstance, efforts: Mapping[str, float], subject: str,
+            degenerate: str) -> tuple[list[float], float]:
+    """The members' efforts, in member order, and their weighted sum, taken left to right to round
+    alike on every interpreter; a missing member raises ``ValueError`` ("<subject> missing athlete
+    ..."), a zero sum ``DegenerateProfileError(degenerate)``.  Both oracles read profiles here."""
+    played, total = [], 0.0
+    for aid, weight in zip(instance.ids, instance.weight):
+        if aid not in efforts:
+            raise ValueError(f"{subject} missing athlete {aid!r}")
+        played.append(float(efforts[aid]))
+        total += weight * played[-1]
+    if total <= 0.0:
+        raise DegenerateProfileError(degenerate)
+    return played, total
+
+
 def verify_nash(instance: ContestInstance, equilibrium: ContestEquilibrium,
                 deviation_tol: float = 1e-6) -> NashCheck:
     """Best-response check: the largest gain from a unilateral deviation.
@@ -430,24 +438,16 @@ def verify_nash(instance: ContestInstance, equilibrium: ContestEquilibrium,
     if instance.m == 1:
         # The lone member takes the prize at zero cost; effort only hurts.
         return NashCheck(max_gain=0.0, worst=None, passed=True)
-    efforts = []
-    for aid in instance.ids:
-        if aid not in equilibrium.efforts:
-            raise ValueError(f"equilibrium efforts are missing athlete {aid!r}")
-        efforts.append(float(equilibrium.efforts[aid]))
-    x_parts = [w * e for w, e in zip(instance.weight, efforts)]
-    x_all = _sum_left(x_parts)
-    if x_all <= 0.0:
-        raise DegenerateProfileError("the equilibrium profile must carry positive total effort")
+    efforts, x_all = _played(instance, equilibrium.efforts, "equilibrium efforts are",
+                             "the equilibrium profile must carry positive total effort")
     max_gain = -math.inf
     worst: str | None = None
     passed = True
-    for idx, aid in enumerate(instance.ids):
-        rivals = x_all - x_parts[idx]
+    for idx, (aid, own) in enumerate(zip(instance.ids, efforts)):
         delta_i = instance.delta[idx]
         k_i = instance._k[idx]
         w_i = instance.weight[idx]
-        own = efforts[idx]
+        rivals = x_all - w_i * own
         if rivals <= 0.0:
             # Rivals are idle: the win is safe at any positive effort, so the
             # only improvement is shedding the current cost.
@@ -475,24 +475,14 @@ def payoff_curvature(instance: ContestInstance, profile: EffortProfile,
     change sign with the athlete's win probability.
     """
     idx = instance.index(athlete_id)
-    efforts = []
-    for aid in instance.ids:
-        if aid not in profile.efforts:
-            raise ValueError(f"profile is missing athlete {aid!r}")
-        efforts.append(profile.efforts[aid])
-    x_parts = [w * e for w, e in zip(instance.weight, efforts)]
-    x_all = _sum_left(x_parts)
-    if x_all <= 0.0:
-        raise DegenerateProfileError("curvature is undefined at the all-zero profile")
+    efforts, x_all = _played(instance, profile.efforts, "profile is",
+                             "curvature is undefined at the all-zero profile")
     delta_i = instance.delta[idx]
     k_i = instance._k[idx]
     w_i = instance.weight[idx]
-    x_i = x_parts[idx]
+    x_i = w_i * efforts[idx]
     cube = x_all ** 3
     second = -2.0 * delta_i * w_i * w_i * (x_all - x_i) / cube - k_i
-    cross = {}
-    for jdx, aid in enumerate(instance.ids):
-        if jdx == idx:
-            continue
-        cross[aid] = delta_i * w_i * instance.weight[jdx] * (2.0 * x_i - x_all) / cube
+    cross = {aid: delta_i * w_i * w_j * (2.0 * x_i - x_all) / cube
+             for jdx, (aid, w_j) in enumerate(zip(instance.ids, instance.weight)) if jdx != idx}
     return CurvatureReport(second=second, cross=cross)

@@ -112,7 +112,8 @@ class _Fields:
     """The candidate fields of one set of input columns, keyed by bitmask, each solved once.
 
     ``columns`` is shaped like ``Scenario._columns``; every field's contest carries
-    ``settings``.  Bit ``i`` is the ``i``-th athlete.  A field's contest takes the full field's
+    ``settings``.  Bit ``i`` is the ``i``-th athlete, kept as its position: a table of every
+    ``1 << i`` would hold memory quadratic in ``n``.  A field's contest takes the full field's
     columns, effective ones included, at its set bits: what the public constructor builds.
     """
 
@@ -121,16 +122,16 @@ class _Fields:
         self.ids = self.full.ids
         self.everyone = (1 << len(self.ids)) - 1
         self.outside = columns[5]
-        self._bit = {aid: 1 << i for i, aid in enumerate(self.ids)}
+        self._at = {aid: i for i, aid in enumerate(self.ids)}
         self._solved: dict[int, tuple[ContestInstance | None, ContestEquilibrium]] = {
             0: (None, ContestEquilibrium(0.0, {}, {}, {}, 0.0))}
 
     def mask(self, members: Iterable[str]) -> int:
         mask = 0
         for aid in members:
-            if aid not in self._bit:
+            if aid not in self._at:
                 raise ValueError(f"unknown athlete id {aid!r}")
-            mask |= self._bit[aid]
+            mask |= 1 << self._at[aid]
         return mask
 
     def members(self, mask: int) -> Members:
@@ -138,9 +139,9 @@ class _Fields:
         return tuple(sorted(aid for i, aid in enumerate(self.ids) if mask >> i & 1))
 
     def member_index(self, mask: int, athlete_id: str) -> int:
-        if athlete_id not in self._bit or not mask & self._bit[athlete_id]:
+        if athlete_id not in self._at or not mask >> self._at[athlete_id] & 1:
             raise ValueError(f"athlete {athlete_id!r} is not in the member set")
-        return self.ids.index(athlete_id)
+        return self._at[athlete_id]
 
     def instance(self, mask: int) -> ContestInstance:
         if mask == self.everyone:
@@ -209,7 +210,7 @@ def net_benefit(scenario: Scenario, members: Iterable[str], athlete_id: str) -> 
     """
     fields = _Fields(scenario._columns, scenario.settings)
     mask = fields.mask(members) | fields.mask((athlete_id,))
-    i = fields.ids.index(athlete_id)
+    i = fields.member_index(mask, athlete_id)
     stay, leave = fields.stay(mask, i), fields.outside[i]
     return NetBenefit(athlete_id=athlete_id, members=fields.members(mask),
                       continuation=stay, outside=leave, value=stay - leave)
@@ -228,7 +229,12 @@ def net_benefit_curve(scenario: Scenario, members: Iterable[str],
 
 def _needed_share(leave: float, delta: float) -> tuple[float, float]:
     """Win share ``p* = (s - 1) / 2``, ``s = sqrt(1 + 8 r)``, paying ``leave = r delta``, and
-    ``1 - p*``, as ``4 r / (1 + s)`` and ``4 (1 - r) / (3 + s)``: neither cancels near 0 or 1."""
+    ``1 - p*``, as ``4 r / (1 + s)`` and ``4 (1 - r) / (3 + s)``: neither cancels near 0 or 1.
+    Every share pays ``r <= 0``, ``(0, 1)``; none pays ``r > 1``, ``(inf, -inf)``."""
+    if leave <= 0.0:
+        return 0.0, 1.0
+    if leave > delta:
+        return math.inf, -math.inf
     ratio = leave / delta
     root = math.sqrt(1.0 + 8.0 * ratio)
     return 4.0 * ratio / (1.0 + root), 4.0 * ((delta - leave) / delta) / (3.0 + root)
@@ -241,21 +247,20 @@ def cutoff_psi(scenario: Scenario, members: Iterable[str], athlete_id: str) -> C
     option ``o`` the athlete stays iff ``p >= p* = (sqrt(1 + 8 o / delta) - 1) / 2``.
     The others' shares then sum to ``1 - p*`` (exact as ``o`` nears ``delta``); one root
     solve over them to that relative mass gives ``t = X^2`` and
-    ``psi* = cost p* t / (delta w^2 (1 - p*))``.  ``psi*`` is 0 when
-    ``o <= 0`` or a lone member has ``o <= delta``, else infinite when ``o >= delta``.
+    ``psi* = cost p* t / (delta w^2 (1 - p*))``: 0 with no solve when ``p* = 0`` (``o / delta``
+    rounds to at most 0) or a lone member has ``o <= delta``, else infinite when ``o >= delta``.
     The verdict is ``always_continue`` for ``psi* <= lo``, ``always_withdraw`` for
     ``psi* > hi`` and ``interior`` between, where ``(lo, hi) = psi_bounds``.
     """
     fields = _Fields(scenario._columns, scenario.settings)
     mask = fields.mask(members)
     i = fields.member_index(mask, athlete_id)
-    leave, delta = fields.outside[i], fields.full.delta[i]
-    if leave <= 0.0 or (mask == 1 << i and leave <= delta):
+    p_star, rest = _needed_share(fields.outside[i], fields.full.delta[i])
+    if not p_star or (mask == 1 << i and rest >= 0.0):
         psi_star = 0.0
-    elif leave >= delta:
+    elif rest <= 0.0:
         psi_star = math.inf
     else:
-        p_star, rest = _needed_share(leave, delta)
         field = fields.instance(mask)  # only this field's effective prizes are checked
         delta_eff = field._delta_eff[field.index(athlete_id)]
         x = _newton(fields.instance(mask & ~(1 << i)), rest)[0]
@@ -351,10 +356,9 @@ def _greedy(fields: _Fields) -> int:
     k, de = fields.full._effective
 
     def tau(i: int) -> float:
-        leave, delta = fields.outside[i], fields.full.delta[i]
-        if leave > delta:
+        p, rest = _needed_share(fields.outside[i], fields.full.delta[i])
+        if rest < 0.0:
             return -math.inf
-        p, rest = _needed_share(leave, delta) if leave > 0.0 else (0.0, 1.0)
         return de[i] * rest / (k[i] * p) if k[i] * p else math.inf
 
     mask = 0

@@ -458,6 +458,18 @@ def test_full_sweeps_take_the_iterative_outcome_without_iterating(monkeypatch):
             == (solved.total_effort, solved.efforts, solved.probs, solved.continuation_values)
 
 
+def test_full_sweeps_recheck_the_stability_of_their_field(monkeypatch):
+    """A full-stage point re-checks the field it is handed: the empty field of a pair whose
+    prizes beat their outside options, which both want to join, fails naming the set."""
+    scenario = load_scenario(ROOT / "scenarios" / "symmetric_pair.json")
+    assert all(outside_option(rec, scenario.globals) < rec.prize_diff
+               for rec in scenario.athletes)
+    monkeypatch.setattr(analysis, "_greedy", lambda fields: 0)
+    with pytest.raises(RuntimeError) as err:
+        sweep(scenario, "globals.eta", [0.5], stage="full")
+    assert str(err.value) == "internal error: set () failed its stability re-check"
+
+
 def test_sweep_grid_validation():
     scenario = pair_scenario()
     with pytest.raises(ValueError):
@@ -618,6 +630,15 @@ def test_prediction_report_refuses_sizes_outside_its_grid():
         with pytest.raises(ValueError) as err:
             prediction_report(pair_scenario(), psi_by_size={2: 1.1, 3: 1.2, key: 1.3})
         assert str(err.value) == f"psi_by_size key {key!r} is not a field size in 2 to 10"
+
+
+def test_prediction_report_refuses_a_size_table_of_fewer_than_two_sizes():
+    """A shape needs two sizes: an empty or one-size table is refused, not traced."""
+    scenario = load_scenario(ROOT / "scenarios" / "symmetric_pair.json")
+    for table in ({}, {3: 1.5}):
+        with pytest.raises(ValueError) as err:
+            prediction_report(scenario, psi_by_size=table)
+        assert str(err.value) == f"psi_by_size needs two or more field sizes, got {len(table)}"
 
 
 def test_prediction_report_rejects_unknown_athlete():

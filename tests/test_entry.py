@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+import tricontest.analysis as analysis
 import tricontest.contest as contest
 import tricontest.entry as entry
 from tricontest import (
@@ -780,6 +782,57 @@ def test_greedy_threshold_of_a_subnormal_outside_ratio():
     assert 0.0 < fields.outside[0] / 1e10 < sys.float_info.min
     assert fields.members(entry._greedy(fields)) == ("ada",)
     assert enumerate_equilibrium_sets(scenario) == [("ada",)]
+
+
+def test_cutoff_of_an_outside_ratio_that_rounds_to_zero_solves_nothing():
+    """``o / delta`` below the smallest subnormal reads as ``o <= 0`` does: any win share pays
+    it, so the athlete always continues without a solve over the rivals, which a one-step
+    budget could not finish."""
+    params = GlobalParams(alpha=1e-301, beta=1e-301, eta=0.5)
+    athletes = [AthleteRecord(id="ada", t_swim=2.0, r_swim=1, draft_share=0.0, base_cost=1.0,
+                              prize_diff=1e30, theta=4e-301)]
+    athletes += [AthleteRecord(id=aid, t_swim=2.0, r_swim=rank, draft_share=0.0, base_cost=1.0,
+                               prize_diff=1.0, theta=0.5) for rank, aid in ((2, "bea"), (3, "cal"))]
+    scenario = Scenario(athletes=tuple(athletes), globals=params,
+                        settings=SolverSettings(max_iter=1))
+    outside = outside_option(scenario.athletes[0], params)
+    assert outside > 0.0 and outside / 1e30 == 0.0
+    assert entry._needed_share(outside, 1e30) == (0.0, 1.0)
+    result = cutoff_psi(scenario, scenario.ids, "ada")
+    assert (result.verdict, result.psi_star) == (entry.ALWAYS_CONTINUE, None)
+    with pytest.raises(contest.ConvergenceError):
+        subset_equilibrium(scenario, ["bea", "cal"])
+
+
+@pytest.mark.parametrize("leave, delta, expected", [
+    (-0.25, 1.0, (0.0, 1.0)),
+    (0.0, 1.0, (0.0, 1.0)),
+    (0.375, 1.0, (0.5, 0.5)),  # s = sqrt(1 + 8 * 3/8) = 2: p* = 1/2 exactly
+    (1.0, 1.0, (1.0, 0.0)),
+    (1.25, 1.0, (math.inf, -math.inf)),
+    (1e300, 1e-10, (math.inf, -math.inf)),  # o / delta overflows
+])
+def test_needed_share_at_every_case(leave, delta, expected):
+    """Any share pays ``o <= 0``; only the whole prize pays ``o = delta``; none pays more."""
+    assert entry._needed_share(leave, delta) == expected
+
+
+def test_a_field_table_holds_positions_not_shifts():
+    """Building the table of 20 000 athletes maps each id to its position; a ``1 << i`` per
+    athlete would hold memory quadratic in the field size, some 27 MB here."""
+    scenario = load_scenario(Path(__file__).resolve().parent.parent
+                             / "scenarios" / "symmetric_pair.json")
+    columns = analysis._grid_point(scenario, "m", 20000.0, 0)
+    tracemalloc.start()
+    try:
+        fields = entry._Fields(columns, scenario.settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    last = fields.ids[-1]
+    assert fields.mask([last]) == 1 << 19999
+    assert fields.member_index(fields.everyone, last) == 19999
 
 
 # ---------------------------------------------------------------------------

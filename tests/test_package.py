@@ -16,9 +16,10 @@ package name the benchmark's tracer wraps exists.  Read from the README: the
 errors it names as worth catching are exactly the package's exported errors.
 Every exported name but an allowlisted one has a caller outside the tests.
 Every private module-level function and class has a reader in the package
-outside its own definition, only ``entry._Fields.checked`` calls ``verify_nash``, and
+outside its own definition, only ``entry._Fields.checked`` calls ``verify_nash``,
 ``ContestEquilibrium`` is built by ``contest._equilibrium`` alone, bar the records of a lone
-member and of the empty field.
+member and of the empty field, and the two oracles read a profile, and the cutoff and the greedy
+threshold an outside option, each in one place.
 """
 
 from __future__ import annotations
@@ -287,6 +288,14 @@ def test_every_best_response_check_runs_in_the_field_certifier():
     """Package code calls ``verify_nash`` only inside ``entry._Fields.checked``, the one place
     where a printed or assembled solve is certified."""
     assert package_callers("verify_nash") == ["entry._Fields.checked"]
+
+
+def test_each_seam_has_one_reader():
+    """Both Stage 2 oracles read a played profile through ``contest._played``, and the cutoff and
+    the greedy threshold read an outside option's cases through ``entry._needed_share``."""
+    assert sorted(package_callers("_played")) == ["contest.payoff_curvature",
+                                                  "contest.verify_nash"]
+    assert sorted(package_callers("_needed_share")) == ["entry._greedy.tau", "entry.cutoff_psi"]
 
 
 def test_every_solved_record_is_built_by_one_builder():
